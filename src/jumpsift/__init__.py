@@ -18,11 +18,11 @@ from .errors import (
 from .grids import TimeGrid, build_irregular_grid, build_uniform_grid, refine
 from .models import (
     SOURCE_FINITE_ACTIVITY,
-    SOURCE_IA_LARGE,
     SOURCE_IA_SMALL,
     CustomModel,
     GroundTruth,
     JumpEvent,
+    JumpTable,
     Model1,
     Model2,
     Model3,
@@ -31,7 +31,6 @@ from .models import (
     constant_sigma,
     finite_activity,
     has_jumps,
-    relabel_large,
 )
 from .simulate import (
     RNG_ALGORITHM,

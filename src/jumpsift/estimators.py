@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,7 +26,7 @@ from .errors import (
     InvalidArgumentError,
     UnsupportedError,
 )
-from .models import JumpEvent, SamplePath
+from .models import JumpEvent, JumpTable, SamplePath
 
 _POWER_LAW = "power-law"
 
@@ -118,8 +120,7 @@ class EstimationReport:
 
 def realized_variance(path: SamplePath) -> float:
     """Sum of squared increments over the grid."""
-    dx = _increments(path)
-    return _fsum(dx * dx)
+    return _PathSums(path).rv
 
 
 def threshold_realized_variance(path: SamplePath, spec: ThresholdSpec) -> float:
@@ -129,34 +130,23 @@ def threshold_realized_variance(path: SamplePath, spec: ThresholdSpec) -> float:
     identity with realized_variance is exact.
     """
     _warn_if_inadmissible(spec)
-    dx = _increments(path)
-    keep = _kept_mask(path, spec, dx)
-    dx2 = dx * dx
-    return _fsum(dx2) - _fsum(dx2[~keep])
+    return _PathSums(path, spec).iv_hat
 
 
 def threshold_quarticity(path: SamplePath, spec: ThresholdSpec) -> float:
     """Truncated quarticity sum((dX_i)^4 * I) / (3h); uniform grids only."""
     _warn_if_inadmissible(spec)
-    if not path.grid.is_uniform:
-        raise UnsupportedError("threshold_quarticity requires a uniform grid")
-    dx = _increments(path)
-    keep = _kept_mask(path, spec, dx)
-    dx2 = dx * dx
-    return _fsum(dx2[keep] * dx2[keep]) / (3.0 * path.grid.h)
+    _require_uniform(path, "threshold_quarticity")
+    return _PathSums(path, spec).quartic / (3.0 * path.grid.h)
 
 
 def bipower_variation(path: SamplePath) -> float:
     """(pi/2) * sum |dX_i| * |dX_{i-1}|, jump-robust baseline estimator."""
-    dx = _increments(path)
-    if dx.size < 2:
-        raise InvalidArgumentError("bipower variation needs at least 2 increments")
-    a = np.abs(dx)
-    return (math.pi / 2.0) * _fsum(a[1:] * a[:-1])
+    return _PathSums(path).bpv
 
 
 def detect_jumps(path: SamplePath, spec: ThresholdSpec,
-                 true_jumps: tuple[JumpEvent, ...] | None = None) -> JumpDetectionResult:
+                 true_jumps: Sequence[JumpEvent] | None = None) -> JumpDetectionResult:
     """Flag intervals with (dX_i)^2 > r and estimate jump sizes there.
 
     With ground-truth events, intervals are matched greedily: an interval
@@ -165,13 +155,12 @@ def detect_jumps(path: SamplePath, spec: ThresholdSpec,
     intervals holding several true jumps are listed separately.
     """
     _warn_if_inadmissible(spec)
-    dx = _increments(path)
-    flagged = ~_kept_mask(path, spec, dx)
-    sizes = {int(i): float(dx[i]) for i in np.nonzero(flagged)[0]}
+    sums = _PathSums(path, spec)
     match = None
     if true_jumps is not None:
-        match = _match_events(path, flagged, sizes, true_jumps)
-    return JumpDetectionResult(flagged, sizes, match)
+        match = _match_events(path.grid.times, sums.flagged, sums.dx,
+                              JumpTable.from_events(true_jumps))
+    return JumpDetectionResult(sums.flagged, sums.jump_sizes, match)
 
 
 def normalized_bias(path: SamplePath, spec: ThresholdSpec, true_iv: float) -> float:
@@ -182,21 +171,11 @@ def normalized_bias(path: SamplePath, spec: ThresholdSpec, true_iv: float) -> fl
     Uniform grids only.
     """
     _warn_if_inadmissible(spec)
-    if not path.grid.is_uniform:
-        raise UnsupportedError("normalized_bias requires a uniform grid")
-    dx = _increments(path)
-    keep = _kept_mask(path, spec, dx)
-    dx2 = dx * dx
-    quartic = _fsum(dx2[keep] * dx2[keep])
-    if quartic <= 0.0:
-        raise DegenerateStatisticError(
-            "all increments excluded or zero; normalized bias undefined")
-    iv_hat = _fsum(dx2) - _fsum(dx2[~keep])
-    return (iv_hat - float(true_iv)) / math.sqrt((2.0 / 3.0) * quartic)
+    return _PathSums(path, spec).normalized_bias(true_iv)
 
 
 def jump_size_error_stat(path: SamplePath, detection: JumpDetectionResult,
-                         true_jumps: tuple[JumpEvent, ...]) -> float:
+                         true_jumps: Sequence[JumpEvent]) -> float:
     """sqrt(n) * sum_i (gamma_hat_i - gamma_i * I[interval i has a jump]).
 
     gamma_i is the first true jump size in interval i. Uniform grids with
@@ -204,14 +183,9 @@ def jump_size_error_stat(path: SamplePath, detection: JumpDetectionResult,
     """
     if true_jumps is None:
         raise UnsupportedError("jump_size_error_stat requires ground-truth jumps")
-    if not path.grid.is_uniform:
-        raise UnsupportedError("jump_size_error_stat requires a uniform grid")
-    first_sizes: dict[int, float] = {}
-    for ev in sorted(true_jumps, key=lambda e: e.time):
-        i = _containing_interval(path.grid.times, ev.time)
-        first_sizes.setdefault(i, ev.size)
-    total = (math.fsum(detection.estimated_sizes.values())
-             - math.fsum(first_sizes.values()))
+    _require_uniform(path, "jump_size_error_stat")
+    _, _, first_sizes = _jumpy_intervals(path.grid.times, JumpTable.from_events(true_jumps))
+    total = math.fsum(detection.estimated_sizes.values()) - math.fsum(first_sizes.tolist())
     return math.sqrt(path.grid.n) * total
 
 
@@ -219,25 +193,21 @@ def estimation_report(path: SamplePath, spec: ThresholdSpec,
                       true_iv: float | None = None) -> EstimationReport:
     """Evaluate every estimator once, sharing a single threshold mask."""
     _warn_if_inadmissible(spec)
-    dx = _increments(path)
-    keep = _kept_mask(path, spec, dx)
-    dx2 = dx * dx
-    rv = _fsum(dx2)
-    iv_hat = rv - _fsum(dx2[~keep])
+    sums = _PathSums(path, spec)
     uniform = path.grid.is_uniform
-    iq_hat = _fsum(dx2[keep] * dx2[keep]) / (3.0 * path.grid.h) if uniform else None
+    iq_hat = sums.quartic / (3.0 * path.grid.h) if uniform else None
     bias = None
     if true_iv is not None and uniform:
-        bias = normalized_bias(path, spec, true_iv)
-    flagged_idx = tuple(int(i) for i in np.nonzero(~keep)[0])
+        bias = sums.normalized_bias(true_iv)
+    sizes = sums.jump_sizes
     admissible, reason = threshold_admissible(spec)
     return EstimationReport(
-        iv_threshold=iv_hat,
+        iv_threshold=sums.iv_hat,
         iq_threshold=iq_hat,
-        realized_variance=rv,
-        bipower_variation=bipower_variation(path),
-        flagged_intervals=flagged_idx,
-        jump_size_estimates={i: float(dx[i]) for i in flagged_idx},
+        realized_variance=sums.rv,
+        bipower_variation=sums.bpv,
+        flagged_intervals=tuple(sizes),
+        jump_size_estimates=sizes,
         threshold_used=spec,
         normalized_bias=bias,
         admissible=admissible,
@@ -245,19 +215,75 @@ def estimation_report(path: SamplePath, spec: ThresholdSpec,
     )
 
 
-def _increments(path: SamplePath) -> np.ndarray:
-    dx = path.increments
-    if dx.size < 1:
-        raise InvalidArgumentError("path needs at least 2 observations")
-    return dx
+class _PathSums:
+    """Per-path kernel: increments, their squares and the threshold mask,
+    with each exact sum evaluated at most once and only when first read.
 
-def _kept_mask(path: SamplePath, spec: ThresholdSpec, dx: np.ndarray) -> np.ndarray:
-    """Boolean mask of increments with (dX_i)^2 <= r; ties are kept."""
-    if spec.scale_c <= 0.0:
-        raise InvalidArgumentError(
-            f"threshold scale must be positive to evaluate r, got {spec.scale_c}")
-    r = spec.r_at(path.grid.widths) if spec.per_interval else spec.r_at(path.grid.h)
-    return dx * dx <= r
+    Every estimator above is a view over it, and the Monte Carlo harness
+    reads several sums from one instance per path.
+    """
+
+    def __init__(self, path: SamplePath, spec: ThresholdSpec | None = None):
+        dx = path.increments
+        if dx.size < 1:
+            raise InvalidArgumentError("path needs at least 2 observations")
+        self.path = path
+        self.spec = spec
+        self.dx = dx
+        self.dx2 = dx * dx
+
+    @cached_property
+    def keep(self) -> np.ndarray:
+        """Boolean mask of increments with (dX_i)^2 <= r; ties are kept."""
+        spec, grid = self.spec, self.path.grid
+        if spec.scale_c <= 0.0:
+            raise InvalidArgumentError(
+                f"threshold scale must be positive to evaluate r, got {spec.scale_c}")
+        r = spec.r_at(grid.widths) if spec.per_interval else spec.r_at(grid.h)
+        return self.dx2 <= r
+
+    @cached_property
+    def flagged(self) -> np.ndarray:
+        return ~self.keep
+
+    @cached_property
+    def jump_sizes(self) -> dict[int, float]:
+        """dX_i at every flagged interval i, in increasing order of i."""
+        idx = np.flatnonzero(self.flagged)
+        return dict(zip(idx.tolist(), self.dx[idx].tolist()))
+
+    @cached_property
+    def rv(self) -> float:
+        return _fsum(self.dx2)
+
+    @cached_property
+    def iv_hat(self) -> float:
+        return self.rv - _fsum(self.dx2[self.flagged])
+
+    @cached_property
+    def quartic(self) -> float:
+        kept = self.dx2[self.keep]
+        return _fsum(kept * kept)
+
+    @cached_property
+    def bpv(self) -> float:
+        if self.dx.size < 2:
+            raise InvalidArgumentError("bipower variation needs at least 2 increments")
+        a = np.abs(self.dx)
+        return (math.pi / 2.0) * _fsum(a[1:] * a[:-1])
+
+    def normalized_bias(self, true_iv: float) -> float:
+        _require_uniform(self.path, "normalized_bias")
+        quartic = self.quartic
+        if quartic <= 0.0:
+            raise DegenerateStatisticError(
+                "all increments excluded or zero; normalized bias undefined")
+        return (self.iv_hat - float(true_iv)) / math.sqrt((2.0 / 3.0) * quartic)
+
+
+def _require_uniform(path: SamplePath, what: str) -> None:
+    if not path.grid.is_uniform:
+        raise UnsupportedError(f"{what} requires a uniform grid")
 
 
 def _fsum(values: np.ndarray) -> float:
@@ -273,28 +299,30 @@ def _warn_if_inadmissible(spec: ThresholdSpec) -> None:
                       stacklevel=3)
 
 
-def _containing_interval(times: np.ndarray, event_time: float) -> int:
-    """Index i of the observation interval (t_i, t_{i+1}] containing the time."""
-    i = int(np.searchsorted(times, event_time, side="left")) - 1
-    return min(max(i, 0), times.size - 2)
+def _containing_intervals(times: np.ndarray, event_times: np.ndarray) -> np.ndarray:
+    """Index i of the observation interval (t_i, t_{i+1}] containing each time."""
+    i = np.searchsorted(times, event_times, side="left") - 1
+    return np.clip(i, 0, times.size - 2)
 
 
-def _match_events(path, flagged, sizes, true_jumps) -> JumpMatchStats:
-    per_interval: dict[int, list[float]] = {}
-    for ev in sorted(true_jumps, key=lambda e: e.time):
-        i = _containing_interval(path.grid.times, ev.time)
-        per_interval.setdefault(i, []).append(ev.size)
-    tp = fp = fn = 0
-    errors: list[float] = []
-    multi: list[int] = []
-    for i, jump_sizes in per_interval.items():
-        if len(jump_sizes) > 1:
-            multi.append(i)
-        if flagged[i]:
-            tp += 1
-            if len(jump_sizes) == 1:
-                errors.append(sizes[i] - jump_sizes[0])
-        else:
-            fn += 1
+def _jumpy_intervals(times: np.ndarray, jumps: JumpTable):
+    """Intervals holding at least one true jump, in increasing order, with
+    their jump counts and the size of the earliest jump in each (ties in
+    time keep table order)."""
+    order = np.argsort(jumps.times, kind="stable")
+    counts = np.bincount(_containing_intervals(times, jumps.times[order]),
+                         minlength=times.size - 1)
+    jumpy = np.flatnonzero(counts)
+    first = (np.cumsum(counts) - counts)[jumpy]
+    return jumpy, counts[jumpy], jumps.sizes[order][first]
+
+
+def _match_events(times, flagged, dx, jumps: JumpTable) -> JumpMatchStats:
+    jumpy, counts, first_sizes = _jumpy_intervals(times, jumps)
+    hit = flagged[jumpy]
+    tp = int(np.count_nonzero(hit))
+    single = hit & (counts == 1)
+    errors = dx[jumpy[single]] - first_sizes[single]
     fp = int(np.count_nonzero(flagged)) - tp
-    return JumpMatchStats(tp, fp, fn, tuple(errors), tuple(sorted(multi)))
+    return JumpMatchStats(tp, fp, jumpy.size - tp, tuple(errors.tolist()),
+                          tuple(jumpy[counts > 1].tolist()))

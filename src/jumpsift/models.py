@@ -9,6 +9,7 @@ jump-free diffusion or a compound-Poisson process with zero drift).
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,9 +18,11 @@ from .errors import InvalidArgumentError
 from .grids import TimeGrid
 
 SOURCE_FINITE_ACTIVITY = "finite-activity"
-SOURCE_IA_LARGE = "ia-large"
 SOURCE_IA_SMALL = "ia-small-aggregate"
-_SOURCES = (SOURCE_FINITE_ACTIVITY, SOURCE_IA_LARGE, SOURCE_IA_SMALL)
+_SOURCES = (SOURCE_FINITE_ACTIVITY, SOURCE_IA_SMALL)
+# JumpTable.codes entries: indices into _SOURCES.
+CODE_FINITE_ACTIVITY = _SOURCES.index(SOURCE_FINITE_ACTIVITY)
+CODE_IA_SMALL = _SOURCES.index(SOURCE_IA_SMALL)
 
 
 @dataclass(frozen=True, slots=True)
@@ -187,6 +190,68 @@ class JumpEvent:
             raise InvalidArgumentError("finite-activity jumps must have nonzero size")
 
 
+class JumpTable(Sequence):
+    """Jump events of one path held as parallel read-only arrays: times,
+    sizes, and codes (int8 indices into the source tags).
+
+    The table reads as a sequence of JumpEvent: len(), indexing and iteration
+    build the events on demand, and == compares against another table or a
+    sequence of events.
+    """
+
+    __slots__ = ("times", "sizes", "codes")
+
+    def __init__(self, times, sizes, codes):
+        times = np.array(times, dtype=float)
+        sizes = np.array(sizes, dtype=float)
+        codes = np.array(codes, dtype=np.int8)
+        if not (times.ndim == sizes.ndim == codes.ndim == 1
+                and times.size == sizes.size == codes.size):
+            raise InvalidArgumentError("jump times, sizes and codes must be 1-D of equal length")
+        # Viewed as uint8, negative codes land above every valid index.
+        if np.count_nonzero(codes.view(np.uint8) >= len(_SOURCES)):
+            raise InvalidArgumentError(f"unknown jump source code in {np.unique(codes).tolist()}")
+        if np.count_nonzero((sizes == 0.0) & (codes == CODE_FINITE_ACTIVITY)):
+            raise InvalidArgumentError("finite-activity jumps must have nonzero size")
+        for arr in (times, sizes, codes):
+            arr.flags.writeable = False
+        self.times, self.sizes, self.codes = times, sizes, codes
+
+    @classmethod
+    def from_events(cls, events) -> JumpTable:
+        """Table holding the given JumpEvents in order; a table is returned as is."""
+        if isinstance(events, JumpTable):
+            return events
+        events = tuple(events)
+        return cls([ev.time for ev in events], [ev.size for ev in events],
+                   [_SOURCES.index(ev.source) for ev in events])
+
+    def __len__(self) -> int:
+        return self.times.size
+
+    def __getitem__(self, index: int) -> JumpEvent:
+        return JumpEvent(float(self.times[index]), float(self.sizes[index]),
+                         _SOURCES[self.codes[index]])
+
+    def __iter__(self):
+        for t, s, c in zip(self.times.tolist(), self.sizes.tolist(), self.codes.tolist()):
+            yield JumpEvent(t, s, _SOURCES[c])
+
+    def __eq__(self, other):
+        if isinstance(other, JumpTable):
+            return (np.array_equal(self.times, other.times)
+                    and np.array_equal(self.sizes, other.sizes)
+                    and np.array_equal(self.codes, other.codes))
+        if isinstance(other, Sequence):
+            return len(other) == len(self) and all(a == b for a, b in zip(self, other))
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"JumpTable({len(self)} events)"
+
+
 @dataclass(frozen=True, eq=False)
 class SpotVariancePath:
     """sigma^2 at every simulation subgrid point (n*refinement + 1 values)."""
@@ -210,9 +275,12 @@ class GroundTruth:
     """
 
     spot_variance: SpotVariancePath
-    jumps: tuple[JumpEvent, ...]
+    jumps: JumpTable
     continuous_part: np.ndarray
     drift_integral: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "jumps", JumpTable.from_events(self.jumps))
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,19 +302,6 @@ class SamplePath:
     @property
     def increments(self) -> np.ndarray:
         return np.diff(self.observations)
-
-
-def relabel_large(events: tuple[JumpEvent, ...], cut: float) -> tuple[JumpEvent, ...]:
-    """Retag infinite-activity aggregate events with |size| > cut as ia-large."""
-    if cut <= 0.0:
-        raise InvalidArgumentError("cut must be positive")
-    out = []
-    for ev in events:
-        if ev.source == SOURCE_IA_SMALL and abs(ev.size) > cut:
-            out.append(JumpEvent(ev.time, ev.size, SOURCE_IA_LARGE))
-        else:
-            out.append(ev)
-    return tuple(out)
 
 
 def _require_positive(**named):

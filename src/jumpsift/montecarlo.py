@@ -29,12 +29,11 @@ from .diagnostics import (
 from .errors import DegenerateStatisticError, InvalidArgumentError, UnsupportedError
 from .estimators import (
     ThresholdSpec,
-    bipower_variation,
+    _match_events,
+    _PathSums,
+    _warn_if_inadmissible,
     detect_jumps,
     jump_size_error_stat,
-    normalized_bias,
-    realized_variance,
-    threshold_realized_variance,
 )
 from .grids import TimeGrid, build_irregular_grid, build_uniform_grid
 from .models import (
@@ -271,33 +270,33 @@ def small_jump_bias_bound(model: Model3, spec: ThresholdSpec, h: float,
 
 
 def _single_record(cfg: ExperimentConfig, index: int) -> PathRecord:
-    path = simulate(cfg.model, _grid_for(cfg), cfg.substeps,
-                    path_seed(cfg.base_seed, index))
+    path = _simulate_path(cfg, index)
     true_iv = true_integrated_variance(path, 2)
-    iv_hat = threshold_realized_variance(path, cfg.threshold)
-    rv = realized_variance(path)
-    bpv = bipower_variation(path)
-
-    fa = finite_activity(cfg.model)
-    truth = path.ground_truth.jumps if fa else None
-    det = detect_jumps(path, cfg.threshold, truth)
+    _warn_if_inadmissible(cfg.threshold)
+    sums = _PathSums(path, cfg.threshold)
+    # Same order as the separate estimator calls this replaces, so the first
+    # error raised (bad threshold scale, then too few increments) is unchanged.
+    iv_hat = sums.iv_hat
+    bpv = sums.bpv
+    match = None
+    if finite_activity(cfg.model):
+        match = _match_events(path.grid.times, sums.flagged, sums.dx, path.ground_truth.jumps)
 
     bias = None
     if cfg.jitter == 0.0:
         try:
-            bias = normalized_bias(path, cfg.threshold, true_iv)
+            bias = sums.normalized_bias(true_iv)
         except DegenerateStatisticError:
             bias = None
 
-    match = det.match
     return PathRecord(
         path_index=index,
         iv_hat=iv_hat,
         true_iv=true_iv,
         normalized_bias=bias,
-        rv=rv,
+        rv=sums.rv,
         bpv=bpv,
-        n_flagged=int(np.count_nonzero(det.indicators)),
+        n_flagged=int(np.count_nonzero(sums.flagged)),
         tp=match.true_positives if match else None,
         fp=match.false_positives if match else None,
         fn=match.false_negatives if match else None,
@@ -305,22 +304,25 @@ def _single_record(cfg: ExperimentConfig, index: int) -> PathRecord:
 
 
 def _efficiency_pair(cfg: ExperimentConfig, index: int) -> tuple[int, float, float]:
-    path = simulate(cfg.model, _grid_for(cfg), cfg.substeps,
-                    path_seed(cfg.base_seed, index))
+    path = _simulate_path(cfg, index)
     iv = true_integrated_variance(path, 2)
     iq = true_integrated_variance(path, 4)
     denom = math.sqrt(path.grid.h * iq)
-    thr = (threshold_realized_variance(path, cfg.threshold) - iv) / denom
-    bpv = (bipower_variation(path) - iv) / denom
+    _warn_if_inadmissible(cfg.threshold)
+    sums = _PathSums(path, cfg.threshold)
+    thr = (sums.iv_hat - iv) / denom
+    bpv = (sums.bpv - iv) / denom
     return index, thr, bpv
 
 
 def _jump_stat(cfg: ExperimentConfig, index: int) -> tuple[int, float]:
-    path = simulate(cfg.model, _grid_for(cfg), cfg.substeps,
-                    path_seed(cfg.base_seed, index))
-    truth = path.ground_truth.jumps
-    det = detect_jumps(path, cfg.threshold, truth)
-    return index, jump_size_error_stat(path, det, truth)
+    path = _simulate_path(cfg, index)
+    det = detect_jumps(path, cfg.threshold)
+    return index, jump_size_error_stat(path, det, path.ground_truth.jumps)
+
+
+def _simulate_path(cfg: ExperimentConfig, index: int):
+    return simulate(cfg.model, _grid_for(cfg), cfg.substeps, path_seed(cfg.base_seed, index))
 
 
 @functools.lru_cache(maxsize=8)

@@ -146,13 +146,29 @@ def read_path_csv(src: str) -> SamplePath:
         raise InvalidArgumentError(
             f"{src}: header must contain 'time' and 'x' columns") from None
     times, xs = [], []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        times.append(float(parts[t_col]))
-        xs.append(float(parts[x_col]))
+    try:
+        for ln in lines[1:]:
+            parts = ln.split(",")
+            times.append(float(parts[t_col]))
+            xs.append(float(parts[x_col]))
+    except (IndexError, ValueError) as exc:
+        # xs grows last, so its length is the index of the failing data row.
+        what = ("row has too few columns" if isinstance(exc, IndexError)
+                else "'time' and 'x' cells must be numeric")
+        raise InvalidArgumentError(
+            f"{src}:{_nonblank_line_number(src, len(xs) + 1)}: {what}") from None
     if len(times) < 2:
         raise InvalidArgumentError(f"{src}: need at least two rows")
     return SamplePath(TimeGrid(np.array(times)), np.array(xs))
+
+
+def _nonblank_line_number(src: str, k: int) -> int:
+    """1-based line number in src of its k-th (0-based) non-blank line."""
+    with open(src, "r", encoding="utf-8") as fh:
+        nonblank = (number for number, ln in enumerate(fh, 1) if ln.strip())
+        for _ in range(k):
+            next(nonblank)
+        return next(nonblank)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ Draw order is part of the determinism contract and is fixed per model:
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -24,11 +25,11 @@ import numpy as np
 from .errors import InvalidArgumentError, SimulationError, UnsupportedError
 from .grids import TimeGrid, refine
 from .models import (
-    SOURCE_FINITE_ACTIVITY,
-    SOURCE_IA_SMALL,
+    CODE_FINITE_ACTIVITY,
+    CODE_IA_SMALL,
     CustomModel,
     GroundTruth,
-    JumpEvent,
+    JumpTable,
     Model1,
     Model2,
     Model3,
@@ -47,6 +48,8 @@ _MAX_JUMP_RESAMPLES = 100
 # exp(k*t) factors in the closed-form OU scan stay representable up to here;
 # beyond it the engine falls back to the stepwise recursion.
 _OU_SCAN_MAX_EXPONENT = 600.0
+
+_NO_JUMPS = JumpTable((), (), ())
 
 
 def rng_from_seed(seed: int) -> np.random.Generator:
@@ -80,7 +83,7 @@ def simulate(cfg: ModelConfig, grid: TimeGrid, substeps: int = 1, seed: int = 0)
     if not isinstance(substeps, (int, np.integer)) or substeps < 1:
         raise InvalidArgumentError(f"substeps must be a positive integer, got {substeps!r}")
     rng = rng_from_seed(seed)
-    fine_times, fine_widths = refine(grid, substeps)
+    fine_times, fine_widths = _subgrid(grid, substeps)
     if isinstance(cfg, Model1):
         return _simulate_constant_vol(
             cfg.drift, cfg.sigma, (cfg.jump_intensity, cfg.jump_size_std),
@@ -118,10 +121,23 @@ def true_integrated_variance(path: SamplePath, power: int) -> float:
     if path.ground_truth is None:
         raise UnsupportedError("path has no ground truth")
     spot = path.ground_truth.spot_variance
-    _, fine_widths = refine(path.grid, spot.refinement)
+    _, fine_widths = _subgrid(path.grid, spot.refinement)
     left = spot.values[:-1]
     integrand = left if power == 2 else left * left
     return float(np.sum(integrand * fine_widths))
+
+
+@functools.lru_cache(maxsize=4)
+def _subgrid(grid: TimeGrid, substeps: int) -> tuple[np.ndarray, np.ndarray]:
+    """refine(grid, substeps) as read-only arrays, computed once per grid.
+
+    TimeGrid hashes by identity, so every path of a run on one grid object
+    shares a single subgrid.
+    """
+    fine_times, fine_widths = (arr.view() for arr in refine(grid, substeps))
+    fine_times.flags.writeable = False
+    fine_widths.flags.writeable = False
+    return fine_times, fine_widths
 
 
 def _simulate_constant_vol(drift, sigma, jump_params, grid, substeps,
@@ -132,15 +148,14 @@ def _simulate_constant_vol(drift, sigma, jump_params, grid, substeps,
     z = rng.standard_normal(nf)
     cont_incr = drift * fine_widths + sigma * np.sqrt(fine_widths) * z
 
-    events: tuple[JumpEvent, ...] = ()
+    events = _NO_JUMPS
     jump_incr = np.zeros(nf)
     if jump_params is not None:
         lam, size_std = jump_params
         times = _poisson_times(rng, grid.t_end, lam)
         if times:
             sizes = rng.normal(0.0, size_std, len(times))
-            events = tuple(JumpEvent(t, float(s), SOURCE_FINITE_ACTIVITY)
-                           for t, s in zip(times, sizes))
+            events = _finite_activity_table(times, sizes)
             _bin_jumps(jump_incr, fine_times, times, sizes)
 
     return _assemble(grid, substeps, fine_widths, cont_incr, jump_incr, events,
@@ -169,16 +184,15 @@ def _simulate_model2(cfg, grid, substeps, fine_times, fine_widths, rng):
     cont_incr = drift_incr + sigma_left * np.sqrt(fine_widths) * z1
 
     times = _poisson_times(rng, grid.t_end, cfg.jump_intensity)
-    events = []
+    events = _NO_JUMPS
     jump_incr = np.zeros(nf)
     if times:
         jump_sd = math.sqrt(cfg.jump_var)
         sizes = np.array([_draw_log_jump(rng, cfg.jump_mean, jump_sd) for _ in times])
-        events = [JumpEvent(t, float(s), SOURCE_FINITE_ACTIVITY)
-                  for t, s in zip(times, sizes)]
+        events = _finite_activity_table(times, sizes)
         _bin_jumps(jump_incr, fine_times, times, sizes)
 
-    return _assemble(grid, substeps, fine_widths, cont_incr, jump_incr, tuple(events),
+    return _assemble(grid, substeps, fine_widths, cont_incr, jump_incr, events,
                      spot=np.exp(2.0 * h_path),
                      drift_integral=drift_incr.reshape(grid.n, substeps).sum(axis=1))
 
@@ -196,9 +210,9 @@ def _simulate_model3(cfg, grid, substeps, fine_times, fine_widths, rng):
     jump_incr = cfg.vg_drift * dg + cfg.vg_vol * np.sqrt(dg) * z_jump
     cont_incr = cfg.sigma * np.sqrt(fine_widths) * z_diff
 
-    nonzero = np.nonzero(jump_incr)[0]
-    events = tuple(JumpEvent(float(fine_times[j + 1]), float(jump_incr[j]), SOURCE_IA_SMALL)
-                   for j in nonzero)
+    nonzero = np.flatnonzero(jump_incr)
+    events = JumpTable(fine_times[nonzero + 1], jump_incr[nonzero],
+                       np.full(nonzero.size, CODE_IA_SMALL, dtype=np.int8))
 
     return _assemble(grid, substeps, fine_widths, cont_incr, jump_incr, events,
                      spot=np.full(nf + 1, cfg.sigma * cfg.sigma),
@@ -215,6 +229,10 @@ def _assemble(grid, substeps, fine_widths, cont_incr, jump_incr, events, spot, d
         drift_integral=np.asarray(drift_integral, dtype=float),
     )
     return SamplePath(grid, x_fine[::substeps], truth)
+
+
+def _finite_activity_table(times, sizes) -> JumpTable:
+    return JumpTable(times, sizes, np.full(len(times), CODE_FINITE_ACTIVITY, dtype=np.int8))
 
 
 def _poisson_times(rng, t_end, lam) -> list[float]:

@@ -392,3 +392,22 @@ def test_cli_env_seed_lands_in_manifest(tmp_path, monkeypatch, capsys):
     assert manifest["base_seed"] == 424242
     assert manifest["config"]["seed"] == 424242
     assert manifest["rng"]
+
+
+def test_cli_ragged_row_is_runtime_error_naming_the_line(tmp_path, capsys):
+    src = tmp_path / "ragged.csv"
+    src.write_text("time,x\n0,0\n\n0.5,0.1\n1.0\n", encoding="utf-8")
+    assert main(["estimate", "--in", str(src), "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert f"{src}:5:" in err and "too few columns" in err
+    with pytest.raises(InvalidArgumentError, match=r"ragged\.csv:5:"):
+        read_path_csv(str(src))
+
+
+def test_cli_non_numeric_cell_is_runtime_error_naming_the_line(tmp_path, capsys):
+    src = tmp_path / "text.csv"
+    src.write_text("x,time\n0,0\nabc,0.5\n0.2,1.0\n", encoding="utf-8")
+    assert main(["detect", "--in", str(src), "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert f"{src}:3:" in err and "numeric" in err
+    assert not os.path.exists(tmp_path / "detection.csv")
