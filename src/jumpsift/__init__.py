@@ -35,7 +35,6 @@ from .models import (
 from .simulate import (
     RNG_ALGORITHM,
     path_seed,
-    sample_gamma_increment,
     simulate,
     true_integrated_variance,
 )

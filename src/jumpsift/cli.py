@@ -27,11 +27,11 @@ from . import __version__
 from .config import RunSettings, load_config_file, merge_settings, resolve_seed
 from .errors import ConfigError, JumpsiftError
 from .estimators import detect_jumps, estimation_report
-from .models import CustomModel
+from .models import CustomModel, model_name
 from .montecarlo import efficiency_comparison, run_experiment
 from .serialize import (
+    _cell,
     build_manifest,
-    config_to_dict,
     file_sha256,
     read_path_csv,
     report_to_dict,
@@ -204,15 +204,9 @@ def _settings_echo(settings: RunSettings) -> dict:
     """Scalar key-value echo; feeding it back through merge_settings yields
     the same RunSettings, which is what replay_manifest relies on."""
     model = settings.model
-    out: dict = {}
+    out: dict = {"model": model_name(model)}
     if isinstance(model, CustomModel):
-        out["model"] = "custom"
-        out["drift"] = model.drift
-        out["spot_vol"] = model.spot_vol
-        out["jumps"] = model.jumps
-    else:
-        out["model"] = {"Model1": "model1", "Model2": "model2",
-                        "Model3": "model3"}[type(model).__name__]
+        out.update(drift=model.drift, spot_vol=model.spot_vol, jumps=model.jumps)
     out.update(
         n=settings.n,
         t=settings.t_end,
@@ -239,21 +233,13 @@ def replay_manifest(manifest_path: str, out_dir: str) -> list[str]:
         if key not in manifest:
             raise ConfigError(f"{manifest_path}: manifest lacks {key!r}")
     echo = manifest["config"]
-    raw = {k: _scalar_to_str(v) for k, v in echo.items()}
+    raw = {k: _cell(v) for k, v in echo.items()}
     settings = merge_settings(file_values=None, overrides=raw)
     settings = settings.with_seed(int(manifest["base_seed"]))
     inputs = manifest.get("inputs") or []
     input_path = inputs[0]["file"] if inputs else None
     os.makedirs(out_dir, exist_ok=True)
     return _dispatch(manifest["command"], settings, out_dir, input_path)
-
-
-def _scalar_to_str(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
 
 
 if __name__ == "__main__":

@@ -11,14 +11,14 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, replace
 
-from .errors import ConfigError
+from .errors import ConfigError, InvalidArgumentError
 from .estimators import ThresholdSpec
-from .models import CustomModel, Model1, Model2, Model3, ModelConfig
+from .models import MODEL_CLASSES, ModelConfig
 from .montecarlo import ExperimentConfig
+from .serialize import SCHEMA_VERSION
 
 DEFAULT_BASE_SEED = 123456789
 ENV_SEED = "JUMPSIFT_SEED"
-SCHEMA_VERSION = 1
 
 # Values are strings on purpose: presets go through the same parsing path
 # as config files, so a preset is exactly quotable as a file.
@@ -38,7 +38,8 @@ PRESETS: dict[str, dict[str, str]] = {
 
 _INT_KEYS = {"n", "paths", "substeps", "seed", "parallelism", "schema_version"}
 _FLOAT_KEYS = {"t", "beta", "scale_c", "jitter"}
-_STR_KEYS = {"preset", "model", "drift", "spot_vol", "jumps"}
+_CUSTOM_KEYS = ("drift", "spot_vol", "jumps")
+_STR_KEYS = {"preset", "model", *_CUSTOM_KEYS}
 _ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
 
 _DEFAULTS: dict[str, str] = {
@@ -169,30 +170,16 @@ def resolve_seed(explicit: int | None = None) -> int:
 
 
 def _build(merged: dict[str, str]) -> RunSettings:
-    model_name = merged.get("model", "model1")
-    custom_keys = {k for k in ("drift", "spot_vol", "jumps") if k in merged}
-    if model_name == "model1":
-        model: ModelConfig = Model1()
-    elif model_name == "model2":
-        model = Model2()
-    elif model_name == "model3":
-        model = Model3()
-    elif model_name == "custom":
-        try:
-            model = CustomModel(
-                drift=merged.get("drift", "zero"),
-                spot_vol=merged.get("spot_vol", "constant:0.3"),
-                jumps=merged.get("jumps", "none"),
-            )
-        except Exception as exc:
-            raise ConfigError(f"invalid custom model: {exc}") from exc
-        custom_keys = set()
-    else:
-        raise ConfigError(
-            f"unknown model {model_name!r} (known: model1, model2, model3, custom)")
-    if custom_keys:
-        raise ConfigError(
-            f"keys {sorted(custom_keys)} require model = custom, not {model_name!r}")
+    name = merged.get("model", "model1")
+    if name not in MODEL_CLASSES:
+        raise ConfigError(f"unknown model {name!r} (known: {', '.join(MODEL_CLASSES)})")
+    custom = {k: merged[k] for k in _CUSTOM_KEYS if k in merged}
+    if custom and name != "custom":
+        raise ConfigError(f"keys {sorted(custom)} require model = custom, not {name!r}")
+    try:
+        model: ModelConfig = MODEL_CLASSES[name](**custom)
+    except InvalidArgumentError as exc:
+        raise ConfigError(f"invalid custom model: {exc}") from exc
 
     seed = merged.get("seed")
     settings = RunSettings(
@@ -207,25 +194,14 @@ def _build(merged: dict[str, str]) -> RunSettings:
         parallelism=_parse_int("parallelism", merged["parallelism"]),
         seed=None if seed is None else _parse_int("seed", seed),
     )
-    _validate(settings)
+    # ExperimentConfig owns the range rules; the seed does not enter them.
+    # beta/scale_c stay permissive there: inadmissible thresholds are allowed
+    # to run and are reported as such.
+    try:
+        replace(settings, seed=0).experiment()
+    except InvalidArgumentError as exc:
+        raise ConfigError(str(exc)) from exc
     return settings
-
-
-def _validate(s: RunSettings) -> None:
-    if s.n < 1:
-        raise ConfigError("n must be >= 1")
-    if s.t_end <= 0.0:
-        raise ConfigError("t must be positive")
-    if s.n_paths < 1:
-        raise ConfigError("paths must be >= 1")
-    if s.substeps < 1:
-        raise ConfigError("substeps must be >= 1")
-    if not (0.0 <= s.jitter < 1.0):
-        raise ConfigError("jitter must lie in [0, 1)")
-    if s.parallelism < 1:
-        raise ConfigError("parallelism must be >= 1")
-    # beta/scale_c stay permissive: inadmissible thresholds are allowed to
-    # run and are reported as such.
 
 
 def _parse_int(key: str, value: str) -> int:

@@ -12,6 +12,7 @@ holds as a floating-point identity, not just to tolerance.
 
 from __future__ import annotations
 
+import array
 import math
 import warnings
 from collections.abc import Sequence
@@ -288,8 +289,9 @@ def _require_uniform(path: SamplePath, what: str) -> None:
 
 def _fsum(values: np.ndarray) -> float:
     # Exact accumulation; order-independent, so permutation invariance of the
-    # quadratic sums holds bitwise.
-    return math.fsum(values.tolist())
+    # quadratic sums holds bitwise. Reading the raw float64 bytes through
+    # array.array skips the intermediate list that tolist() builds.
+    return math.fsum(array.array("d", values.tobytes()))
 
 
 def _warn_if_inadmissible(spec: ThresholdSpec) -> None:

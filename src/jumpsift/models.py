@@ -135,6 +135,8 @@ class CustomModel:
                 lam, size_std = float(parts[0]), float(parts[1])
             except ValueError as exc:
                 raise InvalidArgumentError(f"bad jumps id {self.jumps!r}") from exc
+            if not (math.isfinite(lam) and math.isfinite(size_std)):
+                raise InvalidArgumentError(f"jumps id {self.jumps!r} must hold finite numbers")
             if lam < 0.0:
                 raise InvalidArgumentError("jump intensity must be >= 0")
             if lam > 0.0 and size_std <= 0.0:
@@ -144,6 +146,15 @@ class CustomModel:
 
 
 ModelConfig = Model1 | Model2 | Model3 | CustomModel
+
+# The name of each model in config files, presets, manifests and summaries.
+MODEL_CLASSES: dict[str, type] = {
+    "model1": Model1, "model2": Model2, "model3": Model3, "custom": CustomModel}
+
+
+def model_name(model: ModelConfig) -> str:
+    """The MODEL_CLASSES name of a model's class."""
+    return {cls: name for name, cls in MODEL_CLASSES.items()}[type(model)]
 
 
 def has_jumps(model: ModelConfig) -> bool:
@@ -312,6 +323,9 @@ def _require_positive(**named):
 
 def _parse_float(spec_id: str, what: str) -> float:
     try:
-        return float(spec_id.split(":", 1)[1])
+        value = float(spec_id.split(":", 1)[1])
     except ValueError as exc:
         raise InvalidArgumentError(f"bad {what} id {spec_id!r}") from exc
+    if not math.isfinite(value):
+        raise InvalidArgumentError(f"{what} id {spec_id!r} must hold a finite number")
+    return value

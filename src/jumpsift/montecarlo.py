@@ -52,7 +52,9 @@ from .simulate import path_seed, simulate, true_integrated_variance
 class ExperimentConfig:
     """Everything a repeated-path run depends on.
 
-    parallelism is a worker-count hint only; it never affects results.
+    Construction checks the range of every run parameter; the config layer
+    reports a failure as a ConfigError. parallelism is a worker-count hint
+    only; it never affects results.
     """
 
     model: ModelConfig
@@ -66,6 +68,10 @@ class ExperimentConfig:
     parallelism: int = 1
 
     def __post_init__(self):
+        if self.n < 1:
+            raise InvalidArgumentError("n must be >= 1")
+        if not (self.t_end > 0.0) or not math.isfinite(self.t_end):
+            raise InvalidArgumentError("t_end must be positive and finite")
         if self.n_paths < 1:
             raise InvalidArgumentError("n_paths must be >= 1")
         if self.parallelism < 1:
@@ -138,8 +144,7 @@ def run_experiment(cfg: ExperimentConfig) -> McSummary:
     the normality statistics and counted in excluded_paths; their other
     estimates still enter the record list.
     """
-    records = _map_paths(_single_record, cfg, cfg.n_paths)
-    records = tuple(sorted(records, key=lambda r: r.path_index))
+    records = tuple(_map_paths(_single_record, cfg, cfg.n_paths))
 
     uniform = cfg.jitter == 0.0
     biases = np.array([r.normalized_bias for r in records
@@ -209,9 +214,8 @@ def efficiency_comparison(cfg: ExperimentConfig, n_paths: int | None = None) -> 
             "efficiency comparison requires a jump-free model")
     m = cfg.n_paths if n_paths is None else int(n_paths)
     pairs = _map_paths(_efficiency_pair, cfg, m)
-    pairs.sort(key=lambda p: p[0])
-    thr = sample_moments([p[1] for p in pairs]).variance
-    bpv = sample_moments([p[2] for p in pairs]).variance
+    thr = sample_moments([p[0] for p in pairs]).variance
+    bpv = sample_moments([p[1] for p in pairs]).variance
     return EfficiencyTable(thr, bpv, bpv / thr, m)
 
 
@@ -243,9 +247,7 @@ def jump_size_clt_experiment(cfg: ExperimentConfig, n_paths: int | None = None) 
         params = cfg.model.jump_params()
         lam = 0.0 if params is None else params[0]
     m = cfg.n_paths if n_paths is None else int(n_paths)
-    stats = _map_paths(_jump_stat, cfg, m)
-    stats.sort(key=lambda p: p[0])
-    samples = np.array([s[1] for s in stats])
+    samples = np.array(_map_paths(_jump_stat, cfg, m))
     mixture = PoissonMixtureCdf(lam * cfg.t_end, sigma * sigma * cfg.t_end)
     ks = ks_against_cdf(samples, mixture, atom_points=(0.0,))
     return JumpSizeCltResult(samples, ks, lam * cfg.t_end, sigma * sigma * cfg.t_end)
@@ -303,7 +305,7 @@ def _single_record(cfg: ExperimentConfig, index: int) -> PathRecord:
     )
 
 
-def _efficiency_pair(cfg: ExperimentConfig, index: int) -> tuple[int, float, float]:
+def _efficiency_pair(cfg: ExperimentConfig, index: int) -> tuple[float, float]:
     path = _simulate_path(cfg, index)
     iv = true_integrated_variance(path, 2)
     iq = true_integrated_variance(path, 4)
@@ -312,13 +314,13 @@ def _efficiency_pair(cfg: ExperimentConfig, index: int) -> tuple[int, float, flo
     sums = _PathSums(path, cfg.threshold)
     thr = (sums.iv_hat - iv) / denom
     bpv = (sums.bpv - iv) / denom
-    return index, thr, bpv
+    return thr, bpv
 
 
-def _jump_stat(cfg: ExperimentConfig, index: int) -> tuple[int, float]:
+def _jump_stat(cfg: ExperimentConfig, index: int) -> float:
     path = _simulate_path(cfg, index)
     det = detect_jumps(path, cfg.threshold)
-    return index, jump_size_error_stat(path, det, path.ground_truth.jumps)
+    return jump_size_error_stat(path, det, path.ground_truth.jumps)
 
 
 def _simulate_path(cfg: ExperimentConfig, index: int):
@@ -331,6 +333,7 @@ def _grid_for(cfg: ExperimentConfig) -> TimeGrid:
 
 
 def _map_paths(fn, cfg: ExperimentConfig, n_paths: int) -> list:
+    """[fn(cfg, i) for i in range(n_paths)], in index order for any worker count."""
     worker = functools.partial(fn, cfg)
     if cfg.parallelism == 1 or n_paths == 1:
         return [worker(i) for i in range(n_paths)]

@@ -19,10 +19,11 @@ import numpy as np
 from .errors import InvalidArgumentError
 from .estimators import EstimationReport, JumpDetectionResult
 from .grids import TimeGrid
-from .models import SamplePath
+from .models import SamplePath, model_name
 from .diagnostics import Histogram, Moments
 from .montecarlo import EfficiencyTable, ExperimentConfig, McSummary
 
+# Format version of config files, manifests, reports and summaries.
 SCHEMA_VERSION = 1
 
 
@@ -241,19 +242,17 @@ def _moments_dict(m: Moments | None) -> dict | None:
     }
 
 
-_MODEL_NAMES = {"Model1": "model1", "Model2": "model2",
-                "Model3": "model3", "CustomModel": "custom"}
-
-
 def model_to_dict(model) -> dict:
-    out = {"model": _MODEL_NAMES[type(model).__name__]}
+    out = {"model": model_name(model)}
     for field in model.__dataclass_fields__:
         out[field] = getattr(model, field)
     return out
 
 
-def config_to_dict(cfg: ExperimentConfig, include_parallelism: bool = True) -> dict:
-    out = {
+def config_to_dict(cfg: ExperimentConfig) -> dict:
+    # parallelism is a scheduling hint, so the echo omits it: runs that
+    # differ only in worker count must emit identical bytes.
+    return {
         "model": model_to_dict(cfg.model),
         "beta": cfg.threshold.beta,
         "scale_c": cfg.threshold.scale_c,
@@ -265,11 +264,6 @@ def config_to_dict(cfg: ExperimentConfig, include_parallelism: bool = True) -> d
         "n_paths": cfg.n_paths,
         "base_seed": cfg.base_seed,
     }
-    # parallelism is a scheduling hint, so the summary echo omits it: runs
-    # that differ only in worker count must emit identical bytes.
-    if include_parallelism:
-        out["parallelism"] = cfg.parallelism
-    return out
 
 
 def summary_to_dict(summary: McSummary) -> dict:
@@ -287,7 +281,7 @@ def summary_to_dict(summary: McSummary) -> dict:
     est = summary.estimates
     return {
         "schema_version": SCHEMA_VERSION,
-        "config": config_to_dict(summary.config, include_parallelism=False),
+        "config": config_to_dict(summary.config),
         "n_paths": summary.n_paths,
         "excluded_paths": summary.excluded_paths,
         "normality_supported": summary.normality_supported,

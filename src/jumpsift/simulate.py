@@ -99,21 +99,6 @@ def simulate(cfg: ModelConfig, grid: TimeGrid, substeps: int = 1, seed: int = 0)
     raise InvalidArgumentError(f"unknown model config {type(cfg).__name__}")
 
 
-def sample_gamma_increment(shape: float, scale: float, rng: np.random.Generator) -> float:
-    """One draw from Gamma(shape, scale); E = shape*scale, Var = shape*scale^2.
-
-    For very small shapes the sampler's mass concentrates below the double
-    denormal range; zero draws are rejected so the result is strictly
-    positive as a subordinator increment must be.
-    """
-    if not (shape > 0.0) or not (scale > 0.0):
-        raise InvalidArgumentError("shape and scale must be positive")
-    while True:
-        value = float(rng.gamma(shape, scale))
-        if value > 0.0:
-            return value
-
-
 def true_integrated_variance(path: SamplePath, power: int) -> float:
     """Left-endpoint Riemann sum of sigma^power over the simulation subgrid."""
     if power not in (2, 4):

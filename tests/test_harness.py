@@ -190,6 +190,12 @@ def test_small_jump_bias_bound_validation():
 
 def test_experiment_config_validation():
     with pytest.raises(InvalidArgumentError):
+        small_cfg(n=0)
+    with pytest.raises(InvalidArgumentError):
+        small_cfg(t_end=0.0)
+    with pytest.raises(InvalidArgumentError):
+        small_cfg(t_end=math.inf)
+    with pytest.raises(InvalidArgumentError):
         small_cfg(n_paths=0)
     with pytest.raises(InvalidArgumentError):
         small_cfg(parallelism=0)

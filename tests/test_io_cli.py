@@ -10,6 +10,7 @@ from jumpsift import (
     ConfigError,
     InvalidArgumentError,
     Model1,
+    Model2,
     Model3,
     CustomModel,
     SamplePath,
@@ -23,7 +24,8 @@ from jumpsift import (
     simulate,
     threshold_realized_variance,
 )
-from jumpsift.cli import main, replay_manifest
+from jumpsift.cli import _settings_echo, main, replay_manifest
+from jumpsift.models import MODEL_CLASSES
 from jumpsift.config import (
     DEFAULT_BASE_SEED,
     load_config_file,
@@ -32,9 +34,11 @@ from jumpsift.config import (
     resolve_seed,
 )
 from jumpsift.serialize import (
+    _cell,
     dumps_json,
     file_sha256,
     fmt_float,
+    model_to_dict,
     read_path_csv,
     report_to_dict,
     write_detection_csv,
@@ -247,6 +251,33 @@ def test_model_param_keys_require_custom():
         merge_settings({"model": "model1", "drift": "zero"}, None)
 
 
+def test_malformed_custom_model_is_config_error():
+    with pytest.raises(ConfigError, match="invalid custom model"):
+        merge_settings({"model": "custom", "jumps": "compound-poisson:inf,0.5"}, None)
+
+
+# The model names are a file-format contract: config files, presets,
+# manifests and summary.json all carry them.
+MODEL_NAMES = {"model1": Model1, "model2": Model2, "model3": Model3,
+               "custom": CustomModel}
+
+
+@pytest.mark.parametrize("name", sorted(MODEL_NAMES))
+def test_model_names_round_trip_through_the_settings_echo(name):
+    file_values = {"model": name}
+    if name == "custom":
+        file_values["jumps"] = "compound-poisson:3,0.5"
+    settings = merge_settings(file_values, {"seed": 5, "beta": 0.7})
+    assert type(settings.model) is MODEL_NAMES[name]
+    # The echo reaches replay_manifest through manifest.json.
+    echo = json.loads(dumps_json(_settings_echo(settings)))
+    assert echo["model"] == name
+    again = merge_settings(None, {k: _cell(v) for k, v in echo.items()})
+    assert again == settings
+    assert model_to_dict(settings.model)["model"] == name
+    assert MODEL_CLASSES[name] is MODEL_NAMES[name]
+
+
 def test_resolve_seed(monkeypatch):
     monkeypatch.delenv("JUMPSIFT_SEED", raising=False)
     assert resolve_seed(None) == DEFAULT_BASE_SEED
@@ -269,6 +300,30 @@ def test_cli_version_and_config_errors(tmp_path, capsys):
     bad = write_cfg(tmp_path, "schema_version = 1\nwidth = 3\n")
     assert main(["mc", "--config", bad, "--out", str(tmp_path)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["simulate", "estimate", "detect", "mc", "compare"])
+@pytest.mark.parametrize("flags", [
+    ["--paths", "0"],
+    ["--n", "0"],
+    ["--substeps", "0"],
+    ["--jitter", "1.0"],
+    ["--parallelism", "0"],
+    ["--config", "t = 0"],
+    ["--config", "t = inf"],
+    ["--beta", "inf"],
+    ["--scale-c=-inf"],
+], ids=" ".join)
+def test_cli_out_of_range_run_parameter_is_config_error(tmp_path, capsys, command, flags):
+    if flags[0] == "--config":
+        flags = ["--config", write_cfg(tmp_path, f"schema_version = 1\n{flags[1]}\n")]
+    src = tmp_path / "path.csv"
+    src.write_text("time,x\n0,0\n0.5,0.1\n1.0,0.05\n", encoding="utf-8")
+    inputs = ["--in", str(src)] if command in ("estimate", "detect") else []
+    out = tmp_path / "out"
+    assert main([command, *inputs, *flags, "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
 
 
 def test_cli_missing_input_file_is_runtime_error(tmp_path, capsys):

@@ -17,7 +17,6 @@ from jumpsift import (
     build_irregular_grid,
     build_uniform_grid,
     path_seed,
-    sample_gamma_increment,
     simulate,
     true_integrated_variance,
 )
@@ -210,29 +209,6 @@ def test_model3_constant_spot_variance():
     assert math.isclose(true_integrated_variance(p, 2), 0.09, rel_tol=1e-12)
 
 
-def test_sample_gamma_increment_never_zero():
-    # shape h/b ~ 7e-4 drives the raw numpy draw to exact 0.0 more than
-    # half the time; the sampler must resample those away
-    rng = np.random.Generator(np.random.Philox(key=5))
-    draws = [sample_gamma_increment(7.25e-4, 0.23, rng) for _ in range(500)]
-    assert all(d > 0.0 for d in draws)
-
-
-def test_sample_gamma_increment_moments():
-    rng = np.random.Generator(np.random.Philox(key=6))
-    shape, scale = 2.0, 0.5
-    draws = np.array([sample_gamma_increment(shape, scale, rng) for _ in range(4000)])
-    assert abs(draws.mean() - shape * scale) < 4 * math.sqrt(shape) * scale / math.sqrt(4000)
-
-
-def test_sample_gamma_increment_validates():
-    rng = np.random.Generator(np.random.Philox(key=1))
-    with pytest.raises(InvalidArgumentError):
-        sample_gamma_increment(0.0, 1.0, rng)
-    with pytest.raises(InvalidArgumentError):
-        sample_gamma_increment(1.0, -1.0, rng)
-
-
 # ---------------------------------------------------------------------------
 # custom model
 
@@ -266,3 +242,11 @@ def test_custom_model_rejects_malformed_specs():
         CustomModel(drift="zero", spot_vol="constant:-0.3", jumps="none")
     with pytest.raises(InvalidArgumentError):
         CustomModel(drift="zero", spot_vol="constant:0.3", jumps="poisson")
+    # Non-finite numbers: an infinite or NaN intensity would make the event
+    # time loop run forever.
+    for kw in ({"drift": "constant:nan"}, {"spot_vol": "constant:inf"},
+               {"jumps": "compound-poisson:inf,0.5"},
+               {"jumps": "compound-poisson:nan,0.5"},
+               {"jumps": "compound-poisson:3,inf"}):
+        with pytest.raises(InvalidArgumentError):
+            CustomModel(**kw)
