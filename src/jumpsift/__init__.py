@@ -32,7 +32,7 @@ from .models import (
     finite_activity,
     has_jumps,
 )
-from .simulate import (
+from .engines import (
     RNG_ALGORITHM,
     path_seed,
     simulate,

@@ -25,12 +25,11 @@ import sys
 
 from . import __version__
 from .config import RunSettings, load_config_file, merge_settings, resolve_seed
-from .errors import ConfigError, JumpsiftError
+from .errors import ConfigError, InvalidArgumentError, JumpsiftError
 from .estimators import detect_jumps, estimation_report
 from .models import CustomModel, model_name
 from .montecarlo import efficiency_comparison, run_experiment
 from .serialize import (
-    _cell,
     build_manifest,
     file_sha256,
     read_path_csv,
@@ -42,7 +41,7 @@ from .serialize import (
     write_json,
     write_path_csv,
 )
-from .simulate import RNG_ALGORITHM, path_seed, simulate
+from .engines import RNG_ALGORITHM, path_seed, simulate
 
 _NEEDS_INPUT = {"estimate", "detect"}
 
@@ -225,7 +224,8 @@ def replay_manifest(manifest_path: str, out_dir: str) -> list[str]:
     """Re-executes the run a manifest describes, writing into out_dir.
 
     All outputs except the manifest's created_utc field are byte-identical
-    to the original run.
+    to the original run. Raises InvalidArgumentError, naming the file, if a
+    recorded input or output does not match its recorded sha256.
     """
     with open(manifest_path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
@@ -233,13 +233,26 @@ def replay_manifest(manifest_path: str, out_dir: str) -> list[str]:
         if key not in manifest:
             raise ConfigError(f"{manifest_path}: manifest lacks {key!r}")
     echo = manifest["config"]
-    raw = {k: _cell(v) for k, v in echo.items()}
+    # The echo holds only int, float and str; a float's repr parses back to
+    # the same double.
+    raw = {k: str(v) for k, v in echo.items()}
     settings = merge_settings(file_values=None, overrides=raw)
     settings = settings.with_seed(int(manifest["base_seed"]))
     inputs = manifest.get("inputs") or []
+    _check_hashes(inputs, "", "input")
     input_path = inputs[0]["file"] if inputs else None
     os.makedirs(out_dir, exist_ok=True)
-    return _dispatch(manifest["command"], settings, out_dir, input_path)
+    outputs = _dispatch(manifest["command"], settings, out_dir, input_path)
+    _check_hashes(manifest.get("outputs") or [], out_dir, "output")
+    return outputs
+
+
+def _check_hashes(entries: list[dict], base_dir: str, role: str) -> None:
+    for entry in entries:
+        name = os.path.join(base_dir, entry["file"])
+        if file_sha256(name) != entry["sha256"]:
+            raise InvalidArgumentError(
+                f"{name}: {role} does not match the sha256 recorded in the manifest")
 
 
 if __name__ == "__main__":

@@ -45,7 +45,7 @@ from .models import (
     finite_activity,
     has_jumps,
 )
-from .simulate import path_seed, simulate, true_integrated_variance
+from .engines import path_seed, simulate, true_integrated_variance
 
 
 @dataclass(frozen=True, slots=True)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-from typing import Iterable
+from dataclasses import asdict
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .errors import InvalidArgumentError
 from .estimators import EstimationReport, JumpDetectionResult
 from .grids import TimeGrid
 from .models import SamplePath, model_name
-from .diagnostics import Histogram, Moments
+from .diagnostics import Histogram
 from .montecarlo import EfficiencyTable, ExperimentConfig, McSummary
 
 # Format version of config files, manifests, reports and summaries.
@@ -28,27 +28,17 @@ SCHEMA_VERSION = 1
 
 
 def fmt_float(x: float) -> str:
-    x = float(x)
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return format(x, ".17g")
+    return format(float(x), ".17g")
 
 
-def _cell(v) -> str:
-    if isinstance(v, bool):
-        return "1" if v else "0"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return fmt_float(v)
-    return str(v)
-
-
-def write_csv(dest: str, header: list[str], rows: Iterable[tuple]) -> None:
+def write_csv(dest: str, header: list[str], columns: list) -> None:
+    """Writes equal-length columns under a header row: a float array with 17
+    significant digits, an int array or a list of str as it prints."""
+    row = ",".join("{:.17g}" if isinstance(c, np.ndarray) and c.dtype.kind == "f"
+                   else "{}" for c in columns)
+    cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
     lines = [",".join(header)]
-    lines.extend(",".join(_cell(v) for v in row) for row in rows)
+    lines.extend(row.format(*r) for r in zip(*cells, strict=True))
     with open(dest, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -121,22 +111,20 @@ def write_path_csv(path: SamplePath, dest: str) -> None:
     """One row per grid node. Ground truth, when present, adds the continuous
     component, the cumulative jump part, and the spot variance."""
     truth = path.ground_truth
+    columns = [path.grid.times, path.observations]
     if truth is None:
         header = ["time", "x"]
-        rows = zip(path.grid.times, path.observations)
     else:
         step = truth.spot_variance.refinement
-        sigma2 = truth.spot_variance.values[::step]
-        jump_cum = path.observations - truth.continuous_part
         header = ["time", "x", "x_cont", "jump_cum", "sigma2"]
-        rows = zip(path.grid.times, path.observations,
-                   truth.continuous_part, jump_cum, sigma2)
-    write_csv(dest, header, rows)
+        columns += [truth.continuous_part, path.observations - truth.continuous_part,
+                    truth.spot_variance.values[::step]]
+    write_csv(dest, header, columns)
 
 
 def read_path_csv(src: str) -> SamplePath:
     """Reads time and x back; truth columns are not reconstructed."""
-    with open(src, "r", encoding="utf-8") as fh:
+    with open(src, "r", encoding="utf-8-sig") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines:
         raise InvalidArgumentError(f"{src}: empty path file")
@@ -165,7 +153,7 @@ def read_path_csv(src: str) -> SamplePath:
 
 def _nonblank_line_number(src: str, k: int) -> int:
     """1-based line number in src of its k-th (0-based) non-blank line."""
-    with open(src, "r", encoding="utf-8") as fh:
+    with open(src, "r", encoding="utf-8-sig") as fh:
         nonblank = (number for number, ln in enumerate(fh, 1) if ln.strip())
         for _ in range(k):
             next(nonblank)
@@ -206,15 +194,12 @@ def report_to_dict(report: EstimationReport, path: SamplePath) -> dict:
 def write_detection_csv(path: SamplePath, det: JumpDetectionResult, dest: str) -> None:
     """One row per interval: size_hat is empty where nothing was flagged."""
     times = path.grid.times
-    dx = np.diff(path.observations)
-    rows = []
-    for i in range(path.grid.n):
-        flagged = bool(det.indicators[i])
-        size = fmt_float(det.estimated_sizes[i]) if flagged else ""
-        rows.append((i, fmt_float(times[i]), fmt_float(times[i + 1]),
-                     fmt_float(dx[i]), int(flagged), size))
+    size_hat = [""] * path.grid.n
+    for i in np.flatnonzero(det.indicators).tolist():
+        size_hat[i] = fmt_float(det.estimated_sizes[i])
     write_csv(dest, ["interval", "t_left", "t_right", "dx", "flagged", "size_hat"],
-              rows)
+              [np.arange(path.grid.n), times[:-1], times[1:], np.diff(path.observations),
+               det.indicators.astype(np.int64), size_hat])
 
 
 # ---------------------------------------------------------------------------
@@ -223,23 +208,10 @@ def write_detection_csv(path: SamplePath, det: JumpDetectionResult, dest: str) -
 def write_histogram_csv(hist: Histogram, dest: str) -> None:
     """bin_left,bin_right,count rows; the first and last rows carry the
     underflow and overflow tails with infinite edges."""
-    edges = hist.edges
-    rows = [("-inf", fmt_float(hist.lo), hist.underflow)]
-    rows.extend((fmt_float(edges[i]), fmt_float(edges[i + 1]), int(hist.counts[i]))
-                for i in range(hist.bin_count))
-    rows.append((fmt_float(hist.hi), "inf", hist.overflow))
-    write_csv(dest, ["bin_left", "bin_right", "count"], rows)
-
-
-def _moments_dict(m: Moments | None) -> dict | None:
-    if m is None:
-        return None
-    return {
-        "mean": m.mean,
-        "variance": m.variance,
-        "skewness": m.skewness,
-        "excess_kurtosis": m.excess_kurtosis,
-    }
+    edges = hist.edges  # edges[0] == lo and edges[-1] == hi exactly
+    write_csv(dest, ["bin_left", "bin_right", "count"],
+              [np.r_[-np.inf, edges], np.r_[edges, np.inf],
+               np.r_[hist.underflow, hist.counts, hist.overflow]])
 
 
 def model_to_dict(model) -> dict:
@@ -267,18 +239,8 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 
 
 def summary_to_dict(summary: McSummary) -> dict:
-    det = summary.detection
-    detection = None
-    if det is not None:
-        detection = {
-            "mean_recall": det.mean_recall,
-            "mean_false_flags": det.mean_false_flags,
-            "paths_with_jumps": det.paths_with_jumps,
-            "total_tp": det.total_tp,
-            "total_fp": det.total_fp,
-            "total_fn": det.total_fn,
-        }
-    est = summary.estimates
+    # The field order of Moments, EstimateSummary and DetectionSummary is the
+    # key order of summary.json.
     return {
         "schema_version": SCHEMA_VERSION,
         "config": config_to_dict(summary.config),
@@ -286,25 +248,17 @@ def summary_to_dict(summary: McSummary) -> dict:
         "excluded_paths": summary.excluded_paths,
         "normality_supported": summary.normality_supported,
         "ks_statistic": summary.ks_statistic,
-        "moments": _moments_dict(summary.moments),
-        "estimates": {
-            "mean_iv_hat": est.mean_iv_hat,
-            "mean_true_iv": est.mean_true_iv,
-            "mean_abs_error": est.mean_abs_error,
-            "mean_rv": est.mean_rv,
-            "mean_bpv": est.mean_bpv,
-        },
-        "detection": detection,
+        "moments": summary.moments and asdict(summary.moments),
+        "estimates": asdict(summary.estimates),
+        "detection": summary.detection and asdict(summary.detection),
     }
 
 
 def write_efficiency_csv(table: EfficiencyTable, dest: str) -> None:
-    rows = [
-        ("threshold", fmt_float(table.threshold_variance), fmt_float(1.0)),
-        ("bipower", fmt_float(table.bipower_variance), fmt_float(table.ratio)),
-    ]
     write_csv(dest, ["estimator", "normalized_error_variance", "ratio_to_threshold"],
-              rows)
+              [["threshold", "bipower"],
+               np.array([table.threshold_variance, table.bipower_variance]),
+               np.array([1.0, table.ratio])])
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,6 @@ from jumpsift.config import (
     resolve_seed,
 )
 from jumpsift.serialize import (
-    _cell,
     dumps_json,
     file_sha256,
     fmt_float,
@@ -272,7 +271,7 @@ def test_model_names_round_trip_through_the_settings_echo(name):
     # The echo reaches replay_manifest through manifest.json.
     echo = json.loads(dumps_json(_settings_echo(settings)))
     assert echo["model"] == name
-    again = merge_settings(None, {k: _cell(v) for k, v in echo.items()})
+    again = merge_settings(None, {k: str(v) for k, v in echo.items()})
     assert again == settings
     assert model_to_dict(settings.model)["model"] == name
     assert MODEL_CLASSES[name] is MODEL_NAMES[name]
@@ -436,6 +435,48 @@ def test_replay_manifest_reproduces_run(tmp_path, capsys):
     mb = json.load(open(os.path.join(dir_b, "manifest.json")))
     ma.pop("created_utc"), mb.pop("created_utc")
     assert ma == mb
+
+
+def test_replay_manifest_rejects_changed_input_or_output(tmp_path, capsys):
+    sim_dir, est_dir = str(tmp_path / "sim"), str(tmp_path / "est")
+    assert main(["simulate", "--n", "64", "--seed", "2", "--out", sim_dir]) == 0
+    path_csv = os.path.join(sim_dir, "path.csv")
+    assert main(["estimate", "--in", path_csv, "--out", est_dir]) == 0
+    capsys.readouterr()
+    manifest_path = os.path.join(est_dir, "manifest.json")
+    assert replay_manifest(manifest_path, str(tmp_path / "again")) == [
+        "report.json", "manifest.json"]
+
+    # A recorded output that the replay no longer reproduces.
+    manifest = json.load(open(manifest_path))
+    manifest["outputs"][0]["sha256"] = "0" * 64
+    tampered = str(tmp_path / "tampered.json")
+    with open(tampered, "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh)
+    with pytest.raises(InvalidArgumentError, match="report.json: output"):
+        replay_manifest(tampered, str(tmp_path / "out_check"))
+
+    # An input edited after the run is rejected before anything is written.
+    with open(path_csv, "a", encoding="utf-8") as fh:
+        fh.write("2.0,0.5\n")
+    replay_dir = tmp_path / "in_check"
+    with pytest.raises(InvalidArgumentError, match="path.csv: input"):
+        replay_manifest(manifest_path, str(replay_dir))
+    assert not replay_dir.exists()
+
+
+def test_cli_estimate_accepts_a_byte_order_mark(tmp_path, capsys):
+    sim_dir = str(tmp_path / "sim")
+    assert main(["simulate", "--n", "64", "--seed", "9", "--out", sim_dir]) == 0
+    path_csv = os.path.join(sim_dir, "path.csv")
+    bom_csv = str(tmp_path / "bom.csv")
+    with open(bom_csv, "wb") as fh:
+        fh.write(b"\xef\xbb\xbf" + open(path_csv, "rb").read())
+    for src, out in ((path_csv, "plain"), (bom_csv, "bom")):
+        assert main(["estimate", "--in", src, "--out", str(tmp_path / out)]) == 0
+    capsys.readouterr()
+    assert ((tmp_path / "bom" / "report.json").read_bytes()
+            == (tmp_path / "plain" / "report.json").read_bytes())
 
 
 def test_cli_env_seed_lands_in_manifest(tmp_path, monkeypatch, capsys):

@@ -1,6 +1,5 @@
 import math
 import struct
-import sys
 
 import numpy as np
 import pytest
@@ -26,9 +25,8 @@ from jumpsift import (
     path_seed,
     simulate,
 )
+from jumpsift import engines
 from jumpsift.grids import refine
-
-simulate_module = sys.modules["jumpsift.simulate"]
 
 
 # ---------------------------------------------------------------------------
@@ -108,8 +106,8 @@ def test_engines_build_tables():
 def test_subgrid_is_cached_and_read_only():
     g = build_uniform_grid(30, 1.0)
     for m in (1, 4):
-        fine_times, fine_widths = simulate_module._subgrid(g, m)
-        assert simulate_module._subgrid(g, m)[0] is fine_times
+        fine_times, fine_widths = engines._subgrid(g, m)
+        assert engines._subgrid(g, m)[0] is fine_times
         want_times, want_widths = refine(g, m)
         assert np.array_equal(fine_times, want_times)
         assert np.array_equal(fine_widths, want_widths)
