@@ -167,7 +167,8 @@ def build_histogram(samples, bin_count: int = DEFAULT_BIN_COUNT,
     if not isinstance(bin_count, (int, np.integer)) or bin_count < 1:
         raise InvalidArgumentError(f"bin_count must be >= 1, got {bin_count!r}")
     lo, hi = float(value_range[0]), float(value_range[1])
-    if not (lo < hi) or not math.isfinite(lo) or not math.isfinite(hi):
+    # hi - lo must not overflow: an infinite width breaks the bin arithmetic.
+    if not (lo < hi) or not math.isfinite(hi - lo):
         raise InvalidArgumentError(f"invalid histogram range {value_range!r}")
     x = np.asarray(samples, dtype=float)
     if x.size and not np.all(np.isfinite(x)):
@@ -175,15 +176,17 @@ def build_histogram(samples, bin_count: int = DEFAULT_BIN_COUNT,
     counts = np.zeros(bin_count, dtype=np.int64)
     if not x.size:
         return Histogram(lo, hi, counts, 0, 0)
-    idx = np.floor((x - lo) / (hi - lo) * bin_count).astype(np.int64)
+    below, above = x < lo, x >= hi
+    # Bin indices only for samples in [lo, hi): a far-off sample would give a
+    # quotient that overflows the int64 cast.
+    inside = x[~(below | above)]
+    idx = np.floor((inside - lo) / (hi - lo) * bin_count).astype(np.int64)
     # Division can round a value just under hi up to the edge; pin it back so
     # the bins are exactly [lo + j*w, lo + (j+1)*w) with only x >= hi spilling.
-    idx[np.logical_and(x < hi, idx >= bin_count)] = bin_count - 1
-    under = int(np.count_nonzero(x < lo))
-    over = int(np.count_nonzero(x >= hi))
-    in_range = np.logical_and(idx >= 0, idx < bin_count)
-    np.add.at(counts, idx[in_range], 1)
-    return Histogram(lo, hi, counts, under, over)
+    idx[idx >= bin_count] = bin_count - 1
+    np.add.at(counts, idx, 1)
+    return Histogram(lo, hi, counts, int(np.count_nonzero(below)),
+                     int(np.count_nonzero(above)))
 
 
 def _checked_samples(samples) -> np.ndarray:

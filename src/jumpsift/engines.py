@@ -153,20 +153,13 @@ def _simulate_model2(cfg, grid, substeps, fine_times, fine_widths, rng):
     z1 = rng.standard_normal(nf)
     z2 = rng.standard_normal(nf)
 
-    # Exact OU transition per substep, with the volatility shock V built from
-    # (z1, z2) so that Cov(dW1, V) = rho*eta*(1 - alpha)/k holds exactly.
-    k = cfg.mean_reversion
-    eta = cfg.vol_of_vol
-    alpha = np.exp(-k * fine_widths)
-    var_v = eta * eta * (1.0 - alpha * alpha) / (2.0 * k)
-    c21 = cfg.rho * eta * (1.0 - alpha) / (k * np.sqrt(fine_widths))
-    c22 = np.sqrt(np.maximum(var_v - c21 * c21, 0.0))
+    sqrt_widths, alpha, c21, c22, ekt = _ou_coefficients(cfg, grid, substeps)
     shocks = c21 * z1 + c22 * z2
-    h_path = _ou_path(cfg.h0, cfg.h_bar, k, fine_times, fine_widths, alpha, shocks)
+    h_path = _ou_path(cfg.h0, cfg.h_bar, alpha, ekt, shocks)
 
     sigma_left = np.exp(h_path[:-1])
     drift_incr = (cfg.mu - 0.5 * sigma_left * sigma_left) * fine_widths
-    cont_incr = drift_incr + sigma_left * np.sqrt(fine_widths) * z1
+    cont_incr = drift_incr + sigma_left * sqrt_widths * z1
 
     times = _poisson_times(rng, grid.t_end, cfg.jump_intensity)
     events = _NO_JUMPS
@@ -253,20 +246,47 @@ def _draw_log_jump(rng, mean, sd) -> float:
         f"(mean={mean}, sd={sd})")
 
 
-def _ou_path(h0, h_bar, k, fine_times, fine_widths, alpha, shocks):
+@functools.lru_cache(maxsize=4)
+def _ou_coefficients(cfg: Model2, grid: TimeGrid, substeps: int):
+    """Per-substep constants of the Model2 volatility scan, computed once per
+    (model, grid, substeps) as read-only arrays: sqrt of the widths, the OU
+    decay alpha, the shock loadings (c21, c22) on (z1, z2), and the exp(k*t)
+    weights of the closed-form scan (None where they would overflow).
+
+    The shock V = c21*z1 + c22*z2 makes Cov(dW1, V) = rho*eta*(1 - alpha)/k
+    hold exactly, so each substep is an exact OU transition.
+    """
+    fine_times, fine_widths = _subgrid(grid, substeps)
+    k = cfg.mean_reversion
+    eta = cfg.vol_of_vol
+    sqrt_widths = np.sqrt(fine_widths)
+    alpha = np.exp(-k * fine_widths)
+    var_v = eta * eta * (1.0 - alpha * alpha) / (2.0 * k)
+    c21 = cfg.rho * eta * (1.0 - alpha) / (k * sqrt_widths)
+    c22 = np.sqrt(np.maximum(var_v - c21 * c21, 0.0))
+    ekt = None
+    if k * float(fine_times[-1]) <= _OU_SCAN_MAX_EXPONENT:
+        ekt = np.exp(k * fine_times[1:])
+    constants = (sqrt_widths, alpha, c21, c22, ekt)
+    for arr in constants:
+        if arr is not None:
+            arr.flags.writeable = False
+    return constants
+
+
+def _ou_path(h0, h_bar, alpha, ekt, shocks):
     """Mean-reverting path H with exact Gaussian transitions.
 
-    H_{j+1} = h_bar + alpha_j*(H_j - h_bar) + shocks_j. For k*T small enough
-    the recursion unrolls into a cumulative sum using exp(k*t) weights; the
-    stepwise loop is kept for exponents that would overflow.
+    H_{j+1} = h_bar + alpha_j*(H_j - h_bar) + shocks_j. Given the exp(k*t_j)
+    weights ekt, the recursion unrolls into a cumulative sum; without them
+    (exponents that would overflow) the stepwise loop runs.
     """
-    nf = fine_widths.size
+    nf = shocks.size
     h_path = np.empty(nf + 1)
     h_path[0] = h0
     d0 = h0 - h_bar
-    if k * float(fine_times[-1]) <= _OU_SCAN_MAX_EXPONENT:
+    if ekt is not None:
         # D_j = exp(-k*t_j) * (D_0 + sum_{i<j} exp(k*t_{i+1}) * shocks_i)
-        ekt = np.exp(k * fine_times[1:])
         inner = np.cumsum(ekt * shocks)
         h_path[1:] = h_bar + (d0 + inner) / ekt
     else:

@@ -1,8 +1,13 @@
 """Threshold variance estimators, comparison estimators, and jump recovery.
 
 All operations are pure functions of a SamplePath (observations + grid) and
-a ThresholdSpec. Sums are exact (math.fsum), and the truncated sum is formed
-as total minus excluded so that
+a ThresholdSpec. Every sum is the correctly rounded exact sum, the same
+double math.fsum returns. The sums one path needs are computed together by
+error-free extraction (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31(1),
+2008): a few vectorized passes split each row into parts whose float sums
+are exact, and math.fsum adds those few parts. Short rows, non-finite
+values and extreme magnitudes go to math.fsum directly. The truncated sum is
+formed as total minus excluded so that
 
     realized_variance == threshold_realized_variance + sum over flagged
     intervals of (dX_i)^2
@@ -13,6 +18,7 @@ holds as a floating-point identity, not just to tolerance.
 from __future__ import annotations
 
 import array
+import functools
 import math
 import warnings
 from collections.abc import Sequence
@@ -27,9 +33,17 @@ from .errors import (
     InvalidArgumentError,
     UnsupportedError,
 )
+from .grids import TimeGrid
 from .models import JumpEvent, JumpTable, SamplePath
 
 _POWER_LAW = "power-law"
+
+# _exact_sums hands a row to math.fsum as it is when it is shorter than
+# _EXTRACT_MIN_LENGTH, or when its largest magnitude lies outside
+# _EXTRACT_RANGE (zero, nan and inf included); the range keeps sigma finite.
+_EXTRACT_MIN_LENGTH = 64
+_EXTRACT_RANGE = (math.ldexp(1.0, -900), math.ldexp(1.0, 900))
+_EXTRACT_PASSES = 4
 
 
 @dataclass(frozen=True, slots=True)
@@ -110,7 +124,7 @@ class EstimationReport:
     iv_threshold: float
     iq_threshold: float | None
     realized_variance: float
-    bipower_variation: float
+    bipower_variation: float | None
     flagged_intervals: tuple[int, ...]
     jump_size_estimates: dict[int, float]
     threshold_used: ThresholdSpec
@@ -192,10 +206,15 @@ def jump_size_error_stat(path: SamplePath, detection: JumpDetectionResult,
 
 def estimation_report(path: SamplePath, spec: ThresholdSpec,
                       true_iv: float | None = None) -> EstimationReport:
-    """Evaluate every estimator once, sharing a single threshold mask."""
+    """Evaluate every estimator once, sharing a single threshold mask.
+
+    bipower_variation is None on a path with a single increment.
+    """
     _warn_if_inadmissible(spec)
     sums = _PathSums(path, spec)
     uniform = path.grid.is_uniform
+    with_bpv = sums.dx.size >= 2
+    sums.fill("rv", *(("quartic",) if uniform else ()), *(("bpv",) if with_bpv else ()))
     iq_hat = sums.quartic / (3.0 * path.grid.h) if uniform else None
     bias = None
     if true_iv is not None and uniform:
@@ -206,7 +225,7 @@ def estimation_report(path: SamplePath, spec: ThresholdSpec,
         iv_threshold=sums.iv_hat,
         iq_threshold=iq_hat,
         realized_variance=sums.rv,
-        bipower_variation=sums.bpv,
+        bipower_variation=sums.bpv if with_bpv else None,
         flagged_intervals=tuple(sizes),
         jump_size_estimates=sizes,
         threshold_used=spec,
@@ -220,8 +239,9 @@ class _PathSums:
     """Per-path kernel: increments, their squares and the threshold mask,
     with each exact sum evaluated at most once and only when first read.
 
-    Every estimator above is a view over it, and the Monte Carlo harness
-    reads several sums from one instance per path.
+    Every estimator above is a view over it. The Monte Carlo harness and
+    estimation_report name the sums they read in one fill() call, which
+    computes them together in a single extraction.
     """
 
     def __init__(self, path: SamplePath, spec: ThresholdSpec | None = None):
@@ -232,16 +252,16 @@ class _PathSums:
         self.spec = spec
         self.dx = dx
         self.dx2 = dx * dx
+        self._sums: dict[str, float] = {}
 
     @cached_property
     def keep(self) -> np.ndarray:
         """Boolean mask of increments with (dX_i)^2 <= r; ties are kept."""
-        spec, grid = self.spec, self.path.grid
+        spec = self.spec
         if spec.scale_c <= 0.0:
             raise InvalidArgumentError(
                 f"threshold scale must be positive to evaluate r, got {spec.scale_c}")
-        r = spec.r_at(grid.widths) if spec.per_interval else spec.r_at(grid.h)
-        return self.dx2 <= r
+        return self.dx2 <= _threshold(self.path.grid, spec)
 
     @cached_property
     def flagged(self) -> np.ndarray:
@@ -253,25 +273,51 @@ class _PathSums:
         idx = np.flatnonzero(self.flagged)
         return dict(zip(idx.tolist(), self.dx[idx].tolist()))
 
-    @cached_property
-    def rv(self) -> float:
-        return _fsum(self.dx2)
+    def fill(self, *names: str) -> None:
+        """Evaluate the named sums ("rv", "quartic", "bpv") that are not yet
+        cached, in one extraction.
 
-    @cached_property
-    def iv_hat(self) -> float:
-        return self.rv - _fsum(self.dx2[self.flagged])
+        With a threshold, the mask is built first, so a bad threshold scale
+        raises before a path too short for bipower variation does.
+        """
+        if self.spec is not None:
+            self.keep
+        todo = [name for name in names if name not in self._sums]
+        if todo:
+            terms = [self._terms(name) for name in todo]
+            self._sums.update(zip(todo, _exact_sums(terms)))
 
-    @cached_property
-    def quartic(self) -> float:
-        kept = self.dx2[self.keep]
-        return _fsum(kept * kept)
-
-    @cached_property
-    def bpv(self) -> float:
+    def _terms(self, name: str) -> np.ndarray:
+        if name == "rv":
+            return self.dx2
+        if name == "quartic":
+            kept = self.dx2[self.keep]
+            return kept * kept
+        # "bpv"
         if self.dx.size < 2:
             raise InvalidArgumentError("bipower variation needs at least 2 increments")
         a = np.abs(self.dx)
-        return (math.pi / 2.0) * _fsum(a[1:] * a[:-1])
+        return a[1:] * a[:-1]
+
+    def _sum(self, name: str) -> float:
+        self.fill(name)
+        return self._sums[name]
+
+    @property
+    def rv(self) -> float:
+        return self._sum("rv")
+
+    @cached_property
+    def iv_hat(self) -> float:
+        return self.rv - _exact_sums([self.dx2[self.flagged]])[0]
+
+    @property
+    def quartic(self) -> float:
+        return self._sum("quartic")
+
+    @property
+    def bpv(self) -> float:
+        return (math.pi / 2.0) * self._sum("bpv")
 
     def normalized_bias(self, true_iv: float) -> float:
         _require_uniform(self.path, "normalized_bias")
@@ -287,11 +333,59 @@ def _require_uniform(path: SamplePath, what: str) -> None:
         raise UnsupportedError(f"{what} requires a uniform grid")
 
 
-def _fsum(values: np.ndarray) -> float:
-    # Exact accumulation; order-independent, so permutation invariance of the
-    # quadratic sums holds bitwise. Reading the raw float64 bytes through
-    # array.array skips the intermediate list that tolist() builds.
-    return math.fsum(array.array("d", values.tobytes()))
+@functools.lru_cache(maxsize=4)
+def _threshold(grid: TimeGrid, spec: ThresholdSpec) -> np.ndarray | float:
+    """r at each lag of the grid (or at its h), computed once per grid and
+    spec. TimeGrid hashes by identity, as in engines._subgrid; an array
+    comes back read-only."""
+    if not spec.per_interval:
+        return spec.r_at(grid.h)
+    r = spec.r_at(grid.widths)
+    r.flags.writeable = False
+    return r
+
+
+def _exact_sums(arrays: Sequence[np.ndarray]) -> list[float]:
+    """math.fsum of each 1-d float64 array, bit for bit, computed together.
+
+    Rows are zero-padded into one block. Each pass splits every row r into
+    q = (r + sigma) - sigma and r - q, both exact, with sigma a power of two
+    at least 2**k times max|r| and 2**k > n + 1, so q's row sum is exact in
+    any order. sigma then drops by 2**(53 - k). math.fsum of the row sums and
+    of any residual left after the last pass is the correctly rounded total.
+    """
+    out: list[float | None] = [None] * len(arrays)
+    rows, maxima = [], []
+    for i, a in enumerate(arrays):
+        if a.size >= _EXTRACT_MIN_LENGTH:
+            m = float(np.abs(a).max())
+            if _EXTRACT_RANGE[0] <= m <= _EXTRACT_RANGE[1]:  # False for nan
+                rows.append(i)
+                maxima.append(m)
+                continue
+        # array.array reads the raw float64 bytes without building a list.
+        out[i] = math.fsum(array.array("d", a.tobytes()))
+    if not rows:
+        return out
+    n = max(arrays[i].size for i in rows)
+    r = np.zeros((len(rows), n))
+    for j, i in enumerate(rows):
+        r[j, :arrays[i].size] = arrays[i]
+    k = (n + 1).bit_length()
+    sigma = np.array([[math.ldexp(1.0, math.frexp(m)[1] + k)] for m in maxima])
+    q = np.empty_like(r)
+    partials = []
+    for _ in range(_EXTRACT_PASSES):
+        np.add(r, sigma, out=q)
+        q -= sigma
+        r -= q
+        partials.append(q.sum(axis=1))
+        if not r.any():
+            break
+        sigma *= math.ldexp(1.0, k - 53)
+    for i, parts, rest in zip(rows, np.array(partials).T.tolist(), r):
+        out[i] = math.fsum(parts + rest[rest != 0.0].tolist())
+    return out
 
 
 def _warn_if_inadmissible(spec: ThresholdSpec) -> None:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -51,7 +52,7 @@ class TimeGrid:
         """Maximal lag max_i (t_i - t_{i-1})."""
         return float(self.widths.max())
 
-    @property
+    @cached_property
     def is_uniform(self) -> bool:
         spread = float(self.widths.max() - self.widths.min())
         return spread <= _UNIFORM_RTOL * self.h

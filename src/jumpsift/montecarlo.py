@@ -276,10 +276,8 @@ def _single_record(cfg: ExperimentConfig, index: int) -> PathRecord:
     true_iv = true_integrated_variance(path, 2)
     _warn_if_inadmissible(cfg.threshold)
     sums = _PathSums(path, cfg.threshold)
-    # Same order as the separate estimator calls this replaces, so the first
-    # error raised (bad threshold scale, then too few increments) is unchanged.
-    iv_hat = sums.iv_hat
-    bpv = sums.bpv
+    # The quartic sum is read only for the normalized bias of a uniform run.
+    sums.fill("rv", "bpv", *(("quartic",) if cfg.jitter == 0.0 else ()))
     match = None
     if finite_activity(cfg.model):
         match = _match_events(path.grid.times, sums.flagged, sums.dx, path.ground_truth.jumps)
@@ -293,11 +291,11 @@ def _single_record(cfg: ExperimentConfig, index: int) -> PathRecord:
 
     return PathRecord(
         path_index=index,
-        iv_hat=iv_hat,
+        iv_hat=sums.iv_hat,
         true_iv=true_iv,
         normalized_bias=bias,
         rv=sums.rv,
-        bpv=bpv,
+        bpv=sums.bpv,
         n_flagged=int(np.count_nonzero(sums.flagged)),
         tp=match.true_positives if match else None,
         fp=match.false_positives if match else None,
@@ -312,6 +310,7 @@ def _efficiency_pair(cfg: ExperimentConfig, index: int) -> tuple[float, float]:
     denom = math.sqrt(path.grid.h * iq)
     _warn_if_inadmissible(cfg.threshold)
     sums = _PathSums(path, cfg.threshold)
+    sums.fill("rv", "bpv")
     thr = (sums.iv_hat - iv) / denom
     bpv = (sums.bpv - iv) / denom
     return thr, bpv

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -148,10 +149,22 @@ def test_histogram_top_edge_rounding():
     assert h.overflow == 0
 
 
+def test_histogram_far_off_samples_raise_no_warning():
+    # finite samples far outside the range must not reach the int64 cast
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        h = build_histogram([1e300, -1e300, 0.5], 60, (-4.0, 4.0))
+        narrow = build_histogram([1.0, -1.0, 0.0], 4, (0.0, 1e-300))
+    assert (h.underflow, h.overflow, h.counts[33], h.total) == (1, 1, 1, 3)
+    assert (narrow.underflow, narrow.overflow, narrow.counts[0], narrow.total) == (1, 1, 1, 3)
+
+
 def test_histogram_validation():
     with pytest.raises(InvalidArgumentError):
         build_histogram(np.array([0.0]), 0, (-4.0, 4.0))
     with pytest.raises(InvalidArgumentError):
         build_histogram(np.array([0.0]), 10, (1.0, 1.0))
+    with pytest.raises(InvalidArgumentError):
+        build_histogram(np.array([0.0]), 10, (-1e308, 1e308))
     with pytest.raises(InvalidArgumentError):
         build_histogram(np.array([np.nan]), 10, (-4.0, 4.0))

@@ -507,3 +507,15 @@ def test_cli_non_numeric_cell_is_runtime_error_naming_the_line(tmp_path, capsys)
     err = capsys.readouterr().err
     assert f"{src}:3:" in err and "numeric" in err
     assert not os.path.exists(tmp_path / "detection.csv")
+
+
+def test_cli_one_increment_path_reports_null_bipower(tmp_path, capsys):
+    src = tmp_path / "two.csv"
+    src.write_text("time,x\n0,0\n1,0.5\n", encoding="utf-8")
+    for command in ("estimate", "detect"):
+        out = tmp_path / command
+        assert main([command, "--in", str(src), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        assert report["bipower_variation"] is None
+        assert report["realized_variance"] == report["iv_threshold"] == 0.25
+    capsys.readouterr()
