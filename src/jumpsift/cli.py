@@ -24,7 +24,7 @@ import os
 import sys
 
 from . import __version__
-from .config import RunSettings, load_config_file, merge_settings, resolve_seed
+from .config import RUN_PARAMETERS, RunSettings, load_config_file, merge_settings, resolve_seed
 from .errors import ConfigError, InvalidArgumentError, JumpsiftError
 from .estimators import detect_jumps, estimation_report
 from .models import CustomModel, model_name
@@ -62,14 +62,10 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--preset", help="named preset, e.g. model1-desk")
         p.add_argument("--config", help="key-value config file")
-        p.add_argument("--seed", type=int, help="base seed (else $JUMPSIFT_SEED, else default)")
-        p.add_argument("--n", type=int, help="observation intervals per path")
-        p.add_argument("--paths", type=int, help="number of Monte Carlo paths")
-        p.add_argument("--beta", type=float, help="threshold exponent in r(h) = c * h^beta")
-        p.add_argument("--scale-c", type=float, dest="scale_c", help="threshold scale c")
-        p.add_argument("--substeps", type=int, help="simulation substeps per interval")
-        p.add_argument("--jitter", type=float, help="grid irregularity in [0, 1)")
-        p.add_argument("--parallelism", type=int, help="worker processes (results unaffected)")
+        for param in RUN_PARAMETERS:
+            if param.help is not None:
+                p.add_argument("--" + param.key.replace("_", "-"), dest=param.key,
+                               type=param.kind, help=param.help)
         p.add_argument("--out", default=".", help="output directory (default: current)")
         if name in _NEEDS_INPUT:
             p.add_argument("--in", dest="input", help="path CSV to read")
@@ -106,19 +102,11 @@ def _settings_from_args(args) -> RunSettings:
     default_preset = None
     if args.config is None and args.preset is None:
         default_preset = "diffusion-desk" if args.command == "compare" else "model1-desk"
-    overrides = {
-        "n": args.n,
-        "paths": args.paths,
-        "beta": args.beta,
-        "scale_c": args.scale_c,
-        "substeps": args.substeps,
-        "jitter": args.jitter,
-        "parallelism": args.parallelism,
-    }
+    # A config-file-only key has no flag, so no attribute on args.
+    overrides = {p.key: getattr(args, p.key, None) for p in RUN_PARAMETERS}
     settings = merge_settings(file_values, overrides,
                               preset=args.preset or default_preset)
-    seed = resolve_seed(args.seed if args.seed is not None else settings.seed)
-    return settings.with_seed(seed)
+    return settings.with_seed(resolve_seed(settings.seed))
 
 
 def _dispatch(command: str, settings: RunSettings, out_dir: str,
@@ -206,17 +194,7 @@ def _settings_echo(settings: RunSettings) -> dict:
     out: dict = {"model": model_name(model)}
     if isinstance(model, CustomModel):
         out.update(drift=model.drift, spot_vol=model.spot_vol, jumps=model.jumps)
-    out.update(
-        n=settings.n,
-        t=settings.t_end,
-        paths=settings.n_paths,
-        beta=settings.beta,
-        scale_c=settings.scale_c,
-        substeps=settings.substeps,
-        jitter=settings.jitter,
-        parallelism=settings.parallelism,
-        seed=settings.seed,
-    )
+    out.update({p.key: getattr(settings, p.field) for p in RUN_PARAMETERS})
     return out
 
 

@@ -4,12 +4,15 @@ seed resolution.
 Config files are plain `key = value` lines, '#' comments, one required
 `schema_version` key. Precedence when the CLI is driving: command-line flag,
 then config-file key, then preset value, then built-in default.
+RUN_PARAMETERS declares each run parameter once; the CLI flags, the
+defaults, the parsing and the manifest echo all read it.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .errors import ConfigError, InvalidArgumentError
 from .estimators import ThresholdSpec
@@ -36,28 +39,41 @@ PRESETS: dict[str, dict[str, str]] = {
                        "n": "2000", "paths": "500", "beta": "0.9"},
 }
 
-_INT_KEYS = {"n", "paths", "substeps", "seed", "parallelism", "schema_version"}
-_FLOAT_KEYS = {"t", "beta", "scale_c", "jitter"}
+class RunParameter(NamedTuple):
+    key: str              # config-file key, --flag dest and manifest echo key
+    field: str            # the RunSettings field it fills
+    kind: type            # int or float
+    default: str | None   # as a config-file string; None: no default
+    help: str | None      # --flag help; None: config file only
+
+
+# Row order is the order of the manifest echo.
+RUN_PARAMETERS: tuple[RunParameter, ...] = (
+    RunParameter("n", "n", int, "2000", "observation intervals per path"),
+    RunParameter("t", "t_end", float, "1.0", None),
+    RunParameter("paths", "n_paths", int, "500", "number of Monte Carlo paths"),
+    RunParameter("beta", "beta", float, "0.9", "threshold exponent in r(h) = c * h^beta"),
+    RunParameter("scale_c", "scale_c", float, "1.0", "threshold scale c"),
+    RunParameter("substeps", "substeps", int, "1", "simulation substeps per interval"),
+    RunParameter("jitter", "jitter", float, "0.0", "grid irregularity in [0, 1)"),
+    RunParameter("parallelism", "parallelism", int, "1", "worker processes (results unaffected)"),
+    RunParameter("seed", "seed", int, None, "base seed (else $JUMPSIFT_SEED, else default)"),
+)
+
 _CUSTOM_KEYS = ("drift", "spot_vol", "jumps")
-_STR_KEYS = {"preset", "model", *_CUSTOM_KEYS}
-_ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
+_ALL_KEYS = {"schema_version", "preset", "model", *_CUSTOM_KEYS,
+             *(p.key for p in RUN_PARAMETERS)}
 
 _DEFAULTS: dict[str, str] = {
     "model": "model1",
-    "n": "2000",
-    "t": "1.0",
-    "paths": "500",
-    "beta": "0.9",
-    "scale_c": "1.0",
-    "substeps": "1",
-    "jitter": "0.0",
-    "parallelism": "1",
+    **{p.key: p.default for p in RUN_PARAMETERS if p.default is not None},
 }
 
 
 @dataclass(frozen=True, slots=True)
 class RunSettings:
-    """Fully resolved run parameters; seed is None until resolve_seed ran."""
+    """Fully resolved run parameters; seed is None until resolve_seed ran.
+    The fields after model are those of RUN_PARAMETERS, in its order."""
 
     model: ModelConfig
     n: int
@@ -120,7 +136,7 @@ def load_config_file(path: str) -> dict[str, str]:
         raw[key] = value
     if "schema_version" not in raw:
         raise ConfigError(f"{path}: missing required key 'schema_version'")
-    if _parse_int("schema_version", raw["schema_version"]) != SCHEMA_VERSION:
+    if _parse("schema_version", int, raw["schema_version"]) != SCHEMA_VERSION:
         raise ConfigError(
             f"{path}: unsupported schema_version {raw['schema_version']!r}"
             f" (expected {SCHEMA_VERSION})")
@@ -170,7 +186,7 @@ def resolve_seed(explicit: int | None = None) -> int:
 
 
 def _build(merged: dict[str, str]) -> RunSettings:
-    name = merged.get("model", "model1")
+    name = merged["model"]
     if name not in MODEL_CLASSES:
         raise ConfigError(f"unknown model {name!r} (known: {', '.join(MODEL_CLASSES)})")
     custom = {k: merged[k] for k in _CUSTOM_KEYS if k in merged}
@@ -181,19 +197,9 @@ def _build(merged: dict[str, str]) -> RunSettings:
     except InvalidArgumentError as exc:
         raise ConfigError(f"invalid custom model: {exc}") from exc
 
-    seed = merged.get("seed")
-    settings = RunSettings(
-        model=model,
-        n=_parse_int("n", merged["n"]),
-        t_end=_parse_float("t", merged["t"]),
-        n_paths=_parse_int("paths", merged["paths"]),
-        beta=_parse_float("beta", merged["beta"]),
-        scale_c=_parse_float("scale_c", merged["scale_c"]),
-        substeps=_parse_int("substeps", merged["substeps"]),
-        jitter=_parse_float("jitter", merged["jitter"]),
-        parallelism=_parse_int("parallelism", merged["parallelism"]),
-        seed=None if seed is None else _parse_int("seed", seed),
-    )
+    settings = RunSettings(model=model, **{
+        p.field: _parse(p.key, p.kind, merged[p.key])
+        for p in RUN_PARAMETERS if p.key in merged})
     # ExperimentConfig owns the range rules; the seed does not enter them.
     # beta/scale_c stay permissive there: inadmissible thresholds are allowed
     # to run and are reported as such.
@@ -204,18 +210,14 @@ def _build(merged: dict[str, str]) -> RunSettings:
     return settings
 
 
-def _parse_int(key: str, value: str) -> int:
+def _parse(key: str, kind: type, value: str) -> int | float:
+    """Reads a value as its table type; an int string is a Python integer
+    literal, so hex and octal work."""
     try:
-        return int(value, 0) if isinstance(value, str) else int(value)
+        out = int(value, 0) if kind is int and isinstance(value, str) else kind(value)
     except (ValueError, TypeError):
-        raise ConfigError(f"{key} must be an integer, got {value!r}") from None
-
-
-def _parse_float(key: str, value: str) -> float:
-    try:
-        out = float(value)
-    except (ValueError, TypeError):
-        raise ConfigError(f"{key} must be a number, got {value!r}") from None
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{key} must be {noun}, got {value!r}") from None
     if out != out:
         raise ConfigError(f"{key} must not be NaN")
     return out

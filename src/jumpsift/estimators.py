@@ -7,12 +7,14 @@ error-free extraction (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31(1),
 2008): a few vectorized passes split each row into parts whose float sums
 are exact, and math.fsum adds those few parts. Short rows, non-finite
 values and extreme magnitudes go to math.fsum directly. The truncated sum is
-formed as total minus excluded so that
+formed as the total minus the flagged sum F = sum over flagged intervals of
+(dX_i)^2, with realized_variance and F each correctly rounded, so
 
-    realized_variance == threshold_realized_variance + sum over flagged
-    intervals of (dX_i)^2
+    threshold_realized_variance == realized_variance - F
 
-holds as a floating-point identity, not just to tolerance.
+holds exactly, by construction. The rearranged form realized_variance ==
+threshold_realized_variance + F is not a floating-point identity: it misses
+by one unit in the last place when realized_variance - F rounds at a tie.
 """
 
 from __future__ import annotations
@@ -36,8 +38,6 @@ from .errors import (
 from .grids import TimeGrid
 from .models import JumpEvent, JumpTable, SamplePath
 
-_POWER_LAW = "power-law"
-
 # _exact_sums hands a row to math.fsum as it is when it is shorter than
 # _EXTRACT_MIN_LENGTH, or when its largest magnitude lies outside
 # _EXTRACT_RANGE (zero, nan and inf included); the range keeps sigma finite.
@@ -59,11 +59,8 @@ class ThresholdSpec:
     beta: float
     scale_c: float = 1.0
     per_interval: bool = True
-    family: str = _POWER_LAW
 
     def __post_init__(self):
-        if self.family != _POWER_LAW:
-            raise InvalidArgumentError(f"unknown threshold family {self.family!r}")
         if not math.isfinite(self.beta) or not math.isfinite(self.scale_c):
             raise InvalidArgumentError("beta and scale_c must be finite")
 
@@ -141,8 +138,8 @@ def realized_variance(path: SamplePath) -> float:
 def threshold_realized_variance(path: SamplePath, spec: ThresholdSpec) -> float:
     """Truncated realized variance: squared increments at most r are kept.
 
-    Computed as the full sum minus the flagged sum so the complementarity
-    identity with realized_variance is exact.
+    Computed as realized_variance minus the flagged sum of (dX_i)^2, both
+    correctly rounded, so TRV == RV - F holds exactly (module docstring).
     """
     _warn_if_inadmissible(spec)
     return _PathSums(path, spec).iv_hat

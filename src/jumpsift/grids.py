@@ -14,7 +14,8 @@ from .errors import InvalidArgumentError
 GRID_SALT = 0x9E3779B97F4A7C15
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
-# Relative spread of interval widths below which a grid counts as uniform.
+# Relative spread of interval widths below which a grid read from data counts
+# as uniform; build_uniform_grid marks its grids uniform by construction.
 _UNIFORM_RTOL = 1e-12
 
 
@@ -59,9 +60,12 @@ class TimeGrid:
 
 
 def build_uniform_grid(n: int, t_end: float) -> TimeGrid:
-    """Equally spaced grid with n intervals on [0, t_end]."""
+    """Equally spaced grid with n intervals on [0, t_end], marked uniform:
+    linspace widths spread by about n ulps of h, past _UNIFORM_RTOL."""
     _check_grid_args(n, t_end)
-    return TimeGrid(np.linspace(0.0, float(t_end), n + 1))
+    grid = TimeGrid(np.linspace(0.0, float(t_end), n + 1))
+    object.__setattr__(grid, "is_uniform", True)
+    return grid
 
 
 def build_irregular_grid(n: int, t_end: float, jitter: float, seed: int) -> TimeGrid:

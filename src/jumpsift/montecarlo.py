@@ -35,9 +35,8 @@ from .estimators import (
     detect_jumps,
     jump_size_error_stat,
 )
-from .grids import TimeGrid, build_irregular_grid, build_uniform_grid
+from .grids import TimeGrid, build_irregular_grid
 from .models import (
-    CustomModel,
     Model1,
     Model3,
     ModelConfig,
@@ -82,8 +81,6 @@ class ExperimentConfig:
             raise InvalidArgumentError("substeps must be >= 1")
 
     def build_grid(self) -> TimeGrid:
-        if self.jitter == 0.0:
-            return build_uniform_grid(self.n, self.t_end)
         return build_irregular_grid(self.n, self.t_end, self.jitter, self.base_seed)
 
 
@@ -144,7 +141,7 @@ def run_experiment(cfg: ExperimentConfig) -> McSummary:
     the normality statistics and counted in excluded_paths; their other
     estimates still enter the record list.
     """
-    records = tuple(_map_paths(_single_record, cfg, cfg.n_paths))
+    records = tuple(_map_paths(_single_record, cfg))
 
     uniform = cfg.jitter == 0.0
     biases = np.array([r.normalized_bias for r in records
@@ -202,7 +199,7 @@ class EfficiencyTable:
     n_paths: int
 
 
-def efficiency_comparison(cfg: ExperimentConfig, n_paths: int | None = None) -> EfficiencyTable:
+def efficiency_comparison(cfg: ExperimentConfig) -> EfficiencyTable:
     """Threshold-vs-bipower efficiency under the diffusion null.
 
     The comparison is defined for jump-free models only; the normalized
@@ -212,11 +209,10 @@ def efficiency_comparison(cfg: ExperimentConfig, n_paths: int | None = None) -> 
     if has_jumps(cfg.model):
         raise InvalidArgumentError(
             "efficiency comparison requires a jump-free model")
-    m = cfg.n_paths if n_paths is None else int(n_paths)
-    pairs = _map_paths(_efficiency_pair, cfg, m)
+    pairs = _map_paths(_efficiency_pair, cfg)
     thr = sample_moments([p[0] for p in pairs]).variance
     bpv = sample_moments([p[1] for p in pairs]).variance
-    return EfficiencyTable(thr, bpv, bpv / thr, m)
+    return EfficiencyTable(thr, bpv, bpv / thr, cfg.n_paths)
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,7 +225,7 @@ class JumpSizeCltResult:
     var_one: float
 
 
-def jump_size_clt_experiment(cfg: ExperimentConfig, n_paths: int | None = None) -> JumpSizeCltResult:
+def jump_size_clt_experiment(cfg: ExperimentConfig) -> JumpSizeCltResult:
     """Distribution check for sqrt(n) * sum(gamma_hat - gamma).
 
     Requires constant spot volatility and compound Poisson jumps, for which
@@ -246,8 +242,7 @@ def jump_size_clt_experiment(cfg: ExperimentConfig, n_paths: int | None = None) 
     else:
         params = cfg.model.jump_params()
         lam = 0.0 if params is None else params[0]
-    m = cfg.n_paths if n_paths is None else int(n_paths)
-    samples = np.array(_map_paths(_jump_stat, cfg, m))
+    samples = np.array(_map_paths(_jump_stat, cfg))
     mixture = PoissonMixtureCdf(lam * cfg.t_end, sigma * sigma * cfg.t_end)
     ks = ks_against_cdf(samples, mixture, atom_points=(0.0,))
     return JumpSizeCltResult(samples, ks, lam * cfg.t_end, sigma * sigma * cfg.t_end)
@@ -331,8 +326,9 @@ def _grid_for(cfg: ExperimentConfig) -> TimeGrid:
     return cfg.build_grid()
 
 
-def _map_paths(fn, cfg: ExperimentConfig, n_paths: int) -> list:
-    """[fn(cfg, i) for i in range(n_paths)], in index order for any worker count."""
+def _map_paths(fn, cfg: ExperimentConfig) -> list:
+    """[fn(cfg, i) for i in range(cfg.n_paths)], in index order for any worker count."""
+    n_paths = cfg.n_paths
     worker = functools.partial(fn, cfg)
     if cfg.parallelism == 1 or n_paths == 1:
         return [worker(i) for i in range(n_paths)]

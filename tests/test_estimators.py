@@ -45,8 +45,6 @@ def test_threshold_spec_r_at():
     assert math.isclose(spec.r_at(0.25), 2.0 * 0.25 ** 0.9, rel_tol=1e-15)
     arr = spec.r_at(np.array([0.1, 0.2]))
     assert arr.shape == (2,)
-    with pytest.raises(InvalidArgumentError):
-        ThresholdSpec(0.9, family="exponential")
 
 
 def test_realized_variance_hand_value():

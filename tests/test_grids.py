@@ -1,7 +1,10 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jumpsift import InvalidArgumentError, TimeGrid, build_irregular_grid, build_uniform_grid, refine
 
@@ -14,6 +17,15 @@ def test_uniform_grid_basic():
     assert g.t_end == 1.0
     assert math.isclose(g.h, 1.0 / 2000, rel_tol=1e-12)
     assert g.is_uniform
+
+
+@pytest.mark.parametrize("n,t", [(4760, 1.0), (5065, 1.0), (9999, 1.0), (10000, 1.0),
+                                 (200000, 1.0), (4349, 23.0)])
+def test_uniform_grid_is_uniform_at_sizes_where_linspace_widths_spread(n, t):
+    # linspace widths spread by more than _UNIFORM_RTOL * h at these sizes.
+    g = build_uniform_grid(n, t)
+    assert g.is_uniform
+    assert TimeGrid(g.times.copy()).is_uniform is False
 
 
 def test_uniform_grid_widths_sum_to_t():
@@ -34,6 +46,27 @@ def test_irregular_grid_increasing_and_bounded():
     assert g.times[0] == 0.0
     assert g.times[-1] == 1.0
     assert not g.is_uniform
+
+
+def test_irregular_grid_with_tiny_jitter_is_not_uniform():
+    assert not build_irregular_grid(2000, 1.0, 1e-9, seed=7).is_uniform
+
+
+# Horizons from the smallest normal double up: below it, T/n can fall under
+# the subnormal spacing, where no n + 1 distinct times fit in [0, T].
+@settings(derandomize=True, database=None, deadline=None)
+@given(st.integers(2, 5000),
+       st.floats(2.0 ** -1022, sys.float_info.max),
+       st.sampled_from([0.0, 1.0 - 2.0 ** -53]) | st.floats(0.0, 1.0, exclude_max=True),
+       st.integers())
+def test_irregular_grid_is_increasing_and_each_time_stays_near_its_node(n, t_end, jitter,
+                                                                        seed):
+    g = build_irregular_grid(n, t_end, jitter, seed)
+    assert np.all(g.times[1:] > g.times[:-1])
+    nodes = np.linspace(0.0, t_end, n + 1)
+    half = jitter * (t_end / n) / 2.0
+    # Adding the offset to a node rounds once, by at most half its ulp.
+    assert np.all(np.abs(g.times - nodes) <= half + np.spacing(nodes))
 
 
 def test_irregular_grid_zero_jitter_is_uniform():

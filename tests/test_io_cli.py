@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -24,10 +25,12 @@ from jumpsift import (
     simulate,
     threshold_realized_variance,
 )
-from jumpsift.cli import _settings_echo, main, replay_manifest
+from jumpsift.cli import _settings_echo, _settings_from_args, build_parser, main, replay_manifest
 from jumpsift.models import MODEL_CLASSES
 from jumpsift.config import (
     DEFAULT_BASE_SEED,
+    RUN_PARAMETERS,
+    RunSettings,
     load_config_file,
     merge_settings,
     preset_values,
@@ -435,6 +438,65 @@ def test_replay_manifest_reproduces_run(tmp_path, capsys):
     mb = json.load(open(os.path.join(dir_b, "manifest.json")))
     ma.pop("created_utc"), mb.pop("created_utc")
     assert ma == mb
+
+
+# A value other than the built-in default for each run parameter, spelled as
+# in a config file.
+SAMPLE_VALUES = {"n": "48", "t": "2.5", "paths": "3", "beta": "0.8", "scale_c": "1.5",
+                 "substeps": "2", "jitter": "0.25", "parallelism": "2", "seed": "77"}
+
+
+def test_run_parameters_table_matches_run_settings():
+    assert list(SAMPLE_VALUES) == [p.key for p in RUN_PARAMETERS]
+    assert ([f.name for f in dataclasses.fields(RunSettings)]
+            == ["model", *(p.field for p in RUN_PARAMETERS)])
+
+
+@pytest.mark.parametrize("param", RUN_PARAMETERS, ids=lambda p: p.key)
+def test_run_parameter_by_flag_file_and_default_then_echo_and_replay(
+        param, tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("JUMPSIFT_SEED", raising=False)
+    text = SAMPLE_VALUES[param.key]
+    want = param.kind(text)
+
+    def settings_for(*flags):
+        return _settings_from_args(build_parser().parse_args(["simulate", *flags]))
+
+    def check(value):
+        assert type(value) is param.kind and value == want
+
+    default = getattr(merge_settings(), param.field)
+    if param.default is None:
+        assert default is None
+    else:
+        assert type(default) is param.kind and default == param.kind(param.default)
+    if param.help is not None:
+        check(getattr(settings_for("--" + param.key.replace("_", "-"), text), param.field))
+    cfg = write_cfg(tmp_path, "schema_version = 1\n"
+                    + "".join(f"{k} = {v}\n" for k, v in {"n": "48", param.key: text}.items()))
+    check(getattr(settings_for("--config", cfg), param.field))
+
+    dir_a, dir_b = tmp_path / "orig", tmp_path / "replay"
+    assert main(["simulate", "--config", cfg, "--out", str(dir_a)]) == 0
+    capsys.readouterr()
+    echo = json.loads((dir_a / "manifest.json").read_text())["config"]
+    assert list(echo) == ["model", *(p.key for p in RUN_PARAMETERS)]
+    check(echo[param.key])
+    replay_manifest(str(dir_a / "manifest.json"), str(dir_b))
+    assert (dir_a / "path.csv").read_bytes() == (dir_b / "path.csv").read_bytes()
+    ma, mb = (json.loads((d / "manifest.json").read_text()) for d in (dir_a, dir_b))
+    ma.pop("created_utc"), mb.pop("created_utc")
+    assert ma == mb
+
+
+def test_cli_mc_runs_where_linspace_widths_spread(tmp_path, capsys):
+    out = tmp_path / "mid"
+    assert main(["mc", "--n", "5065", "--paths", "2", "--seed", "3", "--out", str(out)]) == 0
+    capsys.readouterr()
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["normality_supported"] is True
+    assert summary["excluded_paths"] == 0
+    assert (out / "hist.csv").exists()
 
 
 def test_replay_manifest_rejects_changed_input_or_output(tmp_path, capsys):

@@ -121,6 +121,25 @@ def test_rv_is_trv_plus_flagged_mass_exactly(path, spec):
             == realized_variance(path))
 
 
+def test_trv_is_rv_minus_flagged_mass_at_a_rounding_tie():
+    # r = 2 * dt**0.5 flags the two 2**-120 lags. F = 2**-53 and
+    # RV = 1 + 3 * 2**-52, so RV - F lies halfway between two doubles and
+    # rounds to even; adding F back rounds to even again, one ulp below RV.
+    lags = [2.0 ** -120] * 2 + [1.0] * 5
+    dx = np.array([2.0 ** -27, 2.0 ** -27, 1.0, 2.0 ** -26, 2.0 ** -26, 2.0 ** -27, 2.0 ** -27])
+    path = SamplePath(TimeGrid(np.concatenate(([0.0], np.cumsum(lags)))),
+                      np.concatenate(([0.0], np.cumsum(dx))))
+    spec = ThresholdSpec(0.5, 2.0)
+    sizes = list(detect_jumps(path, spec).estimated_sizes.values())
+    flagged = math.fsum(s * s for s in sizes)
+    rv = realized_variance(path)
+    trv = threshold_realized_variance(path, spec)
+    assert sizes == [2.0 ** -27, 2.0 ** -27]
+    assert rv == float.fromhex("0x1.0000000000003p+0")
+    assert trv == rv - flagged
+    assert rv != trv + flagged
+
+
 @PROPERTY
 @given(st.integers(64, 400), st.integers(0, 40), st.integers(0, 2**32),
        st.floats(0.05, 0.95))
