@@ -56,7 +56,8 @@ RUN_PARAMETERS: tuple[RunParameter, ...] = (
     RunParameter("scale_c", "scale_c", float, "1.0", "threshold scale c"),
     RunParameter("substeps", "substeps", int, "1", "simulation substeps per interval"),
     RunParameter("jitter", "jitter", float, "0.0", "grid irregularity in [0, 1)"),
-    RunParameter("parallelism", "parallelism", int, "1", "worker processes (results unaffected)"),
+    RunParameter("parallelism", "parallelism", int, "1",
+                 "processes, the caller included (results unaffected)"),
     RunParameter("seed", "seed", int, None, "base seed (else $JUMPSIFT_SEED, else default)"),
 )
 

@@ -25,5 +25,10 @@ class ConfigError(JumpsiftError):
     """A configuration file or flag set failed validation."""
 
 
+class DegenerateSizeError(InvalidArgumentError, ConfigError):
+    """A run size at which an experiment can never succeed. It is raised
+    before any path is simulated, and as a ConfigError the CLI exits 2."""
+
+
 class AdmissibilityWarning(UserWarning):
     """Emitted when an estimator runs with an inadmissible threshold."""

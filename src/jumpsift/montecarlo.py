@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import math
 import multiprocessing
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,12 @@ from .diagnostics import (
     ks_statistic,
     sample_moments,
 )
-from .errors import DegenerateStatisticError, InvalidArgumentError, UnsupportedError
+from .errors import (
+    DegenerateSizeError,
+    DegenerateStatisticError,
+    InvalidArgumentError,
+    UnsupportedError,
+)
 from .estimators import (
     ThresholdSpec,
     _match_events,
@@ -52,8 +58,10 @@ class ExperimentConfig:
     """Everything a repeated-path run depends on.
 
     Construction checks the range of every run parameter; the config layer
-    reports a failure as a ConfigError. parallelism is a worker-count hint
-    only; it never affects results.
+    reports a failure as a ConfigError. parallelism is the total number of
+    processes, the calling one included: the caller computes the first
+    ceil(n_paths / parallelism) paths and parallelism - 1 forked workers the
+    rest. It never affects results.
     """
 
     model: ModelConfig
@@ -71,6 +79,11 @@ class ExperimentConfig:
             raise InvalidArgumentError("n must be >= 1")
         if not (self.t_end > 0.0) or not math.isfinite(self.t_end):
             raise InvalidArgumentError("t_end must be positive and finite")
+        if self.t_end / self.n < sys.float_info.min:
+            # Below it, n + 1 distinct times need not fit in [0, t].
+            raise InvalidArgumentError(
+                f"t / n must be at least the smallest normal double"
+                f" ({sys.float_info.min!r}), got t = {self.t_end!r}, n = {self.n}")
         if self.n_paths < 1:
             raise InvalidArgumentError("n_paths must be >= 1")
         if self.parallelism < 1:
@@ -141,6 +154,7 @@ def run_experiment(cfg: ExperimentConfig) -> McSummary:
     the normality statistics and counted in excluded_paths; their other
     estimates still enter the record list.
     """
+    _require_sizes(cfg, min_paths=1)
     records = tuple(_map_paths(_single_record, cfg))
 
     uniform = cfg.jitter == 0.0
@@ -209,6 +223,7 @@ def efficiency_comparison(cfg: ExperimentConfig) -> EfficiencyTable:
     if has_jumps(cfg.model):
         raise InvalidArgumentError(
             "efficiency comparison requires a jump-free model")
+    _require_sizes(cfg, min_paths=2)
     pairs = _map_paths(_efficiency_pair, cfg)
     thr = sample_moments([p[0] for p in pairs]).variance
     bpv = sample_moments([p[1] for p in pairs]).variance
@@ -264,6 +279,17 @@ def small_jump_bias_bound(model: Model3, spec: ThresholdSpec, h: float,
         raise InvalidArgumentError("threshold scale must be positive")
     r = float(spec.r_at(h))
     return 4.0 * t_end * r / model.gamma_var
+
+
+def _require_sizes(cfg: ExperimentConfig, min_paths: int) -> None:
+    """Rejects sizes no run can succeed at, before any path is simulated."""
+    if cfg.n < 2:
+        raise DegenerateSizeError(
+            f"n must be >= 2: bipower variation needs at least 2 increments, got n = {cfg.n}")
+    if cfg.n_paths < min_paths:
+        raise DegenerateSizeError(
+            f"paths must be >= {min_paths}: a sample variance needs at least"
+            f" {min_paths} samples, got paths = {cfg.n_paths}")
 
 
 def _single_record(cfg: ExperimentConfig, index: int) -> PathRecord:
@@ -327,14 +353,26 @@ def _grid_for(cfg: ExperimentConfig) -> TimeGrid:
 
 
 def _map_paths(fn, cfg: ExperimentConfig) -> list:
-    """[fn(cfg, i) for i in range(cfg.n_paths)], in index order for any worker count."""
+    """[fn(cfg, i) for i in range(cfg.n_paths)], in index order for any worker count.
+
+    The calling process is one of the `parallelism` processes and takes the
+    paths [0, own). It computes path 0 before forking, so the workers inherit
+    the loaded RNG module and the filled per-run caches, and paths 1 to
+    own - 1 while parallelism - 1 workers take [own, n_paths).
+    """
     n_paths = cfg.n_paths
     worker = functools.partial(fn, cfg)
-    if cfg.parallelism == 1 or n_paths == 1:
+    procs = min(cfg.parallelism, n_paths)
+    if procs == 1:
         return [worker(i) for i in range(n_paths)]
-    chunk = max(1, n_paths // (cfg.parallelism * 8))
-    with multiprocessing.Pool(cfg.parallelism) as pool:
-        return pool.map(worker, range(n_paths), chunksize=chunk)
+    head = [worker(0)]
+    own = -(-n_paths // procs)
+    chunk = max(1, (n_paths - own) // ((procs - 1) * 8))
+    # Leaving the block terminates the pool, also when either side raised.
+    with multiprocessing.Pool(procs - 1) as pool:
+        rest = pool.map_async(worker, range(own, n_paths), chunksize=chunk)
+        head.extend(worker(i) for i in range(1, own))
+        return head + rest.get()
 
 
 def _mean(values) -> float:

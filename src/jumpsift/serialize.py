@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import sys
 from dataclasses import asdict
 
 import numpy as np
@@ -287,6 +288,9 @@ def build_manifest(command: str, config: dict, base_seed: int, rng_id: str,
         "rng": rng_id,
         "base_seed": base_seed,
         "created_utc": created_utc,
+        # Byte identity of the outputs assumes the same numpy major version.
+        "environment": {"python": "%d.%d.%d" % sys.version_info[:3],
+                        "numpy": np.__version__, "platform": sys.platform},
         "config": config,
         "outputs": entries,
     }

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import multiprocessing
+import sys
 import warnings
 
 import numpy as np
@@ -13,6 +15,7 @@ from jumpsift import (
     Model1,
     Model2,
     Model3,
+    SimulationError,
     ThresholdSpec,
     UnsupportedError,
     efficiency_comparison,
@@ -24,6 +27,7 @@ from jumpsift import (
     threshold_realized_variance,
     true_integrated_variance,
 )
+from jumpsift.montecarlo import _map_paths
 
 SPEC09 = ThresholdSpec(0.9, 1.0)
 
@@ -50,6 +54,52 @@ def test_parallelism_does_not_change_results():
     assert serial.ks_statistic == pooled.ks_statistic
     assert serial.estimates == pooled.estimates
     assert np.array_equal(serial.histogram.counts, pooled.histogram.counts)
+
+
+@pytest.mark.parametrize("parallelism", [1, 2, 3, 7, 10])
+def test_every_process_count_gives_the_serial_bits(parallelism):
+    def pair(**kw):
+        serial = small_cfg(n_paths=7, **kw)
+        return serial, dataclasses.replace(serial, parallelism=parallelism)
+
+    serial, pooled = pair()
+    a, b = run_experiment(serial), run_experiment(pooled)
+    # repr round-trips each double, so equal reprs are equal bits.
+    assert repr(a.records) == repr(b.records)
+    ha, hb = a.histogram, b.histogram
+    assert ha.counts.tobytes() == hb.counts.tobytes()
+    assert repr((ha.lo, ha.hi, ha.underflow, ha.overflow)) == repr(
+        (hb.lo, hb.hi, hb.underflow, hb.overflow))
+
+    serial, pooled = pair(model=CustomModel())
+    assert (repr(vars(efficiency_comparison(serial)))
+            == repr(vars(efficiency_comparison(pooled))))
+
+    serial, pooled = pair()
+    assert (jump_size_clt_experiment(serial).samples.tobytes()
+            == jump_size_clt_experiment(pooled).samples.tobytes())
+
+
+def _fail_at_base_seed(cfg, index):
+    """A per-path function that fails at the path whose index is the base seed."""
+    if index == cfg.base_seed:
+        raise SimulationError(f"path {index} failed")
+    return index
+
+
+# With 7 paths over 2 processes the caller computes paths 0-3 and the worker 4-6.
+@pytest.mark.parametrize("fail_at", [0, 2, 5, 6])
+def test_a_failing_path_raises_as_in_the_serial_map_and_leaves_no_worker(fail_at):
+    cfg = small_cfg(n_paths=7, base_seed=fail_at)
+    with pytest.raises(SimulationError) as serial:
+        _map_paths(_fail_at_base_seed, cfg)
+    with pytest.raises(SimulationError) as pooled:
+        _map_paths(_fail_at_base_seed, dataclasses.replace(cfg, parallelism=2))
+    assert type(pooled.value) is type(serial.value)
+    assert str(pooled.value) == str(serial.value) == f"path {fail_at} failed"
+    for child in multiprocessing.active_children():
+        child.join(timeout=10)
+    assert multiprocessing.active_children() == []
 
 
 def test_records_match_standalone_pipeline():
@@ -203,6 +253,18 @@ def test_experiment_config_validation():
         small_cfg(jitter=1.0)
     with pytest.raises(InvalidArgumentError):
         small_cfg(substeps=0)
+    with pytest.raises(InvalidArgumentError, match="t / n"):
+        small_cfg(t_end=1e-320, n=5000)
+    small_cfg(t_end=sys.float_info.min * 200, n=200)
+
+
+def test_sizes_no_run_can_succeed_at_are_rejected():
+    with pytest.raises(InvalidArgumentError, match="n must be >= 2"):
+        run_experiment(small_cfg(n=1))
+    with pytest.raises(InvalidArgumentError, match="n must be >= 2"):
+        efficiency_comparison(small_cfg(model=CustomModel(), n=1))
+    with pytest.raises(InvalidArgumentError, match="paths must be >= 2"):
+        efficiency_comparison(small_cfg(model=CustomModel(), n_paths=1))
 
 
 def test_config_is_hashable_and_replaceable():

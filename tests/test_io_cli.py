@@ -2,6 +2,8 @@ import dataclasses
 import json
 import math
 import os
+import platform
+import sys
 import warnings
 
 import numpy as np
@@ -25,6 +27,7 @@ from jumpsift import (
     simulate,
     threshold_realized_variance,
 )
+from jumpsift import montecarlo
 from jumpsift.cli import _settings_echo, _settings_from_args, build_parser, main, replay_manifest
 from jumpsift.models import MODEL_CLASSES
 from jumpsift.config import (
@@ -315,10 +318,12 @@ def test_cli_version_and_config_errors(tmp_path, capsys):
     ["--config", "t = inf"],
     ["--beta", "inf"],
     ["--scale-c=-inf"],
+    ["--config", "t = 1e-320", "--n", "5000"],
 ], ids=" ".join)
 def test_cli_out_of_range_run_parameter_is_config_error(tmp_path, capsys, command, flags):
     if flags[0] == "--config":
-        flags = ["--config", write_cfg(tmp_path, f"schema_version = 1\n{flags[1]}\n")]
+        flags = ["--config", write_cfg(tmp_path, f"schema_version = 1\n{flags[1]}\n"),
+                 *flags[2:]]
     src = tmp_path / "path.csv"
     src.write_text("time,x\n0,0\n0.5,0.1\n1.0,0.05\n", encoding="utf-8")
     inputs = ["--in", str(src)] if command in ("estimate", "detect") else []
@@ -326,6 +331,40 @@ def test_cli_out_of_range_run_parameter_is_config_error(tmp_path, capsys, comman
     assert main([command, *inputs, *flags, "--out", str(out)]) == 2
     assert "config error" in capsys.readouterr().err
     assert not (out / "manifest.json").exists()
+
+
+def test_cli_horizon_below_normal_spacing_names_t_and_n(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "schema_version = 1\nt = 1e-320\nn = 5000\n")
+    assert main(["mc", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error: t / n must be at least" in err
+    assert "t = 1e-320, n = 5000" in err
+
+
+@pytest.mark.parametrize("command,flags,message", [
+    ("mc", ["--n", "1"], "n must be >= 2"),
+    ("compare", ["--n", "1"], "n must be >= 2"),
+    ("compare", ["--paths", "1"], "paths must be >= 2"),
+], ids=["mc --n 1", "compare --n 1", "compare --paths 1"])
+def test_cli_size_no_run_can_succeed_at_is_config_error(tmp_path, capsys, monkeypatch,
+                                                        command, flags, message):
+    def no_path(*args):
+        raise AssertionError("a path was simulated")
+
+    monkeypatch.setattr(montecarlo, "_simulate_path", no_path)
+    out = tmp_path / "out"
+    assert main([command, "--paths", "4", *flags, "--out", str(out)]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+def test_cli_simulate_estimate_detect_run_at_one_interval(tmp_path, capsys):
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--n", "1", "--out", str(sim)]) == 0
+    for command in ("estimate", "detect"):
+        assert main([command, "--n", "1", "--in", str(sim / "path.csv"),
+                     "--out", str(tmp_path / command)]) == 0
+    capsys.readouterr()
 
 
 def test_cli_missing_input_file_is_runtime_error(tmp_path, capsys):
@@ -550,6 +589,16 @@ def test_cli_env_seed_lands_in_manifest(tmp_path, monkeypatch, capsys):
     assert manifest["base_seed"] == 424242
     assert manifest["config"]["seed"] == 424242
     assert manifest["rng"]
+
+
+def test_manifest_records_the_environment(tmp_path, capsys):
+    out = str(tmp_path / "env")
+    assert main(["simulate", "--n", "32", "--out", out]) == 0
+    capsys.readouterr()
+    manifest = json.load(open(os.path.join(out, "manifest.json")))
+    assert manifest["environment"] == {"python": platform.python_version(),
+                                       "numpy": np.__version__,
+                                       "platform": sys.platform}
 
 
 def test_cli_ragged_row_is_runtime_error_naming_the_line(tmp_path, capsys):
