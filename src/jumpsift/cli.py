@@ -51,6 +51,14 @@ def build_parser() -> argparse.ArgumentParser:
         prog="jumpsift",
         description="Simulation and threshold estimation of integrated variance under jumps.")
     parser.add_argument("--version", action="version", version=f"jumpsift {__version__}")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--preset", help="named preset, e.g. model1-desk")
+    common.add_argument("--config", help="key-value config file")
+    for param in RUN_PARAMETERS:
+        if param.help is not None:
+            common.add_argument("--" + param.key.replace("_", "-"), dest=param.key,
+                                type=param.kind, help=param.help)
+    common.add_argument("--out", default=".", help="output directory (default: current)")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, helptext in (
         ("simulate", "simulate one path and write it as CSV"),
@@ -59,14 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("mc", "repeated-path experiment with normality diagnostics"),
         ("compare", "threshold vs bipower efficiency on a jump-free model"),
     ):
-        p = sub.add_parser(name, help=helptext)
-        p.add_argument("--preset", help="named preset, e.g. model1-desk")
-        p.add_argument("--config", help="key-value config file")
-        for param in RUN_PARAMETERS:
-            if param.help is not None:
-                p.add_argument("--" + param.key.replace("_", "-"), dest=param.key,
-                               type=param.kind, help=param.help)
-        p.add_argument("--out", default=".", help="output directory (default: current)")
+        p = sub.add_parser(name, help=helptext, parents=[common])
         if name in _NEEDS_INPUT:
             p.add_argument("--in", dest="input", help="path CSV to read")
     return parser

@@ -13,6 +13,7 @@ import hashlib
 import math
 import os
 import sys
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -32,36 +33,57 @@ def fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
+# write_csv sends rows out in chunks of _CSV_CHUNK_ROWS, one write each. A
+# chunk of fewer than _DISTINCT_MIN_ROWS rows is formatted cell by cell,
+# where np.unique would cost more than the repeated values it saves.
+_CSV_CHUNK_ROWS = 4096
+_DISTINCT_MIN_ROWS = 32
+
+
 def write_csv(dest: str, header: list[str], columns: list) -> None:
     """Writes equal-length columns under a header row: a float array with 17
     significant digits, an int array or a list of str as it prints."""
-    row = ",".join("{:.17g}" if isinstance(c, np.ndarray) and c.dtype.kind == "f"
-                   else "{}" for c in columns)
-    cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
-    lines = [",".join(header)]
-    lines.extend(row.format(*r) for r in zip(*cells, strict=True))
+    lengths = {len(c) for c in columns}
+    if len(lengths) > 1:
+        raise ValueError(f"columns differ in length: {sorted(lengths)}")
+    n = lengths.pop() if lengths else 0
     with open(dest, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(header) + "\n")
+        for lo in range(0, n, _CSV_CHUNK_ROWS):
+            fh.write(_csv_rows([c[lo:lo + _CSV_CHUNK_ROWS] for c in columns]))
+
+
+def _csv_rows(columns: list) -> str:
+    """The CSV lines of equal-length column slices. Each distinct double
+    among the float columns is formatted once; distinct means the same bit
+    pattern, so 0.0 and -0.0 stay apart."""
+    floats = [j for j, c in enumerate(columns)
+              if isinstance(c, np.ndarray) and c.dtype.kind == "f"]
+    if len(columns[0]) < _DISTINCT_MIN_ROWS:
+        row = ",".join("{:.17g}" if j in floats else "{}" for j in range(len(columns))) + "\n"
+        cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+        return "".join([row.format(*r) for r in zip(*cells)])
+    cells = [list(map(str, c.tolist())) if isinstance(c, np.ndarray) and j not in floats
+             else c for j, c in enumerate(columns)]
+    if floats:
+        block = np.array([columns[j] for j in floats], dtype=np.float64)
+        distinct, where = np.unique(block.view(np.int64), return_inverse=True)
+        text = np.array(list(map("{:.17g}".format, distinct.view(np.float64).tolist())),
+                        dtype=object)
+        for j, col in zip(floats, text[where.reshape(block.shape)].tolist()):
+            cells[j] = col
+    return "\n".join(map(",".join, zip(*cells))) + "\n"
+
+
+# str.translate table for JSON strings: the quote, the backslash and every C0
+# control character.
+_JSON_ESCAPES = {c: f"\\u{c:04x}" for c in range(0x20)}
+_JSON_ESCAPES.update({ord("\\"): "\\\\", ord('"'): '\\"', ord("\n"): "\\n",
+                      ord("\r"): "\\r", ord("\t"): "\\t"})
 
 
 def _json_escape(s: str) -> str:
-    out = []
-    for ch in s:
-        if ch == "\\":
-            out.append("\\\\")
-        elif ch == '"':
-            out.append('\\"')
-        elif ch == "\n":
-            out.append("\\n")
-        elif ch == "\r":
-            out.append("\\r")
-        elif ch == "\t":
-            out.append("\\t")
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    return "".join(out)
+    return s.translate(_JSON_ESCAPES)
 
 
 def _emit(obj, indent: int, level: int) -> str:
@@ -124,7 +146,43 @@ def write_path_csv(path: SamplePath, dest: str) -> None:
 
 
 def read_path_csv(src: str) -> SamplePath:
-    """Reads time and x back; truth columns are not reconstructed."""
+    """Reads time and x back; truth columns are not reconstructed.
+
+    numpy's C reader parses the two columns, bit for bit as float() does.
+    A file it rejects, one with fewer than two data rows, one whose first
+    line is not the header, and one holding a byte in 0x1c-0x1f (which numpy
+    skips as whitespace inside a cell and float() does not) go through the
+    per-line reader, which decides what is accepted and words the errors.
+    """
+    data = None
+    if not _has_separator_bytes(src):
+        try:
+            with open(src, "r", encoding="utf-8-sig") as fh:
+                header = fh.readline().strip().split(",")
+                usecols = (header.index("time"), header.index("x"))
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)  # a file without data rows
+                    data = np.loadtxt(fh, delimiter=",", usecols=usecols, comments=None,
+                                      ndmin=2)
+        except ValueError:
+            pass
+    if data is None or len(data) < 2:
+        return _read_path_csv_by_line(src)
+    return SamplePath(TimeGrid(data[:, 0].copy()), data[:, 1].copy())
+
+
+def _has_separator_bytes(src: str) -> bool:
+    """True if src holds an ASCII information separator (0x1c-0x1f)."""
+    with open(src, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 16), b""):
+            if any(sep in block for sep in (b"\x1c", b"\x1d", b"\x1e", b"\x1f")):
+                return True
+    return False
+
+
+def _read_path_csv_by_line(src: str) -> SamplePath:
+    """The reference reader: blank and whitespace-only lines are skipped,
+    the first other line is the header, and each cell goes through float()."""
     with open(src, "r", encoding="utf-8-sig") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines:

@@ -253,7 +253,7 @@ def test_criterion_9_oracle_equivalence():
                 zero_ok = zero_ok and got == 0.0
 
         flagged_mass = math.fsum((d[~keep] * d[~keep]).tolist())
-        if iv_hat + flagged_mass != rv:
+        if iv_hat != rv - flagged_mass:
             comp_fails += 1
 
     checks = [

@@ -284,4 +284,4 @@ def test_complementarity_on_simulated_paths():
         r = spec.r_at(p.grid.widths)
         flagged = dx * dx > r
         flagged_sum = math.fsum((dx[flagged] * dx[flagged]).tolist())
-        assert threshold_realized_variance(p, spec) + flagged_sum == realized_variance(p)
+        assert threshold_realized_variance(p, spec) == realized_variance(p) - flagged_sum

@@ -40,6 +40,7 @@ from jumpsift.config import (
     resolve_seed,
 )
 from jumpsift.serialize import (
+    _json_escape,
     dumps_json,
     file_sha256,
     fmt_float,
@@ -89,6 +90,36 @@ def test_dumps_json_shape_and_round_trip():
     assert back["text"] == obj["text"]
     with pytest.raises(InvalidArgumentError):
         dumps_json({"x": object()})
+
+
+def loop_json_escape(s: str) -> str:
+    """The per-character escaper _json_escape replaced, kept as the oracle."""
+    out = []
+    for ch in s:
+        if ch == "\\":
+            out.append("\\\\")
+        elif ch == '"':
+            out.append('\\"')
+        elif ch == "\n":
+            out.append("\\n")
+        elif ch == "\r":
+            out.append("\\r")
+        elif ch == "\t":
+            out.append("\\t")
+        elif ord(ch) < 0x20:
+            out.append(f"\\u{ord(ch):04x}")
+        else:
+            out.append(ch)
+    return "".join(out)
+
+
+def test_json_escape_matches_the_per_character_loop():
+    texts = [chr(c) for c in range(0x80)]
+    texts += ["".join(chr(c) for c in range(0x80)), "", "plain", "é ü ß € 漢字 \U0001f600",
+              "\x85\xa0\u2003\u2028\ufeff", 'mix "é"\\\n\x00\x1f\x7f\U0010ffff']
+    for text in texts:
+        assert _json_escape(text) == loop_json_escape(text)
+        assert json.loads(f'"{_json_escape(text)}"') == text
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Property tests for the output files' byte contract.
 
 Every CSV is written column-wise through serialize.write_csv. These tests
-compare it against a per-cell reference, and check that a path file reads
-back bit for bit and that hist.csv accounts for every sample.
+compare it against a per-cell reference, check that a path file reads back
+bit for bit, that read_path_csv agrees with the per-line reader on any text,
+and that hist.csv accounts for every sample.
 """
 
 import math
@@ -11,7 +12,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jumpsift import SamplePath, TimeGrid, build_histogram
+from jumpsift import InvalidArgumentError, SamplePath, TimeGrid, build_histogram
+from jumpsift import serialize
 from jumpsift.serialize import read_path_csv, write_csv, write_histogram_csv, write_path_csv
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=60, deadline=None)
@@ -62,6 +64,49 @@ def test_write_csv_matches_a_per_cell_join(tmp_path_factory, drawn):
     assert dest.read_bytes() == ("\n".join([",".join(header), *rows]) + "\n").encode()
 
 
+# Quiet and signalling NaNs with payloads and either sign: all print as "nan".
+NAN_PAYLOADS = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001,
+                         0x7FF0000000000001, 0xFFFFFFFFFFFFFFFF],
+                        dtype=np.uint64).view(np.float64).tolist()
+
+
+@st.composite
+def long_csv_columns(draw):
+    """More rows than one chunk, or a size either side of the cell-by-cell
+    cut-off, drawn from a small pool so values repeat within and across
+    columns; the pool may hold 0.0 next to -0.0 and NaNs with payloads."""
+    chunk, cut = serialize._CSV_CHUNK_ROWS, serialize._DISTINCT_MIN_ROWS
+    n = draw(st.one_of(st.integers(cut - 2, cut + 2), st.integers(chunk - 2, 2 * chunk + 3)))
+    pool = draw(st.lists(st.one_of(any_float, st.sampled_from(NAN_PAYLOADS)),
+                         min_size=1, max_size=12))
+    pool += draw(st.sampled_from([[], [0.0, -0.0], NAN_PAYLOADS]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(["float", "float", "int", "str"]),
+                          min_size=1, max_size=5))
+    columns, cells = [], []
+    for kind in kinds:
+        if kind == "float":
+            column = np.array(pool)[rng.integers(len(pool), size=n)]
+        elif kind == "int":
+            column = rng.integers(-3, 3, size=n)
+        else:
+            column = [("", "a", "b-c")[k] for k in rng.integers(3, size=n)]
+        columns.append(column)
+        cells.append(column.tolist() if isinstance(column, np.ndarray) else column)
+    return columns, cells
+
+
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(long_csv_columns())
+def test_write_csv_matches_a_per_cell_join_across_chunks(tmp_path_factory, drawn):
+    columns, cells = drawn
+    header = [f"c{j}" for j in range(len(columns))]
+    dest = tmp_path_factory.mktemp("csv") / "out.csv"
+    write_csv(str(dest), header, columns)
+    rows = [",".join(reference_cell(v) for v in row) for row in zip(*cells)]
+    assert dest.read_bytes() == ("\n".join([",".join(header), *rows]) + "\n").encode()
+
+
 @st.composite
 def sample_paths(draw):
     later = draw(st.lists(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
@@ -79,6 +124,82 @@ def test_path_csv_round_trip_is_bit_exact(tmp_path_factory, path):
     back = read_path_csv(dest)
     assert back.grid.times.tobytes() == path.grid.times.tobytes()
     assert back.observations.tobytes() == path.observations.tobytes()
+
+
+# Cells numpy and float() might read differently: underscores, comment and
+# quote marks, hex, non-ASCII digits, the 0x1c-0x1f separators (whitespace
+# to numpy, not to float()), NUL, and spaces inside or around a number.
+ODD_CELLS = ["nan", "-NaN", "+inf", "-Infinity", "1e999", "-1e-999", ".5", "5.", "1_0", "#1",
+             '"1"', "'1'", "", " ", " 2 ", "\t3", "0x1p3", "1e", "1 2", "\u0661", "\xa01",
+             "2\u2003", "\x1c1", "1\x1f", "1\x00", "abc"]
+AFFIXES = [" ", "\t", "\xa0", "\u2003", "\x1c", "\x1f", "\x00", "_", "#", '"']
+LINE_ENDS = ["\n", "\r\n", "\r"]
+BLANK_LINES = ["", " ", "\t", "\x1c", "\xa0"]
+
+
+@st.composite
+def path_csv_texts(draw):
+    """A path file with an optional BOM, any line ending, blank or
+    whitespace-only lines anywhere and columns in any order with extras,
+    then up to two defects: an odd cell, a prefix or suffix on a cell, a
+    ragged row, a header without x, or fewer than two data rows."""
+    header = draw(st.permutations(["time", "x", *draw(st.lists(
+        st.sampled_from(["x_cont", "note", "time", " x"]), max_size=2))]))
+    later = draw(st.lists(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+                          min_size=1, max_size=6, unique=True))
+    rows = []
+    for t in [0.0, *sorted(later)]:
+        t_cell = format(t, ".17g") if draw(st.booleans()) else repr(t)
+        rows.append([t_cell if name == "time" else draw(any_float.map(repr)) for name in header])
+    for defect in draw(st.lists(st.sampled_from(
+            ["cell", "prefix", "suffix", "ragged", "no x", "short"]), max_size=2)):
+        if defect == "no x":
+            header = [name for name in header if name != "x"]
+        elif defect == "short":
+            rows = rows[:draw(st.integers(0, 1))]
+        elif rows:
+            row = rows[draw(st.integers(0, len(rows) - 1))]
+            j = draw(st.integers(0, len(row)))
+            if defect == "ragged":
+                row[j:] = draw(st.lists(st.sampled_from(ODD_CELLS), max_size=2))
+            elif j < len(row):
+                row[j] = {"cell": draw(st.sampled_from(ODD_CELLS)),
+                          "prefix": draw(st.sampled_from(AFFIXES)) + row[j],
+                          "suffix": row[j] + draw(st.sampled_from(AFFIXES))}[defect]
+    lines = [",".join(header), *map(",".join, rows)]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(BLANK_LINES)))
+    end = draw(st.sampled_from(LINE_ENDS))
+    text = end.join(lines) + draw(st.sampled_from([end, ""]))
+    return ("\ufeff" if draw(st.booleans()) else "") + text
+
+
+def read_outcome(reader, src):
+    try:
+        path = reader(src)
+    except InvalidArgumentError as exc:
+        return str(exc)
+    return path.grid.times.tobytes(), path.observations.tobytes()
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(path_csv_texts())
+def test_read_path_csv_agrees_with_the_per_line_reader(tmp_path_factory, text):
+    src = tmp_path_factory.mktemp("read") / "path.csv"
+    src.write_bytes(text.encode("utf-8"))
+    assert (read_outcome(read_path_csv, str(src))
+            == read_outcome(serialize._read_path_csv_by_line, str(src)))
+
+
+def test_read_path_csv_takes_bom_crlf_and_blank_lines_without_the_per_line_reader(
+        tmp_path, monkeypatch):
+    src = tmp_path / "path.csv"
+    src.write_bytes(b"\xef\xbb\xbfx,time\r\n\r\n0.5,0\r\n-2.5e-3,0.25\r\n\r\n-0,0.75")
+    monkeypatch.setattr(serialize, "_read_path_csv_by_line", None)
+    path = read_path_csv(str(src))
+    assert path.grid.times.tolist() == [0.0, 0.25, 0.75]
+    xs = path.observations
+    assert xs[:2].tolist() == [0.5, -2.5e-3] and xs[2] == 0.0 and np.signbit(xs[2])
 
 
 @PROPERTY

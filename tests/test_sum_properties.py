@@ -114,11 +114,11 @@ threshold_specs = st.builds(ThresholdSpec, st.floats(0.05, 0.95), st.floats(0.01
 
 @PROPERTY
 @given(model1_like_paths(), threshold_specs)
-def test_rv_is_trv_plus_flagged_mass_exactly(path, spec):
+def test_trv_is_rv_minus_flagged_mass_exactly(path, spec):
     det = detect_jumps(path, spec)
     flagged = np.array(list(det.estimated_sizes.values()))
-    assert (threshold_realized_variance(path, spec) + math.fsum((flagged * flagged).tolist())
-            == realized_variance(path))
+    assert (threshold_realized_variance(path, spec)
+            == realized_variance(path) - math.fsum((flagged * flagged).tolist()))
 
 
 def test_trv_is_rv_minus_flagged_mass_at_a_rounding_tie():
