@@ -33,11 +33,8 @@ def fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-# write_csv sends rows out in chunks of _CSV_CHUNK_ROWS, one write each. A
-# chunk of fewer than _DISTINCT_MIN_ROWS rows is formatted cell by cell,
-# where np.unique would cost more than the repeated values it saves.
+# write_csv sends rows out in chunks of _CSV_CHUNK_ROWS, one write each.
 _CSV_CHUNK_ROWS = 4096
-_DISTINCT_MIN_ROWS = 32
 
 
 def write_csv(dest: str, header: list[str], columns: list) -> None:
@@ -59,10 +56,6 @@ def _csv_rows(columns: list) -> str:
     pattern, so 0.0 and -0.0 stay apart."""
     floats = [j for j, c in enumerate(columns)
               if isinstance(c, np.ndarray) and c.dtype.kind == "f"]
-    if len(columns[0]) < _DISTINCT_MIN_ROWS:
-        row = ",".join("{:.17g}" if j in floats else "{}" for j in range(len(columns))) + "\n"
-        cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
-        return "".join([row.format(*r) for r in zip(*cells)])
     cells = [list(map(str, c.tolist())) if isinstance(c, np.ndarray) and j not in floats
              else c for j, c in enumerate(columns)]
     if floats:

@@ -72,11 +72,11 @@ NAN_PAYLOADS = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000
 
 @st.composite
 def long_csv_columns(draw):
-    """More rows than one chunk, or a size either side of the cell-by-cell
-    cut-off, drawn from a small pool so values repeat within and across
-    columns; the pool may hold 0.0 next to -0.0 and NaNs with payloads."""
-    chunk, cut = serialize._CSV_CHUNK_ROWS, serialize._DISTINCT_MIN_ROWS
-    n = draw(st.one_of(st.integers(cut - 2, cut + 2), st.integers(chunk - 2, 2 * chunk + 3)))
+    """One to two chunks of rows, drawn from a small pool so values repeat
+    within and across columns; the pool may hold 0.0 next to -0.0 and NaNs
+    with payloads."""
+    chunk = serialize._CSV_CHUNK_ROWS
+    n = draw(st.integers(chunk - 2, 2 * chunk + 3))
     pool = draw(st.lists(st.one_of(any_float, st.sampled_from(NAN_PAYLOADS)),
                          min_size=1, max_size=12))
     pool += draw(st.sampled_from([[], [0.0, -0.0], NAN_PAYLOADS]))
