@@ -120,6 +120,8 @@ def load_config_file(path: str) -> dict[str, str]:
             lines = fh.readlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
     raw: dict[str, str] = {}
     for lineno, line in enumerate(lines, start=1):
         text = line.split("#", 1)[0].strip()

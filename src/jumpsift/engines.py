@@ -143,9 +143,8 @@ def _simulate_constant_vol(drift, sigma, jump_params, grid, substeps,
             events = _finite_activity_table(times, sizes)
             _bin_jumps(jump_incr, fine_times, times, sizes)
 
-    return _assemble(grid, substeps, fine_widths, cont_incr, jump_incr, events,
-                     spot=np.full(nf + 1, sigma * sigma),
-                     drift_integral=drift * grid.widths)
+    return _assemble(grid, substeps, cont_incr, jump_incr, events,
+                     spot=np.full(nf + 1, sigma * sigma))
 
 
 def _simulate_model2(cfg, grid, substeps, fine_times, fine_widths, rng):
@@ -170,9 +169,8 @@ def _simulate_model2(cfg, grid, substeps, fine_times, fine_widths, rng):
         events = _finite_activity_table(times, sizes)
         _bin_jumps(jump_incr, fine_times, times, sizes)
 
-    return _assemble(grid, substeps, fine_widths, cont_incr, jump_incr, events,
-                     spot=np.exp(2.0 * h_path),
-                     drift_integral=drift_incr.reshape(grid.n, substeps).sum(axis=1))
+    return _assemble(grid, substeps, cont_incr, jump_incr, events,
+                     spot=np.exp(2.0 * h_path))
 
 
 def _simulate_model3(cfg, grid, substeps, fine_times, fine_widths, rng):
@@ -192,19 +190,17 @@ def _simulate_model3(cfg, grid, substeps, fine_times, fine_widths, rng):
     events = JumpTable(fine_times[nonzero + 1], jump_incr[nonzero],
                        np.full(nonzero.size, CODE_IA_SMALL, dtype=np.int8))
 
-    return _assemble(grid, substeps, fine_widths, cont_incr, jump_incr, events,
-                     spot=np.full(nf + 1, cfg.sigma * cfg.sigma),
-                     drift_integral=np.zeros(grid.n))
+    return _assemble(grid, substeps, cont_incr, jump_incr, events,
+                     spot=np.full(nf + 1, cfg.sigma * cfg.sigma))
 
 
-def _assemble(grid, substeps, fine_widths, cont_incr, jump_incr, events, spot, drift_integral):
+def _assemble(grid, substeps, cont_incr, jump_incr, events, spot):
     x_fine = np.concatenate(([0.0], np.cumsum(cont_incr + jump_incr)))
     cont_fine = np.concatenate(([0.0], np.cumsum(cont_incr)))
     truth = GroundTruth(
         spot_variance=SpotVariancePath(spot, substeps),
         jumps=events,
         continuous_part=cont_fine[::substeps],
-        drift_integral=np.asarray(drift_integral, dtype=float),
     )
     return SamplePath(grid, x_fine[::substeps], truth)
 

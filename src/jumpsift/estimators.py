@@ -403,11 +403,11 @@ def _jumpy_intervals(times: np.ndarray, jumps: JumpTable):
     their jump counts and the size of the earliest jump in each (ties in
     time keep table order)."""
     order = np.argsort(jumps.times, kind="stable")
-    counts = np.bincount(_containing_intervals(times, jumps.times[order]),
-                         minlength=times.size - 1)
-    jumpy = np.flatnonzero(counts)
-    first = (np.cumsum(counts) - counts)[jumpy]
-    return jumpy, counts[jumpy], jumps.sizes[order][first]
+    # Sorted times give sorted interval indices: each run is one interval.
+    intervals = _containing_intervals(times, jumps.times[order])
+    first = np.flatnonzero(np.diff(intervals, prepend=-1))
+    counts = np.diff(first, append=intervals.size)
+    return intervals[first], counts, jumps.sizes[order[first]]
 
 
 def _match_events(times, flagged, dx, jumps: JumpTable) -> JumpMatchStats:

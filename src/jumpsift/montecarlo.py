@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import functools
 import math
-import multiprocessing
+import os
+import pickle
+import signal
 import sys
 from dataclasses import dataclass
 
@@ -31,6 +33,7 @@ from .errors import (
     DegenerateSizeError,
     DegenerateStatisticError,
     InvalidArgumentError,
+    SimulationError,
     UnsupportedError,
 )
 from .estimators import (
@@ -60,8 +63,10 @@ class ExperimentConfig:
     Construction checks the range of every run parameter; the config layer
     reports a failure as a ConfigError. parallelism is the total number of
     processes, the calling one included: the caller computes the first
-    ceil(n_paths / parallelism) paths and parallelism - 1 forked workers the
-    rest. It never affects results.
+    ceil(n_paths / parallelism) paths, and each of parallelism - 1 forked
+    children one contiguous slice of the rest. A child that dies raises
+    SimulationError; without os.fork every path runs in the caller. It never
+    affects results.
     """
 
     model: ModelConfig
@@ -355,24 +360,86 @@ def _grid_for(cfg: ExperimentConfig) -> TimeGrid:
 def _map_paths(fn, cfg: ExperimentConfig) -> list:
     """[fn(cfg, i) for i in range(cfg.n_paths)], in index order for any worker count.
 
-    The calling process is one of the `parallelism` processes and takes the
-    paths [0, own). It computes path 0 before forking, so the workers inherit
-    the loaded RNG module and the filled per-run caches, and paths 1 to
-    own - 1 while parallelism - 1 workers take [own, n_paths).
+    The calling process is one of p = min(parallelism, n_paths) processes.
+    It forks p - 1 children, each computing one contiguous slice of
+    [ceil(n_paths / p), n_paths) in index order, and computes the paths
+    [0, ceil(n_paths / p)) itself. A failure raises as in the serial map:
+    the one at the lowest index, with its type and message. A child that
+    dies without sending its results raises SimulationError naming its
+    slice. Without os.fork the map runs serially.
     """
     n_paths = cfg.n_paths
-    worker = functools.partial(fn, cfg)
-    procs = min(cfg.parallelism, n_paths)
+    procs = min(cfg.parallelism, n_paths) if hasattr(os, "fork") else 1
     if procs == 1:
-        return [worker(i) for i in range(n_paths)]
-    head = [worker(0)]
+        return [fn(cfg, i) for i in range(n_paths)]
     own = -(-n_paths // procs)
-    chunk = max(1, (n_paths - own) // ((procs - 1) * 8))
-    # Leaving the block terminates the pool, also when either side raised.
-    with multiprocessing.Pool(procs - 1) as pool:
-        rest = pool.map_async(worker, range(own, n_paths), chunksize=chunk)
-        head.extend(worker(i) for i in range(1, own))
-        return head + rest.get()
+    rest = n_paths - own
+    bounds = [own + j * rest // (procs - 1) for j in range(procs)]
+    children = []
+    reaped = 0
+    try:
+        for lo, hi in zip(bounds, bounds[1:]):
+            children.append(_fork_slice(fn, cfg, lo, hi))
+        results = [fn(cfg, i) for i in range(own)]
+        for pid, pipe, lo, hi in children:
+            payload = pipe.read()
+            pipe.close()
+            reaped += 1
+            results.extend(_unpack_slice(payload, os.waitpid(pid, 0)[1], lo, hi))
+    finally:
+        # Children are left here only after a failure; their results are not needed.
+        for pid, pipe, _, _ in children[reaped:]:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return results
+
+
+def _fork_slice(fn, cfg: ExperimentConfig, lo: int, hi: int):
+    """Forks a child that writes pickle.dumps((ok, records or exception))
+    for the paths [lo, hi) to a pipe; returns (pid, the pipe's read end,
+    lo, hi)."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        # The child always leaves here, never returning into the caller's stack.
+        status = 1
+        try:
+            os.close(read_fd)
+            try:
+                payload = pickle.dumps((True, [fn(cfg, i) for i in range(lo, hi)]))
+            except Exception as exc:
+                payload = pickle.dumps((False, exc))
+            with open(write_fd, "wb") as out:
+                out.write(payload)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb"), lo, hi
+
+
+def _unpack_slice(payload: bytes, status: int, lo: int, hi: int) -> list:
+    """A reaped child's records; raises its exception, or SimulationError if
+    it sent no complete payload."""
+    try:
+        ok, value = pickle.loads(payload)
+    except Exception:
+        if os.WIFSIGNALED(status):
+            how = f"was killed by {signal.Signals(os.WTERMSIG(status)).name}"
+        else:
+            how = f"exited with status {os.waitstatus_to_exitcode(status)}"
+        raise SimulationError(
+            f"the worker for paths {lo} to {hi - 1} {how}"
+            " without sending its results") from None
+    if not ok:
+        raise value
+    return value
 
 
 def _mean(values) -> float:

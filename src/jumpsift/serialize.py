@@ -176,8 +176,11 @@ def _has_separator_bytes(src: str) -> bool:
 def _read_path_csv_by_line(src: str) -> SamplePath:
     """The reference reader: blank and whitespace-only lines are skipped,
     the first other line is the header, and each cell goes through float()."""
-    with open(src, "r", encoding="utf-8-sig") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    try:
+        with open(src, "r", encoding="utf-8-sig") as fh:
+            lines = [ln.strip() for ln in fh if ln.strip()]
+    except UnicodeDecodeError as exc:
+        raise InvalidArgumentError(f"{src}: not UTF-8 text ({exc.reason})") from None
     if not lines:
         raise InvalidArgumentError(f"{src}: empty path file")
     header = lines[0].split(",")

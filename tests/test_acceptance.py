@@ -11,6 +11,7 @@ import math
 import os
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -276,10 +277,10 @@ def test_criterion_10_parallel_determinism(tmp_path):
         assert cli_main(args + ["--parallelism", str(workers),
                                 "--out", out]) == 0
         blobs[workers] = {
-            name: open(os.path.join(out, name), "rb").read()
+            name: Path(out, name).read_bytes()
             for name in ("summary.json", "hist.csv")
         }
-        manifests[workers] = json.load(open(os.path.join(out, "manifest.json")))
+        manifests[workers] = json.loads(Path(out, "manifest.json").read_text("utf-8"))
 
     identical = all(blobs[w] == blobs[1] for w in (4, 8))
     normalized = []

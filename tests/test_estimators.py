@@ -167,7 +167,6 @@ def make_truth_path():
         spot_variance=SpotVariancePath(np.full(5, 0.09), 1),
         jumps=events,
         continuous_part=xs - np.array([0.0, 0.0, 0.2, 0.2, 0.9]),
-        drift_integral=np.zeros(4),
     )
     return SamplePath(TimeGrid(times), xs, truth)
 

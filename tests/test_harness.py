@@ -1,6 +1,7 @@
 import dataclasses
 import math
-import multiprocessing
+import os
+import signal
 import sys
 import warnings
 
@@ -97,9 +98,49 @@ def test_a_failing_path_raises_as_in_the_serial_map_and_leaves_no_worker(fail_at
         _map_paths(_fail_at_base_seed, dataclasses.replace(cfg, parallelism=2))
     assert type(pooled.value) is type(serial.value)
     assert str(pooled.value) == str(serial.value) == f"path {fail_at} failed"
-    for child in multiprocessing.active_children():
-        child.join(timeout=10)
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _die_at_base_seed(cfg, index):
+    """A per-path function that kills its own process at the path whose
+    index is the base seed."""
+    if index == cfg.base_seed:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return index
+
+
+# With 7 paths over 2 processes the caller computes paths 0-3 and the child
+# 4-6; over 3 processes the caller takes 0-2 and the children 3-4 and 5-6.
+@pytest.mark.parametrize("parallelism,die_at,slice_",
+                         [(2, 5, "4 to 6"), (3, 4, "3 to 4"), (3, 5, "5 to 6")])
+def test_a_worker_that_dies_raises_simulation_error(parallelism, die_at, slice_):
+    cfg = small_cfg(n_paths=7, base_seed=die_at, parallelism=parallelism)
+    previous = signal.signal(signal.SIGALRM, _raise_timeout)
+    signal.alarm(10)
+    try:
+        with pytest.raises(SimulationError, match=(
+                f"the worker for paths {slice_} was killed by SIGKILL"
+                " without sending its results")):
+            _map_paths(_die_at_base_seed, cfg)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert_no_child_left()
+
+
+def _raise_timeout(signum, frame):
+    raise TimeoutError("_map_paths did not return within 10 s")
+
+
+def test_without_fork_the_map_runs_serially(monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    got = _map_paths(lambda cfg, i: (i, os.getpid()), small_cfg(n_paths=5, parallelism=3))
+    assert got == [(i, os.getpid()) for i in range(5)]
 
 
 def test_records_match_standalone_pipeline():

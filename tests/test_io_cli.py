@@ -5,6 +5,7 @@ import os
 import platform
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -53,6 +54,11 @@ from jumpsift.serialize import (
 )
 
 SPEC09 = ThresholdSpec(0.9, 1.0)
+
+
+def load_json(path):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def tiny_path():
@@ -167,7 +173,7 @@ def test_detection_csv_rows(tmp_path):
     det = detect_jumps(path, ThresholdSpec(0.9, 0.1))
     dest = str(tmp_path / "det.csv")
     write_detection_csv(path, det, dest)
-    lines = open(dest).read().splitlines()
+    lines = Path(dest).read_text().splitlines()
     assert lines[0] == "interval,t_left,t_right,dx,flagged,size_hat"
     assert len(lines) == 1 + 4
     cells = [ln.split(",") for ln in lines[1:]]
@@ -182,7 +188,7 @@ def test_histogram_csv_layout(tmp_path):
     hist = build_histogram(np.array([-9.0, 0.0, 0.1, 9.0, 9.5]), 8, (-4.0, 4.0))
     dest = str(tmp_path / "h.csv")
     write_histogram_csv(hist, dest)
-    lines = open(dest).read().splitlines()
+    lines = Path(dest).read_text().splitlines()
     assert lines[0] == "bin_left,bin_right,count"
     assert len(lines) == 1 + 8 + 2
     assert lines[1].startswith("-inf,")
@@ -404,6 +410,32 @@ def test_cli_missing_input_file_is_runtime_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+# The first goes through numpy's reader before the per-line one; the 0x1f
+# separator byte sends the second straight to the per-line reader.
+@pytest.mark.parametrize("content,reason", [
+    (b"time,x\n0,0\n" + b"".join(b"%d,0.5\n" % i for i in range(1, 20000)) + b"1,\xe9\n",
+     "invalid continuation byte"),
+    (b"time,x\n0,0\x1f\n1,\xff\n", "invalid start byte"),
+])
+def test_cli_csv_that_is_not_utf8_is_runtime_error(tmp_path, capsys, content, reason):
+    src = tmp_path / "f.csv"
+    src.write_bytes(content)
+    out = tmp_path / "out"
+    assert main(["estimate", "--in", str(src), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"jumpsift: error: {src}: not UTF-8 text ({reason})\n"
+    assert not os.path.exists(out / "manifest.json")
+
+
+def test_cli_config_that_is_not_utf8_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "f.cfg"
+    cfg.write_bytes(b"schema_version = 1\nmodel = model1\xff\n")
+    out = tmp_path / "out"
+    assert main(["mc", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"jumpsift: config error: {cfg}: not UTF-8 text (invalid start byte)\n")
+    assert not os.path.exists(out / "manifest.json")
+
+
 def test_cli_simulate_then_estimate_round_trip(tmp_path, capsys):
     sim_dir = str(tmp_path / "sim")
     assert main(["simulate", "--n", "128", "--seed", "11",
@@ -416,12 +448,12 @@ def test_cli_simulate_then_estimate_round_trip(tmp_path, capsys):
     path_csv = os.path.join(sim_dir, "path.csv")
     assert main(["estimate", "--in", path_csv, "--out", est_dir]) == 0
     capsys.readouterr()
-    report = json.load(open(os.path.join(est_dir, "report.json")))
+    report = load_json(os.path.join(est_dir, "report.json"))
     want = threshold_realized_variance(read_path_csv(path_csv), SPEC09)
     assert report["iv_threshold"] == want
     assert report["beta"] == 0.9 and report["n_intervals"] == 128
 
-    manifest = json.load(open(os.path.join(est_dir, "manifest.json")))
+    manifest = load_json(os.path.join(est_dir, "manifest.json"))
     assert manifest["inputs"][0]["sha256"] == file_sha256(path_csv)
 
 
@@ -434,9 +466,9 @@ def test_cli_detect_reports_inadmissible_beta(tmp_path, capsys):
         assert main(["detect", "--in", os.path.join(sim_dir, "path.csv"),
                      "--beta", "1.0", "--out", det_dir]) == 0
     capsys.readouterr()
-    report = json.load(open(os.path.join(det_dir, "report.json")))
+    report = load_json(os.path.join(det_dir, "report.json"))
     assert report["admissibility_warning"] is True
-    lines = open(os.path.join(det_dir, "detection.csv")).read().splitlines()
+    lines = Path(os.path.join(det_dir, "detection.csv")).read_text().splitlines()
     assert len(lines) == 1 + 64
 
 
@@ -449,7 +481,7 @@ def test_cli_mc_outputs_and_determinism(tmp_path, capsys):
     assert main(MC_ARGS + ["--out", dir_b]) == 0
     capsys.readouterr()
 
-    summary = json.load(open(os.path.join(dir_a, "summary.json")))
+    summary = load_json(os.path.join(dir_a, "summary.json"))
     assert summary["n_paths"] == 6
     assert summary["normality_supported"] is True
     assert "parallelism" not in summary["config"]
@@ -458,11 +490,11 @@ def test_cli_mc_outputs_and_determinism(tmp_path, capsys):
         "mean_iv_hat", "mean_true_iv", "mean_abs_error", "mean_rv", "mean_bpv"}
 
     for name in ("summary.json", "hist.csv"):
-        a = open(os.path.join(dir_a, name), "rb").read()
-        b = open(os.path.join(dir_b, name), "rb").read()
+        a = Path(os.path.join(dir_a, name)).read_bytes()
+        b = Path(os.path.join(dir_b, name)).read_bytes()
         assert a == b
 
-    manifest = json.load(open(os.path.join(dir_a, "manifest.json")))
+    manifest = load_json(os.path.join(dir_a, "manifest.json"))
     for entry in manifest["outputs"]:
         assert entry["sha256"] == file_sha256(os.path.join(dir_a, entry["file"]))
         assert entry["bytes"] == os.path.getsize(os.path.join(dir_a, entry["file"]))
@@ -474,7 +506,7 @@ def test_cli_mc_irregular_grid_drops_histogram(tmp_path, capsys):
                  "--jitter", "0.4", "--out", out]) == 0
     capsys.readouterr()
     assert not os.path.exists(os.path.join(out, "hist.csv"))
-    summary = json.load(open(os.path.join(out, "summary.json")))
+    summary = load_json(os.path.join(out, "summary.json"))
     assert summary["normality_supported"] is False
     assert summary["ks_statistic"] is None
 
@@ -484,7 +516,7 @@ def test_cli_compare_writes_efficiency_table(tmp_path, capsys):
     assert main(["compare", "--n", "200", "--paths", "32", "--seed", "9",
                  "--out", out]) == 0
     capsys.readouterr()
-    lines = open(os.path.join(out, "efficiency.csv")).read().splitlines()
+    lines = Path(os.path.join(out, "efficiency.csv")).read_text().splitlines()
     assert lines[0] == "estimator,normalized_error_variance,ratio_to_threshold"
     first, second = lines[1].split(","), lines[2].split(",")
     assert first[0] == "threshold" and float(first[2]) == 1.0
@@ -501,11 +533,11 @@ def test_replay_manifest_reproduces_run(tmp_path, capsys):
     outputs = replay_manifest(os.path.join(dir_a, "manifest.json"), dir_b)
     assert "summary.json" in outputs
     for name in ("summary.json", "hist.csv"):
-        a = open(os.path.join(dir_a, name), "rb").read()
-        b = open(os.path.join(dir_b, name), "rb").read()
+        a = Path(os.path.join(dir_a, name)).read_bytes()
+        b = Path(os.path.join(dir_b, name)).read_bytes()
         assert a == b
-    ma = json.load(open(os.path.join(dir_a, "manifest.json")))
-    mb = json.load(open(os.path.join(dir_b, "manifest.json")))
+    ma = load_json(os.path.join(dir_a, "manifest.json"))
+    mb = load_json(os.path.join(dir_b, "manifest.json"))
     ma.pop("created_utc"), mb.pop("created_utc")
     assert ma == mb
 
@@ -580,7 +612,7 @@ def test_replay_manifest_rejects_changed_input_or_output(tmp_path, capsys):
         "report.json", "manifest.json"]
 
     # A recorded output that the replay no longer reproduces.
-    manifest = json.load(open(manifest_path))
+    manifest = load_json(manifest_path)
     manifest["outputs"][0]["sha256"] = "0" * 64
     tampered = str(tmp_path / "tampered.json")
     with open(tampered, "w", encoding="utf-8") as fh:
@@ -603,7 +635,7 @@ def test_cli_estimate_accepts_a_byte_order_mark(tmp_path, capsys):
     path_csv = os.path.join(sim_dir, "path.csv")
     bom_csv = str(tmp_path / "bom.csv")
     with open(bom_csv, "wb") as fh:
-        fh.write(b"\xef\xbb\xbf" + open(path_csv, "rb").read())
+        fh.write(b"\xef\xbb\xbf" + Path(path_csv).read_bytes())
     for src, out in ((path_csv, "plain"), (bom_csv, "bom")):
         assert main(["estimate", "--in", src, "--out", str(tmp_path / out)]) == 0
     capsys.readouterr()
@@ -616,7 +648,7 @@ def test_cli_env_seed_lands_in_manifest(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("JUMPSIFT_SEED", "424242")
     assert main(["simulate", "--n", "32", "--out", out]) == 0
     capsys.readouterr()
-    manifest = json.load(open(os.path.join(out, "manifest.json")))
+    manifest = load_json(os.path.join(out, "manifest.json"))
     assert manifest["base_seed"] == 424242
     assert manifest["config"]["seed"] == 424242
     assert manifest["rng"]
@@ -626,7 +658,7 @@ def test_manifest_records_the_environment(tmp_path, capsys):
     out = str(tmp_path / "env")
     assert main(["simulate", "--n", "32", "--out", out]) == 0
     capsys.readouterr()
-    manifest = json.load(open(os.path.join(out, "manifest.json")))
+    manifest = load_json(os.path.join(out, "manifest.json"))
     assert manifest["environment"] == {"python": platform.python_version(),
                                        "numpy": np.__version__,
                                        "platform": sys.platform}

@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jumpsift import (
     SOURCE_FINITE_ACTIVITY,
@@ -26,6 +28,7 @@ from jumpsift import (
     simulate,
 )
 from jumpsift import engines
+from jumpsift.estimators import _containing_intervals, _jumpy_intervals
 from jumpsift.grids import refine
 
 
@@ -71,11 +74,21 @@ def test_table_arrays_are_read_only():
 
 def test_ground_truth_converts_an_event_tuple():
     events = (JumpEvent(0.3, 0.4), JumpEvent(0.1, -0.2))
-    truth = GroundTruth(SpotVariancePath(np.full(3, 0.09), 1), events,
-                        np.zeros(3), np.zeros(2))
+    truth = GroundTruth(SpotVariancePath(np.full(3, 0.09), 1), events, np.zeros(3))
     assert isinstance(truth.jumps, JumpTable)
     assert truth.jumps == events
     assert truth.jumps.times.tolist() == [0.3, 0.1]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -0.0, -1e-300])
+def test_spot_variance_must_be_positive_and_finite(bad):
+    for pos in (0, 2):
+        values = np.full(3, 0.09)
+        values[pos] = bad
+        with pytest.raises(InvalidArgumentError, match="spot variance must be positive and finite"):
+            SpotVariancePath(values, 1)
+    assert SpotVariancePath(np.array([5e-324, 1.7976931348623157e308]), 1).values.size == 2
+    assert SpotVariancePath(np.array([]), 1).values.size == 0
 
 
 def test_table_validation_errors():
@@ -237,3 +250,43 @@ def test_irregular_grid_matching_equals_loop():
               JumpEvent(0.95, -0.2))
     for spec in SPECS:
         assert_matches_oracle(path, spec, events)
+
+
+def bincount_jumpy_intervals(times, jumps):
+    """The O(n) form _jumpy_intervals replaced: a count for every interval."""
+    order = np.argsort(jumps.times, kind="stable")
+    counts = np.bincount(_containing_intervals(times, jumps.times[order]),
+                         minlength=times.size - 1)
+    jumpy = np.flatnonzero(counts)
+    first = (np.cumsum(counts) - counts)[jumpy]
+    return jumpy, counts[jumpy], jumps.sizes[order][first]
+
+
+@st.composite
+def grids_and_tables(draw):
+    n = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        times = build_uniform_grid(n, 1.0).times
+    else:
+        inner = draw(st.lists(st.floats(0.001, 0.999), min_size=n - 1, max_size=n - 1,
+                              unique=True))
+        times = np.array([0.0, *sorted(inner), 1.0])
+    # Event times come from a small pool holding every grid node, so equal
+    # times and times on nodes are common.
+    pool = st.one_of(st.sampled_from(times.tolist()), st.floats(0.0, 1.0))
+    event_times = draw(st.lists(pool, max_size=10))
+    event_times += draw(st.lists(st.sampled_from(event_times), max_size=4)) if event_times else []
+    sizes = draw(st.lists(st.floats(-1.0, 1.0).filter(bool), min_size=len(event_times),
+                          max_size=len(event_times)))
+    return times, JumpTable(event_times, sizes, [0] * len(event_times))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(grids_and_tables())
+def test_run_length_matching_equals_the_bincount_form(case):
+    times, table = case
+    got = _jumpy_intervals(times, table)
+    want = bincount_jumpy_intervals(times, table)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        assert g.tobytes() == w.tobytes()
