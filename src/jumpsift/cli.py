@@ -12,7 +12,8 @@ Every run also writes manifest.json: the resolved configuration, seed, RNG
 id, and sha256 of each output. replay_manifest() re-executes a manifest and
 must reproduce the other files byte-for-byte.
 
-Exit codes: 0 success, 2 configuration error, 3 runtime error.
+Exit codes: 0 success, 2 configuration error, 3 runtime error (running out
+of memory included).
 """
 
 from __future__ import annotations
@@ -44,6 +45,9 @@ from .serialize import (
 from .engines import RNG_ALGORITHM, path_seed, simulate
 
 _NEEDS_INPUT = {"estimate", "detect"}
+
+# Peak traced memory of one simulated and estimated path, per fine step.
+_BYTES_PER_FINE_STEP = 115
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -79,6 +83,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         code = exc.code
         return int(code) if isinstance(code, int) else 2
+    settings = None
     try:
         settings = _settings_from_args(args)
         out_dir = args.out
@@ -90,6 +95,12 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (JumpsiftError, OSError) as exc:
         print(f"jumpsift: error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        size = "" if settings is None else f" at n = {settings.n}, substeps = {settings.substeps}"
+        print(f"jumpsift: error: out of memory{size}; a simulated path needs about"
+              f" {_BYTES_PER_FINE_STEP} bytes per fine step, and it has n * substeps of them",
+              file=sys.stderr)
         return 3
     for name in outputs:
         print(os.path.join(out_dir, name))

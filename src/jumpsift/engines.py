@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from .errors import InvalidArgumentError, SimulationError, UnsupportedError
-from .grids import TimeGrid, refine
+from .grids import TimeGrid, containing_intervals, refine
 from .models import (
     CODE_FINITE_ACTIVITY,
     CODE_IA_SMALL,
@@ -109,7 +109,7 @@ def true_integrated_variance(path: SamplePath, power: int) -> float:
     _, fine_widths = _subgrid(path.grid, spot.refinement)
     left = spot.values[:-1]
     integrand = left if power == 2 else left * left
-    return float(np.sum(integrand * fine_widths))
+    return float((integrand * fine_widths).sum())
 
 
 @functools.lru_cache(maxsize=4)
@@ -141,7 +141,7 @@ def _simulate_constant_vol(drift, sigma, jump_params, grid, substeps,
         if times:
             sizes = rng.normal(0.0, size_std, len(times))
             events = _finite_activity_table(times, sizes)
-            _bin_jumps(jump_incr, fine_times, times, sizes)
+            np.add.at(jump_incr, containing_intervals(fine_times, times), sizes)
 
     return _assemble(grid, substeps, cont_incr, jump_incr, events,
                      spot=np.full(nf + 1, sigma * sigma))
@@ -167,7 +167,7 @@ def _simulate_model2(cfg, grid, substeps, fine_times, fine_widths, rng):
         jump_sd = math.sqrt(cfg.jump_var)
         sizes = np.array([_draw_log_jump(rng, cfg.jump_mean, jump_sd) for _ in times])
         events = _finite_activity_table(times, sizes)
-        _bin_jumps(jump_incr, fine_times, times, sizes)
+        np.add.at(jump_incr, containing_intervals(fine_times, times), sizes)
 
     return _assemble(grid, substeps, cont_incr, jump_incr, events,
                      spot=np.exp(2.0 * h_path))
@@ -195,8 +195,11 @@ def _simulate_model3(cfg, grid, substeps, fine_times, fine_widths, rng):
 
 
 def _assemble(grid, substeps, cont_incr, jump_incr, events, spot):
-    x_fine = np.concatenate(([0.0], np.cumsum(cont_incr + jump_incr)))
-    cont_fine = np.concatenate(([0.0], np.cumsum(cont_incr)))
+    x_fine = np.empty(cont_incr.size + 1)
+    cont_fine = np.empty_like(x_fine)
+    x_fine[0] = cont_fine[0] = 0.0
+    np.cumsum(cont_incr + jump_incr, out=x_fine[1:])
+    np.cumsum(cont_incr, out=cont_fine[1:])
     truth = GroundTruth(
         spot_variance=SpotVariancePath(spot, substeps),
         jumps=events,
@@ -221,14 +224,6 @@ def _poisson_times(rng, t_end, lam) -> list[float]:
         if t > t_end:
             return times
         times.append(t)
-
-
-def _bin_jumps(jump_incr, fine_times, times, sizes):
-    """Add each jump to the subgrid increment whose interval (t_j, t_{j+1}]
-    contains its event time."""
-    idx = np.searchsorted(fine_times, np.asarray(times), side="left") - 1
-    idx = np.clip(idx, 0, jump_incr.size - 1)
-    np.add.at(jump_incr, idx, sizes)
 
 
 def _draw_log_jump(rng, mean, sd) -> float:

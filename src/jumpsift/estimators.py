@@ -3,12 +3,16 @@
 All operations are pure functions of a SamplePath (observations + grid) and
 a ThresholdSpec. Every sum is the correctly rounded exact sum, the same
 double math.fsum returns. The sums one path needs are computed together by
-error-free extraction (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31(1),
-2008): a few vectorized passes split each row into parts whose float sums
-are exact, and math.fsum adds those few parts. Short rows, non-finite
-values and extreme magnitudes go to math.fsum directly. The truncated sum is
-formed as the total minus the flagged sum F = sum over flagged intervals of
-(dX_i)^2, with realized_variance and F each correctly rounded, so
+error-free extraction (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31(1) and
+31(2), 2008): vectorized passes split each row into parts whose float sums
+are exact. After each pass a row stops once its rounding is certified,
+which at desk sizes the first pass does for almost every row. A row whose
+total lies too close to a rounding midpoint, or cancels to 0, runs the
+remaining passes, and math.fsum adds its few parts and what is left. Short
+rows, non-finite values and extreme magnitudes go to math.fsum directly.
+The truncated sum is formed as the total minus the flagged sum F = sum over
+flagged intervals of (dX_i)^2, with realized_variance and F each correctly
+rounded, so
 
     threshold_realized_variance == realized_variance - F
 
@@ -35,7 +39,7 @@ from .errors import (
     InvalidArgumentError,
     UnsupportedError,
 )
-from .grids import TimeGrid
+from .grids import TimeGrid, containing_intervals
 from .models import JumpEvent, JumpTable, SamplePath
 
 # _exact_sums hands a row to math.fsum as it is when it is shorter than
@@ -44,6 +48,7 @@ from .models import JumpEvent, JumpTable, SamplePath
 _EXTRACT_MIN_LENGTH = 64
 _EXTRACT_RANGE = (math.ldexp(1.0, -900), math.ldexp(1.0, 900))
 _EXTRACT_PASSES = 4
+_UNIT_ROUNDOFF = math.ldexp(1.0, -53)
 
 
 @dataclass(frozen=True, slots=True)
@@ -342,16 +347,30 @@ def _threshold(grid: TimeGrid, spec: ThresholdSpec) -> np.ndarray | float:
     return r
 
 
-def _exact_sums(arrays: Sequence[np.ndarray]) -> list[float]:
+def _exact_sums(arrays: Sequence[np.ndarray], exits: list[int] | None = None) -> list[float]:
     """math.fsum of each 1-d float64 array, bit for bit, computed together.
 
-    Rows are zero-padded into one block. Each pass splits every row r into
-    q = (r + sigma) - sigma and r - q, both exact, with sigma a power of two
-    at least 2**k times max|r| and 2**k > n + 1, so q's row sum is exact in
-    any order. sigma then drops by 2**(53 - k). math.fsum of the row sums and
-    of any residual left after the last pass is the correctly rounded total.
+    Rows are zero-padded into one block of n columns. Each pass splits every
+    row r into q = (r + sigma) - sigma and r - q, both exact, with sigma a
+    power of two at least 2**k times max|r| and 2**k > n + 1, so q's row sum
+    is exact in any order. sigma then drops by 2**(53 - k).
+
+    After each pass a row stops if its rounding is certified (Rump, Ogita &
+    Oishi, SIAM J. Sci. Comput. 31(2), 2008). S is the float sum of the row
+    sums extracted so far; TwoSum makes S's rounding errors exact, and they
+    join the residual. tau, the float sum of the residual in any order, is
+    within B = gamma * sum|residual| of its exact sum. If the exact error e
+    of c = fl(S + tau) satisfies |e| + B < half the smaller gap between c
+    and its neighbours, c is the correctly rounded total. A row that is not
+    certified after the last pass (a tie, cancellation, c = 0) goes to
+    math.fsum of its row sums and residual.
+
+    exits, if given, is filled with each array's exit: 0 for math.fsum of
+    the array as is, p for certified after pass p, and _EXTRACT_PASSES + 1
+    for math.fsum of the parts.
     """
     out: list[float | None] = [None] * len(arrays)
+    exit_at = [0] * len(arrays)
     rows, maxima = [], []
     for i, a in enumerate(arrays):
         if a.size >= _EXTRACT_MIN_LENGTH:
@@ -362,26 +381,61 @@ def _exact_sums(arrays: Sequence[np.ndarray]) -> list[float]:
                 continue
         # array.array reads the raw float64 bytes without building a list.
         out[i] = math.fsum(array.array("d", a.tobytes()))
-    if not rows:
-        return out
-    n = max(arrays[i].size for i in rows)
-    r = np.zeros((len(rows), n))
-    for j, i in enumerate(rows):
-        r[j, :arrays[i].size] = arrays[i]
-    k = (n + 1).bit_length()
-    sigma = np.array([[math.ldexp(1.0, math.frexp(m)[1] + k)] for m in maxima])
-    q = np.empty_like(r)
-    partials = []
-    for _ in range(_EXTRACT_PASSES):
-        np.add(r, sigma, out=q)
-        q -= sigma
-        r -= q
-        partials.append(q.sum(axis=1))
-        if not r.any():
-            break
-        sigma *= math.ldexp(1.0, k - 53)
-    for i, parts, rest in zip(rows, np.array(partials).T.tolist(), r):
-        out[i] = math.fsum(parts + rest[rest != 0.0].tolist())
+    if rows:
+        n = max(arrays[i].size for i in rows)
+        r = np.zeros((len(rows), n))
+        for j, i in enumerate(rows):
+            r[j, :arrays[i].size] = arrays[i]
+        k = (n + 1).bit_length()
+        sigma = np.array([[math.ldexp(1.0, math.frexp(m)[1] + k)] for m in maxima])
+        # tau adds at most N terms, so |tau - exact| <= gamma_{N-1} * sum|terms|
+        # (Higham, Accuracy and Stability, 2002, eq. 4.4). Nu / (1 - 2Nu)
+        # also covers the rounding of sum|terms|; the last factor covers the
+        # rounding of this constant and of the product with it.
+        big_n = n + _EXTRACT_PASSES
+        gamma = big_n * _UNIT_ROUNDOFF / (1.0 - 2.0 * big_n * _UNIT_ROUNDOFF) * (1.0 + 2.0 ** -48)
+        q = np.empty_like(r)
+        # Per block row: its array index, exact row sums, S, and the sum and
+        # magnitude of S's rounding errors.
+        live = [[i, [], 0.0, 0.0, 0.0] for i in rows]
+        for p in range(1, _EXTRACT_PASSES + 1):
+            np.add(r, sigma, out=q)
+            q -= sigma
+            r -= q
+            extracted = q.sum(axis=1).tolist()
+            taus = r.sum(axis=1).tolist()
+            mags = np.abs(r, out=q).sum(axis=1).tolist()
+            keep = []
+            for j, (row, x, tau, mag) in enumerate(zip(live, extracted, taus, mags)):
+                i, parts, s, lost, lost_mag = row
+                parts.append(x)
+                t = s + x
+                z = t - s
+                err = (s - (t - z)) + (x - z)
+                lost += err
+                lost_mag += abs(err)
+                tau += lost
+                c = t + tau
+                z = c - t
+                e = (t - (c - z)) + (tau - z)
+                if abs(e) + gamma * (mag + lost_mag) < 0.5 * abs(c - math.nextafter(c, 0.0)):
+                    out[i] = c
+                    exit_at[i] = p
+                else:
+                    row[2:] = t, lost, lost_mag
+                    keep.append(j)
+            if len(keep) < len(live):
+                live = [live[j] for j in keep]
+                r, sigma = r[keep], sigma[keep]
+                q = np.empty_like(r)
+            if not any(mags[j] for j in keep):  # every residual left is zero
+                break
+            sigma *= math.ldexp(1.0, k - 53)
+        for (i, parts, *_), rest in zip(live, r):
+            out[i] = math.fsum(parts + rest[rest != 0.0].tolist())
+            exit_at[i] = _EXTRACT_PASSES + 1
+    if exits is not None:
+        exits[:] = exit_at
     return out
 
 
@@ -392,21 +446,19 @@ def _warn_if_inadmissible(spec: ThresholdSpec) -> None:
                       stacklevel=3)
 
 
-def _containing_intervals(times: np.ndarray, event_times: np.ndarray) -> np.ndarray:
-    """Index i of the observation interval (t_i, t_{i+1}] containing each time."""
-    i = np.searchsorted(times, event_times, side="left") - 1
-    return np.clip(i, 0, times.size - 2)
-
-
 def _jumpy_intervals(times: np.ndarray, jumps: JumpTable):
     """Intervals holding at least one true jump, in increasing order, with
     their jump counts and the size of the earliest jump in each (ties in
     time keep table order)."""
     order = np.argsort(jumps.times, kind="stable")
     # Sorted times give sorted interval indices: each run is one interval.
-    intervals = _containing_intervals(times, jumps.times[order])
-    first = np.flatnonzero(np.diff(intervals, prepend=-1))
-    counts = np.diff(first, append=intervals.size)
+    intervals = containing_intervals(times, jumps.times[order])
+    starts = np.ones(intervals.size, dtype=bool)
+    np.not_equal(intervals[1:], intervals[:-1], out=starts[1:])
+    first = np.flatnonzero(starts)
+    counts = np.empty_like(first)
+    np.subtract(first[1:], first[:-1], out=counts[:-1])
+    counts[-1:] = intervals.size - first[-1:]
     return intervals[first], counts, jumps.sizes[order[first]]
 
 

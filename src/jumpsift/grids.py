@@ -102,6 +102,16 @@ def refine(grid: TimeGrid, substeps: int) -> tuple[np.ndarray, np.ndarray]:
     return fine, np.diff(fine)
 
 
+def containing_intervals(times: np.ndarray, event_times) -> np.ndarray:
+    """Index i of the interval (t_i, t_{i+1}] of `times` containing each event
+    time, clamped to [0, times.size - 2]."""
+    i = np.searchsorted(times, event_times, side="left")
+    i -= 1
+    np.maximum(i, 0, out=i)
+    np.minimum(i, times.size - 2, out=i)
+    return i
+
+
 def _check_grid_args(n, t_end):
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise InvalidArgumentError(f"n must be a positive integer, got {n!r}")

@@ -306,13 +306,14 @@ class SamplePath:
         obs = np.asarray(self.observations, dtype=float)
         if obs.shape != self.grid.times.shape:
             raise InvalidArgumentError("observations must match the grid length")
-        if not np.all(np.isfinite(obs)):
+        if not np.isfinite(obs).all():
             raise InvalidArgumentError("observations must be finite")
         object.__setattr__(self, "observations", obs)
 
     @property
     def increments(self) -> np.ndarray:
-        return np.diff(self.observations)
+        obs = self.observations
+        return obs[1:] - obs[:-1]
 
 
 def _require_positive(**named):

@@ -55,6 +55,9 @@ from .models import (
 )
 from .engines import path_seed, simulate, true_integrated_variance
 
+# numpy's limit on the bytes of one array.
+_MAX_ARRAY_BYTES = np.iinfo(np.intp).max
+
 
 @dataclass(frozen=True, slots=True)
 class ExperimentConfig:
@@ -82,6 +85,14 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.n < 1:
             raise InvalidArgumentError("n must be >= 1")
+        if self.substeps < 1:
+            raise InvalidArgumentError("substeps must be >= 1")
+        if (self.n * self.substeps + 1) * 8 > _MAX_ARRAY_BYTES:
+            # Checked before t / n, which overflows for an int beyond any double.
+            raise InvalidArgumentError(
+                f"n = {self.n} with substeps = {self.substeps} needs arrays of"
+                f" n * substeps + 1 = {self.n * self.substeps + 1} doubles,"
+                " more than numpy can allocate")
         if not (self.t_end > 0.0) or not math.isfinite(self.t_end):
             raise InvalidArgumentError("t_end must be positive and finite")
         if self.t_end / self.n < sys.float_info.min:
@@ -95,8 +106,6 @@ class ExperimentConfig:
             raise InvalidArgumentError("parallelism must be >= 1")
         if not (0.0 <= self.jitter < 1.0):
             raise InvalidArgumentError("jitter must lie in [0, 1)")
-        if self.substeps < 1:
-            raise InvalidArgumentError("substeps must be >= 1")
 
     def build_grid(self) -> TimeGrid:
         return build_irregular_grid(self.n, self.t_end, self.jitter, self.base_seed)

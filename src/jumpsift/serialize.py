@@ -161,7 +161,7 @@ def read_path_csv(src: str) -> SamplePath:
             pass
     if data is None or len(data) < 2:
         return _read_path_csv_by_line(src)
-    return SamplePath(TimeGrid(data[:, 0].copy()), data[:, 1].copy())
+    return _path_from_columns(src, data[:, 0].copy(), data[:, 1].copy())
 
 
 def _has_separator_bytes(src: str) -> bool:
@@ -203,7 +203,15 @@ def _read_path_csv_by_line(src: str) -> SamplePath:
             f"{src}:{_nonblank_line_number(src, len(xs) + 1)}: {what}") from None
     if len(times) < 2:
         raise InvalidArgumentError(f"{src}: need at least two rows")
-    return SamplePath(TimeGrid(np.array(times)), np.array(xs))
+    return _path_from_columns(src, np.array(times), np.array(xs))
+
+
+def _path_from_columns(src: str, times: np.ndarray, xs: np.ndarray) -> SamplePath:
+    try:
+        grid = TimeGrid(times)
+    except InvalidArgumentError as exc:
+        raise InvalidArgumentError(f"{src}: time column: {exc}") from None
+    return SamplePath(grid, xs)
 
 
 def _nonblank_line_number(src: str, k: int) -> int:

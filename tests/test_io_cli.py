@@ -436,6 +436,68 @@ def test_cli_config_that_is_not_utf8_is_config_error(tmp_path, capsys):
     assert not os.path.exists(out / "manifest.json")
 
 
+# Times that numpy's reader and the per-line reader (a 0x1f byte) both parse.
+@pytest.mark.parametrize("rows,reason", [
+    ("0.5,0\n1,1\n", "grid must start at 0"),
+    ("0,0\n1,1\n1,2\n", "times must be strictly increasing"),
+    ("0,0\n0.5,1\n0.25,2\n", "times must be strictly increasing"),
+])
+@pytest.mark.parametrize("separator", ["", "\x1f"])
+def test_cli_csv_with_a_bad_time_column_names_file_and_column(tmp_path, capsys, rows,
+                                                               reason, separator):
+    src = tmp_path / "f.csv"
+    src.write_text("time,x" + separator + "\n" + rows)
+    out = tmp_path / "out"
+    assert main(["estimate", "--in", str(src), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"jumpsift: error: {src}: time column: {reason}\n"
+    assert not os.path.exists(out / "manifest.json")
+
+
+HUGE = "99999999999999999999"
+
+
+@pytest.mark.parametrize("command", ["simulate", "mc", "compare"])
+@pytest.mark.parametrize("flags,n,substeps", [
+    (["--n", HUGE], HUGE, "1"),
+    (["--substeps", HUGE], "2000", HUGE),
+    (["--n", "1" + "0" * 400, "--substeps", "3"], "1" + "0" * 400, "3"),
+])
+def test_cli_size_numpy_cannot_allocate_is_config_error(tmp_path, capsys, command, flags,
+                                                        n, substeps):
+    out = tmp_path / "out"
+    assert main([command, *flags, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"jumpsift: config error: n = {n} with substeps = {substeps} ")
+    assert err.endswith(" doubles, more than numpy can allocate\n")
+    assert err.count("\n") == 1
+    assert not os.path.exists(out / "manifest.json")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs RLIMIT_AS")
+def test_cli_out_of_memory_is_runtime_error(tmp_path):
+    import subprocess
+
+    # One child caps its own address space at 512 MiB, below the first
+    # array of an n = 10**8 path (800 MB), so the allocation fails before
+    # any memory is touched and nothing else is limited.
+    child = ("import resource, sys\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"
+             "from jumpsift.cli import main\n"
+             "sys.exit(main())\n")
+    out = tmp_path / "out"
+    res = subprocess.run(
+        [sys.executable, "-c", child, "mc", "--n", "100000000", "--paths", "2",
+         "--out", str(out)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert res.returncode == 3
+    assert res.stderr == (
+        "jumpsift: error: out of memory at n = 100000000, substeps = 1; a simulated path"
+        " needs about 115 bytes per fine step, and it has n * substeps of them\n")
+    assert res.stdout == ""
+    assert not os.path.exists(out / "manifest.json")
+
+
 def test_cli_simulate_then_estimate_round_trip(tmp_path, capsys):
     sim_dir = str(tmp_path / "sim")
     assert main(["simulate", "--n", "128", "--seed", "11",

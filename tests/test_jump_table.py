@@ -28,8 +28,8 @@ from jumpsift import (
     simulate,
 )
 from jumpsift import engines
-from jumpsift.estimators import _containing_intervals, _jumpy_intervals
-from jumpsift.grids import refine
+from jumpsift.estimators import _jumpy_intervals
+from jumpsift.grids import containing_intervals, refine
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +255,7 @@ def test_irregular_grid_matching_equals_loop():
 def bincount_jumpy_intervals(times, jumps):
     """The O(n) form _jumpy_intervals replaced: a count for every interval."""
     order = np.argsort(jumps.times, kind="stable")
-    counts = np.bincount(_containing_intervals(times, jumps.times[order]),
+    counts = np.bincount(containing_intervals(times, jumps.times[order]),
                          minlength=times.size - 1)
     jumpy = np.flatnonzero(counts)
     first = (np.cumsum(counts) - counts)[jumpy]

@@ -29,7 +29,7 @@ from jumpsift import (
     threshold_realized_variance,
 )
 from jumpsift.engines import rng_from_seed
-from jumpsift.estimators import _exact_sums
+from jumpsift.estimators import _EXTRACT_PASSES, _exact_sums
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=60, deadline=None)
 
@@ -37,9 +37,13 @@ SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, -1e300,
            1e300, 1.7976931348623157e308, math.nan, math.inf, -math.inf]
 
 
+# Row lengths from the shortest extracted row to ten desk paths.
+LONG = [64, 65, 127, 128, 300, 2000, 4097, 20000]
+
+
 @st.composite
 def float_rows(draw):
-    """Rows of 0 to 300 values of one of three kinds: a random body at a
+    """Rows of 0 to 20,000 values of one of three kinds: a random body at a
     drawn scale and sign mix, with zero runs and special values planted at
     drawn positions; a dense run of same-sign values near one power of two,
     whose sum needs every bit of headroom; or a rounding tie a + ulp(a)/2
@@ -47,17 +51,17 @@ def float_rows(draw):
     kind = draw(st.sampled_from(["random", "dense", "tie"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32)))
     if kind == "dense":
-        size = draw(st.sampled_from([64, 65, 127, 128, 150, 255, 256, 300]))
+        size = draw(st.sampled_from(LONG))
         sign = draw(st.sampled_from([1.0, -1.0]))
         return sign * rng.uniform(0.875, 1.0, size) * 2.0 ** draw(st.integers(-1000, 1000))
     if kind == "tie":
-        row = np.zeros(draw(st.sampled_from([64, 150, 300])))
+        row = np.zeros(draw(st.sampled_from(LONG)))
         a = rng.uniform(1.0, 2.0) * 2.0 ** draw(st.integers(-800, 800))
         tiny = np.spacing(a) * 2.0 ** -draw(st.integers(1, 300))
         row[rng.permutation(row.size)[:3]] = [a, np.spacing(a) / 2.0,
                                               draw(st.sampled_from([tiny, -tiny]))]
         return row
-    size = draw(st.sampled_from([0, 1, 2, 63, 64, 65, 150, 300]))
+    size = draw(st.sampled_from([0, 1, 2, 63, *LONG]))
     lo, hi = sorted(draw(st.lists(st.integers(-300, 300), min_size=2, max_size=2)))
     row = rng.standard_normal(size) * 10.0 ** rng.uniform(lo, hi, size)
     if draw(st.booleans()):
@@ -94,6 +98,73 @@ def test_exact_sums_equal_fsum_bitwise(rows):
         assert got is errors[0]
         return
     assert [np.float64(g).tobytes() for g in got] == [np.float64(w).tobytes() for w in want]
+
+
+EXACT_ROW = 4096
+BODY_RESIDUAL = (EXACT_ROW - 4) * 2.0 ** -40
+# About gamma * sum|residual| after the first pass of near_midpoint_row,
+# without the offset's share.
+FIRST_BOUND = EXACT_ROW * 2.0 ** -53 * (BODY_RESIDUAL + 2.0 ** -39)
+
+
+def near_midpoint_row(offset):
+    """A row summing exactly to S + ulp(S)/2 + offset, with S a double.
+
+    Its 4,092 body values are multiples of 2**-30 in [1, 8) plus 2**-40 each,
+    followed by the half ulp, the offset and two zeros. The extraction's
+    first sigma is 2**16, so the first pass leaves exactly 2**-40 of each
+    body value, the half ulp and the offset; the bound on the residual's
+    float sum is then about n * 2**-53 * sum|residual| (FIRST_BOUND).
+    """
+    rng = np.random.default_rng(5)
+    body = rng.integers(2**30, 2**33, EXACT_ROW - 4) * 2.0 ** -30
+    body[0] = 7.5
+    s = math.fsum(body.tolist()) + BODY_RESIDUAL
+    assert s - math.fsum(body.tolist()) == BODY_RESIDUAL  # S is exact
+    half_ulp = math.ulp(s) / 2.0
+    assert half_ulp == 2.0 ** -39
+    return np.concatenate((body + 2.0 ** -40, [half_ulp, offset, 0.0, 0.0])), s, half_ulp
+
+
+def multiple_of(x, step=2.0 ** -80):
+    return round(x / step) * step
+
+
+def test_exact_sums_take_each_exit():
+    """Each exit of _exact_sums, placed so that halving the bound, dropping
+    the rounding error of c or certifying at equality changes it."""
+    last = _EXTRACT_PASSES + 1
+    rng = np.random.default_rng(3)
+    squares = rng.standard_normal(EXACT_ROW) ** 2
+    body = rng.integers(1, 2**33, EXACT_ROW // 2) * 2.0 ** -30
+    cancelling = rng.permutation(np.concatenate((body, -body)))
+    cases = {
+        # Far from a midpoint: the first pass decides.
+        "squares": (squares, 1),
+        "past the bound": (near_midpoint_row(multiple_of(1.5 * FIRST_BOUND))[0], 1),
+        # Closer to the midpoint than the first bound, farther than the second.
+        "within the bound": (near_midpoint_row(multiple_of(0.75 * FIRST_BOUND))[0], 2),
+        "below the midpoint": (near_midpoint_row(-multiple_of(0.75 * FIRST_BOUND))[0], 2),
+        # An exact tie, and ties only a value far below breaks: no pass certifies.
+        "tie": (near_midpoint_row(0.0)[0], last),
+        "tie broken up": (near_midpoint_row(2.0 ** -100)[0], last),
+        "tie broken down": (near_midpoint_row(-(2.0 ** -100))[0], last),
+        # c = 0 has no gap to certify against, even with a zero residual.
+        "cancelling": (cancelling, last),
+        "short": (squares[:63], 0),
+    }
+    rows = [row for row, _ in cases.values()]
+    for row in rows:
+        alone = _exact_sums([row])[0]
+        assert np.float64(alone).tobytes() == np.float64(math.fsum(row.tolist())).tobytes()
+    exits = []
+    got = _exact_sums(rows, exits)
+    assert got == [math.fsum(row.tolist()) for row in rows]
+    assert dict(zip(cases, exits)) == {name: want for name, (_, want) in cases.items()}
+    _, s, half_ulp = near_midpoint_row(0.0)
+    assert got[list(cases).index("tie broken up")] == s + 2.0 * half_ulp
+    assert got[list(cases).index("tie broken down")] == s
+    assert got[list(cases).index("cancelling")] == 0.0
 
 
 @st.composite
