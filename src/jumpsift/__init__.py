@@ -17,11 +17,8 @@ from .errors import (
 )
 from .grids import TimeGrid, build_irregular_grid, build_uniform_grid, refine
 from .models import (
-    SOURCE_FINITE_ACTIVITY,
-    SOURCE_IA_SMALL,
     CustomModel,
     GroundTruth,
-    JumpEvent,
     JumpTable,
     Model1,
     Model2,

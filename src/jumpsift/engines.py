@@ -25,8 +25,6 @@ import numpy as np
 from .errors import InvalidArgumentError, SimulationError, UnsupportedError
 from .grids import TimeGrid, containing_intervals, refine
 from .models import (
-    CODE_FINITE_ACTIVITY,
-    CODE_IA_SMALL,
     CustomModel,
     GroundTruth,
     JumpTable,
@@ -49,7 +47,10 @@ _MAX_JUMP_RESAMPLES = 100
 # beyond it the engine falls back to the stepwise recursion.
 _OU_SCAN_MAX_EXPONENT = 600.0
 
-_NO_JUMPS = JumpTable((), (), ())
+_NO_JUMPS = JumpTable((), ())
+
+# numpy's limit on the bytes of one array.
+_MAX_ARRAY_BYTES = np.iinfo(np.intp).max
 
 
 def rng_from_seed(seed: int) -> np.random.Generator:
@@ -140,7 +141,7 @@ def _simulate_constant_vol(drift, sigma, jump_params, grid, substeps,
         times = _poisson_times(rng, grid.t_end, lam)
         if times:
             sizes = rng.normal(0.0, size_std, len(times))
-            events = _finite_activity_table(times, sizes)
+            events = JumpTable(times, sizes)
             np.add.at(jump_incr, containing_intervals(fine_times, times), sizes)
 
     return _assemble(grid, substeps, cont_incr, jump_incr, events,
@@ -166,7 +167,7 @@ def _simulate_model2(cfg, grid, substeps, fine_times, fine_widths, rng):
     if times:
         jump_sd = math.sqrt(cfg.jump_var)
         sizes = np.array([_draw_log_jump(rng, cfg.jump_mean, jump_sd) for _ in times])
-        events = _finite_activity_table(times, sizes)
+        events = JumpTable(times, sizes)
         np.add.at(jump_incr, containing_intervals(fine_times, times), sizes)
 
     return _assemble(grid, substeps, cont_incr, jump_incr, events,
@@ -187,8 +188,7 @@ def _simulate_model3(cfg, grid, substeps, fine_times, fine_widths, rng):
     cont_incr = cfg.sigma * np.sqrt(fine_widths) * z_diff
 
     nonzero = np.flatnonzero(jump_incr)
-    events = JumpTable(fine_times[nonzero + 1], jump_incr[nonzero],
-                       np.full(nonzero.size, CODE_IA_SMALL, dtype=np.int8))
+    events = JumpTable(fine_times[nonzero + 1], jump_incr[nonzero])
 
     return _assemble(grid, substeps, cont_incr, jump_incr, events,
                      spot=np.full(nf + 1, cfg.sigma * cfg.sigma))
@@ -208,14 +208,14 @@ def _assemble(grid, substeps, cont_incr, jump_incr, events, spot):
     return SamplePath(grid, x_fine[::substeps], truth)
 
 
-def _finite_activity_table(times, sizes) -> JumpTable:
-    return JumpTable(times, sizes, np.full(len(times), CODE_FINITE_ACTIVITY, dtype=np.int8))
-
-
 def _poisson_times(rng, t_end, lam) -> list[float]:
     """Event times in (0, t_end] from exponential waiting times with rate lam."""
     if lam == 0.0:
         return []
+    if lam * t_end * 8 > _MAX_ARRAY_BYTES:
+        raise InvalidArgumentError(
+            f"jump intensity {lam!r} over horizon t = {t_end!r} expects"
+            f" {lam * t_end!r} jump times, more doubles than numpy can allocate")
     times = []
     t = 0.0
     scale = 1.0 / lam

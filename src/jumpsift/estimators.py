@@ -40,7 +40,7 @@ from .errors import (
     UnsupportedError,
 )
 from .grids import TimeGrid, containing_intervals
-from .models import JumpEvent, JumpTable, SamplePath
+from .models import JumpTable, SamplePath
 
 # _exact_sums hands a row to math.fsum as it is when it is shorter than
 # _EXTRACT_MIN_LENGTH, or when its largest magnitude lies outside
@@ -53,17 +53,15 @@ _UNIT_ROUNDOFF = math.ldexp(1.0, -53)
 
 @dataclass(frozen=True, slots=True)
 class ThresholdSpec:
-    """Power-law threshold r(dt) = scale_c * dt**beta.
+    """Power-law threshold r(dt) = scale_c * dt**beta, evaluated at each
+    observation lag dt_i.
 
-    per_interval=True evaluates r at each observation lag dt_i; False uses
-    the single global lag h = max_i dt_i. On a uniform grid the two agree.
     Construction is permissive (any finite beta and scale_c) so that
     inadmissible choices can be studied; estimators require scale_c > 0.
     """
 
     beta: float
     scale_c: float = 1.0
-    per_interval: bool = True
 
     def __post_init__(self):
         if not math.isfinite(self.beta) or not math.isfinite(self.scale_c):
@@ -163,10 +161,10 @@ def bipower_variation(path: SamplePath) -> float:
 
 
 def detect_jumps(path: SamplePath, spec: ThresholdSpec,
-                 true_jumps: Sequence[JumpEvent] | None = None) -> JumpDetectionResult:
+                 true_jumps: JumpTable | None = None) -> JumpDetectionResult:
     """Flag intervals with (dX_i)^2 > r and estimate jump sizes there.
 
-    With ground-truth events, intervals are matched greedily: an interval
+    With ground-truth jumps, intervals are matched greedily: an interval
     holding at least one true jump counts as detected iff it is flagged.
     Size errors are recorded for matched single-jump intervals only;
     intervals holding several true jumps are listed separately.
@@ -175,8 +173,7 @@ def detect_jumps(path: SamplePath, spec: ThresholdSpec,
     sums = _PathSums(path, spec)
     match = None
     if true_jumps is not None:
-        match = _match_events(path.grid.times, sums.flagged, sums.dx,
-                              JumpTable.from_events(true_jumps))
+        match = _match_events(path.grid.times, sums.flagged, sums.dx, true_jumps)
     return JumpDetectionResult(sums.flagged, sums.jump_sizes, match)
 
 
@@ -192,7 +189,7 @@ def normalized_bias(path: SamplePath, spec: ThresholdSpec, true_iv: float) -> fl
 
 
 def jump_size_error_stat(path: SamplePath, detection: JumpDetectionResult,
-                         true_jumps: Sequence[JumpEvent]) -> float:
+                         true_jumps: JumpTable) -> float:
     """sqrt(n) * sum_i (gamma_hat_i - gamma_i * I[interval i has a jump]).
 
     gamma_i is the first true jump size in interval i. Uniform grids with
@@ -201,7 +198,7 @@ def jump_size_error_stat(path: SamplePath, detection: JumpDetectionResult,
     if true_jumps is None:
         raise UnsupportedError("jump_size_error_stat requires ground-truth jumps")
     _require_uniform(path, "jump_size_error_stat")
-    _, _, first_sizes = _jumpy_intervals(path.grid.times, JumpTable.from_events(true_jumps))
+    _, _, first_sizes = _jumpy_intervals(path.grid.times, true_jumps)
     total = math.fsum(detection.estimated_sizes.values()) - math.fsum(first_sizes.tolist())
     return math.sqrt(path.grid.n) * total
 
@@ -336,12 +333,9 @@ def _require_uniform(path: SamplePath, what: str) -> None:
 
 
 @functools.lru_cache(maxsize=4)
-def _threshold(grid: TimeGrid, spec: ThresholdSpec) -> np.ndarray | float:
-    """r at each lag of the grid (or at its h), computed once per grid and
-    spec. TimeGrid hashes by identity, as in engines._subgrid; an array
-    comes back read-only."""
-    if not spec.per_interval:
-        return spec.r_at(grid.h)
+def _threshold(grid: TimeGrid, spec: ThresholdSpec) -> np.ndarray:
+    """r at each lag of the grid as a read-only array, computed once per
+    grid and spec. TimeGrid hashes by identity, as in engines._subgrid."""
     r = spec.r_at(grid.widths)
     r.flags.writeable = False
     return r

@@ -53,10 +53,7 @@ from .models import (
     finite_activity,
     has_jumps,
 )
-from .engines import path_seed, simulate, true_integrated_variance
-
-# numpy's limit on the bytes of one array.
-_MAX_ARRAY_BYTES = np.iinfo(np.intp).max
+from .engines import _MAX_ARRAY_BYTES, path_seed, simulate, true_integrated_variance
 
 
 @dataclass(frozen=True, slots=True)

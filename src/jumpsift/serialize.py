@@ -235,7 +235,8 @@ def report_to_dict(report: EstimationReport, path: SamplePath) -> dict:
         "uniform_grid": path.grid.is_uniform,
         "beta": spec.beta,
         "scale_c": spec.scale_c,
-        "per_interval": spec.per_interval,
+        # Schema 1 keeps the key; r is always evaluated at each lag.
+        "per_interval": True,
         "threshold_at_h": float(spec.r_at(path.grid.h)),
         "iv_threshold": report.iv_threshold,
         "iq_threshold": report.iq_threshold,
@@ -291,7 +292,8 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
         "model": model_to_dict(cfg.model),
         "beta": cfg.threshold.beta,
         "scale_c": cfg.threshold.scale_c,
-        "per_interval": cfg.threshold.per_interval,
+        # Schema 1 keeps the key; r is always evaluated at each lag.
+        "per_interval": True,
         "n": cfg.n,
         "t_end": cfg.t_end,
         "jitter": cfg.jitter,

@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 
 from jumpsift import (
-    SOURCE_FINITE_ACTIVITY,
     AdmissibilityWarning,
     DegenerateStatisticError,
     GroundTruth,
     InvalidArgumentError,
-    JumpEvent,
+    JumpTable,
     Model1,
     SamplePath,
     SpotVariancePath,
@@ -158,14 +157,9 @@ def make_truth_path():
     the 0.1 * h^0.9 threshold flags exactly intervals 1 and 3."""
     times = TIMES.copy()
     xs = np.array([0.0, 0.01, 0.22, 0.23, 0.95])
-    events = (
-        JumpEvent(0.30, 0.40, SOURCE_FINITE_ACTIVITY),
-        JumpEvent(0.35, -0.20, SOURCE_FINITE_ACTIVITY),
-        JumpEvent(0.80, 0.70, SOURCE_FINITE_ACTIVITY),
-    )
     truth = GroundTruth(
         spot_variance=SpotVariancePath(np.full(5, 0.09), 1),
-        jumps=events,
+        jumps=JumpTable([0.30, 0.35, 0.80], [0.40, -0.20, 0.70]),
         continuous_part=xs - np.array([0.0, 0.0, 0.2, 0.2, 0.9]),
     )
     return SamplePath(TimeGrid(times), xs, truth)
@@ -200,7 +194,7 @@ def test_detection_false_positive_and_miss():
 def test_recall_none_without_jumpy_intervals():
     g = build_uniform_grid(4, 1.0)
     p = SamplePath(g, np.array([0.0, 0.01, 0.02, 0.01, 0.0]))
-    det = detect_jumps(p, ThresholdSpec(0.9), true_jumps=())
+    det = detect_jumps(p, ThresholdSpec(0.9), true_jumps=JumpTable((), ()))
     assert det.match.recall is None
 
 

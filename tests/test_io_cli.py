@@ -473,6 +473,25 @@ def test_cli_size_numpy_cannot_allocate_is_config_error(tmp_path, capsys, comman
     assert not os.path.exists(out / "manifest.json")
 
 
+@pytest.mark.parametrize("command", ["simulate", "mc"])
+def test_cli_jump_intensity_numpy_cannot_allocate_is_runtime_error(tmp_path, command):
+    import subprocess
+
+    # A child process, so that a regression hangs only until the timeout.
+    cfg = tmp_path / "f.cfg"
+    cfg.write_text("schema_version = 1\nmodel = custom\njumps = compound-poisson:1e300,0.5\n")
+    out = tmp_path / "out"
+    res = subprocess.run(
+        [sys.executable, "-m", "jumpsift.cli", command, "--config", str(cfg), "--out", str(out)],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert res.returncode == 3
+    assert res.stderr == (
+        "jumpsift: error: jump intensity 1e+300 over horizon t = 1.0 expects 1e+300 jump"
+        " times, more doubles than numpy can allocate\n")
+    assert not os.path.exists(out / "manifest.json")
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs RLIMIT_AS")
 def test_cli_out_of_memory_is_runtime_error(tmp_path):
     import subprocess

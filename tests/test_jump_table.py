@@ -7,12 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jumpsift import (
-    SOURCE_FINITE_ACTIVITY,
-    SOURCE_IA_SMALL,
     CustomModel,
-    GroundTruth,
     InvalidArgumentError,
-    JumpEvent,
     JumpTable,
     Model1,
     Model2,
@@ -33,51 +29,15 @@ from jumpsift.grids import containing_intervals, refine
 
 
 # ---------------------------------------------------------------------------
-# JumpTable as a read-only sequence of JumpEvent
-
-def small_table():
-    return JumpTable([0.2, 0.5, 0.9], [0.3, -0.1, 0.05], [0, 1, 0])
-
-
-def test_table_reads_as_a_sequence_of_events():
-    table = small_table()
-    assert len(table) == 3
-    events = list(table)
-    assert all(isinstance(ev, JumpEvent) for ev in events)
-    assert events[1] == JumpEvent(0.5, -0.1, SOURCE_IA_SMALL)
-    assert table[0] == JumpEvent(0.2, 0.3, SOURCE_FINITE_ACTIVITY)
-    assert table[-1] == JumpEvent(0.9, 0.05, SOURCE_FINITE_ACTIVITY)
-    assert JumpEvent(0.5, -0.1, SOURCE_IA_SMALL) in table
-    with pytest.raises(IndexError):
-        table[3]
-
-
-def test_table_equality_with_tables_and_tuples():
-    table = small_table()
-    as_tuple = tuple(table)
-    assert table == as_tuple
-    assert table == small_table()
-    assert table == JumpTable.from_events(as_tuple)
-    assert table != as_tuple[:2]
-    assert table != JumpTable([0.2, 0.5, 0.9], [0.3, -0.1, 0.06], [0, 1, 0])
-    assert JumpTable((), (), ()) == ()
-    assert JumpTable.from_events(table) is table
-
+# JumpTable: two read-only arrays
 
 def test_table_arrays_are_read_only():
-    table = small_table()
-    for arr in (table.times, table.sizes, table.codes):
+    table = JumpTable([0.2, 0.5, 0.9], [0.3, -0.1, 0.05])
+    assert len(table) == 3
+    for arr in (table.times, table.sizes):
+        assert arr.dtype == np.float64
         with pytest.raises(ValueError):
             arr[0] = 1
-    assert table.codes.dtype == np.int8
-
-
-def test_ground_truth_converts_an_event_tuple():
-    events = (JumpEvent(0.3, 0.4), JumpEvent(0.1, -0.2))
-    truth = GroundTruth(SpotVariancePath(np.full(3, 0.09), 1), events, np.zeros(3))
-    assert isinstance(truth.jumps, JumpTable)
-    assert truth.jumps == events
-    assert truth.jumps.times.tolist() == [0.3, 0.1]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -0.0, -1e-300])
@@ -92,25 +52,19 @@ def test_spot_variance_must_be_positive_and_finite(bad):
 
 
 def test_table_validation_errors():
-    with pytest.raises(InvalidArgumentError, match="unknown jump source"):
-        JumpTable([0.1], [0.2], [2])
-    with pytest.raises(InvalidArgumentError, match="unknown jump source"):
-        JumpTable([0.1], [0.2], [-1])
-    with pytest.raises(InvalidArgumentError, match="nonzero size"):
-        JumpTable([0.1, 0.2], [0.2, 0.0], [1, 0])
     with pytest.raises(InvalidArgumentError, match="equal length"):
-        JumpTable([0.1, 0.2], [0.2], [0, 0])
-    # zero-size aggregate events are allowed; only finite-activity ones are not
-    assert len(JumpTable([0.1], [0.0], [1])) == 1
+        JumpTable([0.1, 0.2], [0.2])
+    with pytest.raises(InvalidArgumentError, match="1-D"):
+        JumpTable([[0.1]], [[0.2]])
+    assert len(JumpTable((), ())) == 0
 
 
 def test_engines_build_tables():
     g = build_uniform_grid(100, 1.0)
-    for model, source in ((Model1(), SOURCE_FINITE_ACTIVITY), (Model2(), SOURCE_FINITE_ACTIVITY),
-                          (Model3(), SOURCE_IA_SMALL)):
+    for model in (Model1(), Model2(), Model3()):
         jumps = simulate(model, g, 2, 5).ground_truth.jumps
         assert isinstance(jumps, JumpTable) and len(jumps) > 0
-        assert {ev.source for ev in jumps} == {source}
+        assert np.all(jumps.sizes != 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -139,10 +93,15 @@ def oracle_interval(times, event_time):
     return min(max(i, 0), times.size - 2)
 
 
+def events_in_time_order(true_jumps):
+    return sorted(zip(true_jumps.times.tolist(), true_jumps.sizes.tolist()),
+                  key=lambda ev: ev[0])
+
+
 def oracle_match(times, flagged, sizes, true_jumps):
     per_interval = {}
-    for ev in sorted(true_jumps, key=lambda e: e.time):
-        per_interval.setdefault(oracle_interval(times, ev.time), []).append(ev.size)
+    for t, size in events_in_time_order(true_jumps):
+        per_interval.setdefault(oracle_interval(times, t), []).append(size)
     tp = fn = 0
     errors, multi = [], []
     for i, jump_sizes in per_interval.items():
@@ -160,8 +119,8 @@ def oracle_match(times, flagged, sizes, true_jumps):
 
 def oracle_jump_size_error_stat(path, detection, true_jumps):
     first_sizes = {}
-    for ev in sorted(true_jumps, key=lambda e: e.time):
-        first_sizes.setdefault(oracle_interval(path.grid.times, ev.time), ev.size)
+    for t, size in events_in_time_order(true_jumps):
+        first_sizes.setdefault(oracle_interval(path.grid.times, t), size)
     total = (math.fsum(detection.estimated_sizes.values())
              - math.fsum(first_sizes.values()))
     return math.sqrt(path.grid.n) * total
@@ -175,7 +134,7 @@ def assert_matches_oracle(path, spec, events):
     det = detect_jumps(path, spec, events)
     m = det.match
     tp, fp, fn, errors, multi = oracle_match(path.grid.times, det.indicators,
-                                             det.estimated_sizes, tuple(events))
+                                             det.estimated_sizes, events)
     assert (m.true_positives, m.false_positives, m.false_negatives) == (tp, fp, fn)
     assert all(type(e) is float for e in m.size_errors)
     assert bits(m.size_errors) == bits(errors)
@@ -183,7 +142,7 @@ def assert_matches_oracle(path, spec, events):
     assert m.multi_jump_intervals == multi
     if path.grid.is_uniform:
         got = jump_size_error_stat(path, det, events)
-        assert bits([got]) == bits([oracle_jump_size_error_stat(path, det, tuple(events))])
+        assert bits([got]) == bits([oracle_jump_size_error_stat(path, det, events)])
     return m
 
 
@@ -218,25 +177,24 @@ def hand_path():
 
 @pytest.mark.parametrize("events", [
     # exactly on interior grid times: each belongs to the interval it closes
-    (JumpEvent(0.25, 0.4), JumpEvent(0.75, 0.6)),
+    ([0.25, 0.75], [0.4, 0.6]),
     # two events in one interval, given out of time order, and a tie in time
-    (JumpEvent(0.7, 0.3), JumpEvent(0.6, 0.5), JumpEvent(0.6, -0.2), JumpEvent(0.1, 0.45)),
+    ([0.7, 0.6, 0.6, 0.1], [0.3, 0.5, -0.2, 0.45]),
     # first and last interval, including the end points 0 and T
-    (JumpEvent(0.0, 0.1), JumpEvent(0.01, 0.45), JumpEvent(1.0, 0.2), JumpEvent(0.99, -0.3)),
+    ([0.0, 0.01, 1.0, 0.99], [0.1, 0.45, 0.2, -0.3]),
     # many ties in time: the first jump of an interval is the first in table order
-    tuple(JumpEvent((0.6, 0.3, 0.8)[k % 3], 0.01 * (k + 1)) for k in range(40)),
-    (),
+    ([(0.6, 0.3, 0.8)[k % 3] for k in range(40)], [0.01 * (k + 1) for k in range(40)]),
+    ((), ()),
 ])
 @pytest.mark.parametrize("spec", SPECS)
 def test_vectorized_matching_equals_loop_on_hand_cases(events, spec):
-    assert_matches_oracle(hand_path(), spec, events)
-    assert_matches_oracle(hand_path(), spec, JumpTable.from_events(events))
+    assert_matches_oracle(hand_path(), spec, JumpTable(*events))
 
 
 def test_hand_case_values():
     # flags intervals 0 and 2 at c=0.1 (r = 0.1 * 0.25^0.9 ~ 0.029)
     path = hand_path()
-    events = (JumpEvent(0.25, 0.4), JumpEvent(0.6, 0.5), JumpEvent(0.7, 0.3))
+    events = JumpTable([0.25, 0.6, 0.7], [0.4, 0.5, 0.3])
     m = detect_jumps(path, ThresholdSpec(0.9, 0.1), events).match
     assert (m.true_positives, m.false_positives, m.false_negatives) == (2, 0, 0)
     assert m.multi_jump_intervals == (2,)
@@ -246,8 +204,7 @@ def test_hand_case_values():
 def test_irregular_grid_matching_equals_loop():
     times = np.array([0.0, 0.1, 0.35, 0.4, 0.8, 1.0])
     path = SamplePath(TimeGrid(times), np.array([0.0, 0.3, 0.31, 0.9, 0.91, 0.5]))
-    events = (JumpEvent(0.05, 0.3), JumpEvent(0.4, 0.6), JumpEvent(0.9, -0.2),
-              JumpEvent(0.95, -0.2))
+    events = JumpTable([0.05, 0.4, 0.9, 0.95], [0.3, 0.6, -0.2, -0.2])
     for spec in SPECS:
         assert_matches_oracle(path, spec, events)
 
@@ -278,7 +235,7 @@ def grids_and_tables(draw):
     event_times += draw(st.lists(st.sampled_from(event_times), max_size=4)) if event_times else []
     sizes = draw(st.lists(st.floats(-1.0, 1.0).filter(bool), min_size=len(event_times),
                           max_size=len(event_times)))
-    return times, JumpTable(event_times, sizes, [0] * len(event_times))
+    return times, JumpTable(event_times, sizes)
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)

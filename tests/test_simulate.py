@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from jumpsift import (
-    SOURCE_FINITE_ACTIVITY,
-    SOURCE_IA_SMALL,
     CustomModel,
     InvalidArgumentError,
     Model1,
@@ -31,7 +29,8 @@ def test_same_seed_bit_identical():
     a = simulate(Model1(), g, 1, 42)
     b = simulate(Model1(), g, 1, 42)
     assert np.array_equal(a.observations, b.observations)
-    assert a.ground_truth.jumps == b.ground_truth.jumps
+    assert np.array_equal(a.ground_truth.jumps.times, b.ground_truth.jumps.times)
+    assert np.array_equal(a.ground_truth.jumps.sizes, b.ground_truth.jumps.sizes)
 
 
 def test_different_seeds_differ():
@@ -69,20 +68,18 @@ def test_substeps_refine_truth_but_not_observations():
 def test_jump_events_land_in_their_intervals():
     g = grid(100)
     p = simulate(Model1(), g, 1, 12345)
-    events = p.ground_truth.jumps
-    assert len(events) > 0
+    jumps = p.ground_truth.jumps
+    assert len(jumps) > 0
+    assert np.all((jumps.times > 0.0) & (jumps.times <= 1.0))
+    assert np.all(jumps.sizes != 0.0)
     times = g.times
-    for ev in events:
-        assert 0.0 < ev.time <= 1.0
-        assert ev.size != 0.0
-        assert ev.source == SOURCE_FINITE_ACTIVITY
     # intervals holding a jump: observed increment = continuous increment + sizes
     dx = np.diff(p.observations)
     dc = np.diff(p.ground_truth.continuous_part)
     jump_per_interval = {}
-    for ev in events:
-        idx = int(np.searchsorted(times, ev.time, side="left")) - 1
-        jump_per_interval[idx] = jump_per_interval.get(idx, 0.0) + ev.size
+    for t, size in zip(jumps.times.tolist(), jumps.sizes.tolist()):
+        idx = int(np.searchsorted(times, t, side="left")) - 1
+        jump_per_interval[idx] = jump_per_interval.get(idx, 0.0) + size
     for i in range(100):
         expect = dc[i] + jump_per_interval.get(i, 0.0)
         assert math.isclose(dx[i], expect, rel_tol=1e-12, abs_tol=1e-15)
@@ -194,12 +191,10 @@ def test_model3_terminal_variance():
 def test_model3_jumps_are_small_aggregate_events():
     g = grid(100)
     p = simulate(Model3(), g, 1, 11)
-    events = p.ground_truth.jumps
-    assert len(events) > 0
-    for ev in events:
-        assert ev.source == SOURCE_IA_SMALL
-        assert ev.size != 0.0
-        assert 0.0 < ev.time <= 1.0
+    jumps = p.ground_truth.jumps
+    assert len(jumps) > 0
+    assert np.all(jumps.sizes != 0.0)
+    assert np.all((jumps.times > 0.0) & (jumps.times <= 1.0))
 
 
 def test_model3_constant_spot_variance():
@@ -216,7 +211,7 @@ def test_custom_diffusion_only():
     g = grid(100)
     model = CustomModel(drift="zero", spot_vol="constant:0.3", jumps="none")
     p = simulate(model, g, 1, 21)
-    assert p.ground_truth.jumps == ()
+    assert len(p.ground_truth.jumps) == 0
     assert math.isclose(true_integrated_variance(p, 2), 0.09, rel_tol=1e-12)
 
 
@@ -232,7 +227,7 @@ def test_custom_zero_intensity_has_no_jumps():
     model = CustomModel(drift="zero", spot_vol="constant:0.3",
                         jumps="compound-poisson:0,0.6")
     p = simulate(model, g, 1, 33)
-    assert p.ground_truth.jumps == ()
+    assert len(p.ground_truth.jumps) == 0
 
 
 def test_custom_model_rejects_malformed_specs():

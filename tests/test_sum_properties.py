@@ -179,8 +179,7 @@ def model1_like_paths(draw):
     return SamplePath(grid, np.concatenate(([0.0], np.cumsum(dx))))
 
 
-threshold_specs = st.builds(ThresholdSpec, st.floats(0.05, 0.95), st.floats(0.01, 10.0),
-                            st.booleans())
+threshold_specs = st.builds(ThresholdSpec, st.floats(0.05, 0.95), st.floats(0.01, 10.0))
 
 
 @PROPERTY
@@ -240,11 +239,9 @@ def test_ties_with_the_threshold_are_kept(xs, data):
     j = data.draw(st.integers(0, dx2.size - 1))
     if dx2[j] == 0.0:
         return
-    per_interval = data.draw(st.booleans())
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", AdmissibilityWarning)
-        det = detect_jumps(path, ThresholdSpec(data.draw(st.floats(0.05, 1.5)), float(dx2[j]),
-                                               per_interval))
+        det = detect_jumps(path, ThresholdSpec(data.draw(st.floats(0.05, 1.5)), float(dx2[j])))
     assert not det.indicators[j]
     assert np.array_equal(det.indicators, dx2 > dx2[j])
 
