@@ -19,16 +19,18 @@ of memory included).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import json
 import os
 import sys
+import warnings
 
 from . import __version__
 from .config import RUN_PARAMETERS, RunSettings, load_config_file, merge_settings, resolve_seed
-from .errors import ConfigError, InvalidArgumentError, JumpsiftError
+from .errors import AdmissibilityWarning, ConfigError, InvalidArgumentError, JumpsiftError
 from .estimators import detect_jumps, estimation_report
-from .models import CustomModel, model_name
+from .models import CustomModel, has_jumps, model_name
 from .montecarlo import efficiency_comparison, run_experiment
 from .serialize import (
     build_manifest,
@@ -47,7 +49,7 @@ from .engines import RNG_ALGORITHM, path_seed, simulate
 _NEEDS_INPUT = {"estimate", "detect"}
 
 # Peak traced memory of one simulated and estimated path, per fine step.
-_BYTES_PER_FINE_STEP = 115
+_BYTES_PER_FINE_STEP = 105
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -88,8 +90,9 @@ def main(argv: list[str] | None = None) -> int:
         settings = _settings_from_args(args)
         out_dir = args.out
         os.makedirs(out_dir, exist_ok=True)
-        outputs = _dispatch(args.command, settings, out_dir,
-                            getattr(args, "input", None))
+        with _admissibility_lines():
+            outputs = _dispatch(args.command, settings, out_dir,
+                                getattr(args, "input", None))
     except ConfigError as exc:
         print(f"jumpsift: config error: {exc}", file=sys.stderr)
         return 2
@@ -118,7 +121,30 @@ def _settings_from_args(args) -> RunSettings:
     overrides = {p.key: getattr(args, p.key, None) for p in RUN_PARAMETERS}
     settings = merge_settings(file_values, overrides,
                               preset=args.preset or default_preset)
+    if args.command == "compare" and has_jumps(settings.model):
+        raise ConfigError(f"compare needs a jump-free model, and"
+                          f" {model_name(settings.model)} has jumps")
     return settings.with_seed(resolve_seed(settings.seed))
+
+
+@contextlib.contextmanager
+def _admissibility_lines():
+    """Prints each distinct AdmissibilityWarning message once, as one
+    'jumpsift: warning:' line; every other warning goes on to the
+    showwarning in place before."""
+    seen = set()
+    with warnings.catch_warnings():
+        show = warnings.showwarning
+
+        def showwarning(message, category, filename, lineno, file=None, line=None):
+            if not issubclass(category, AdmissibilityWarning):
+                show(message, category, filename, lineno, file, line)
+            elif str(message) not in seen:
+                seen.add(str(message))
+                print(f"jumpsift: warning: {message}", file=sys.stderr)
+
+        warnings.showwarning = showwarning
+        yield
 
 
 def _dispatch(command: str, settings: RunSettings, out_dir: str,

@@ -6,6 +6,10 @@ The generator is counter-based (numpy Philox keyed directly with the 64-bit
 seed), so identical (config, grid, substeps, seed) give bit-identical paths
 regardless of what else has been sampled in the process.
 
+Each thread keeps one Philox generator and re-keys it for every path:
+setting the key to the path's seed, the counter to 0 and the buffer to
+empty gives, bit for bit, the stream a newly built generator would.
+
 Draw order is part of the determinism contract and is fixed per model:
 
 * Model1 / CustomModel: diffusion normals (one bulk draw), Poisson event
@@ -19,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 
 import numpy as np
 
@@ -53,8 +58,27 @@ _NO_JUMPS = JumpTable((), ())
 _MAX_ARRAY_BYTES = np.iinfo(np.intp).max
 
 
+_thread = threading.local()
+
+
 def rng_from_seed(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=int(seed) & _MASK64))
+
+
+def _path_rng(seed: int) -> np.random.Generator:
+    """This thread's generator, with its whole state reset to that of
+    rng_from_seed(seed): key (seed, 0), counter 0, empty buffers. Building a
+    new Philox also draws OS entropy for an unused SeedSequence and costs
+    several times as much."""
+    try:
+        rng = _thread.rng
+    except AttributeError:
+        rng = _thread.rng = rng_from_seed(0)
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": (int(seed) & _MASK64, 0)},
+        "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return rng
 
 
 def path_seed(base_seed: int, path_index: int) -> int:
@@ -83,20 +107,14 @@ def simulate(cfg: ModelConfig, grid: TimeGrid, substeps: int = 1, seed: int = 0)
     """
     if not isinstance(substeps, (int, np.integer)) or substeps < 1:
         raise InvalidArgumentError(f"substeps must be a positive integer, got {substeps!r}")
-    rng = rng_from_seed(seed)
+    rng = _path_rng(seed)
     fine_times, fine_widths = _subgrid(grid, substeps)
-    if isinstance(cfg, Model1):
-        return _simulate_constant_vol(
-            cfg.drift, cfg.sigma, (cfg.jump_intensity, cfg.jump_size_std),
-            grid, substeps, fine_times, fine_widths, rng)
-    if isinstance(cfg, CustomModel):
-        return _simulate_constant_vol(
-            cfg.drift_value(), cfg.sigma_value(), cfg.jump_params(),
-            grid, substeps, fine_times, fine_widths, rng)
+    if isinstance(cfg, (Model1, CustomModel)):
+        return _simulate_constant_vol(cfg, grid, substeps, fine_times, rng)
     if isinstance(cfg, Model2):
         return _simulate_model2(cfg, grid, substeps, fine_times, fine_widths, rng)
     if isinstance(cfg, Model3):
-        return _simulate_model3(cfg, grid, substeps, fine_times, fine_widths, rng)
+        return _simulate_model3(cfg, grid, substeps, fine_times, rng)
     raise InvalidArgumentError(f"unknown model config {type(cfg).__name__}")
 
 
@@ -126,26 +144,25 @@ def _subgrid(grid: TimeGrid, substeps: int) -> tuple[np.ndarray, np.ndarray]:
     return fine_times, fine_widths
 
 
-def _simulate_constant_vol(drift, sigma, jump_params, grid, substeps,
-                           fine_times, fine_widths, rng):
+def _simulate_constant_vol(cfg, grid, substeps, fine_times, rng):
     """Shared engine for Model1 and CustomModel (constant sigma, optional
     compound Poisson jumps with zero-mean normal sizes)."""
-    nf = fine_widths.size
-    z = rng.standard_normal(nf)
-    cont_incr = drift * fine_widths + sigma * np.sqrt(fine_widths) * z
+    sigma_root_h, drift_h, spot, jump_params = _constant_vol_coefficients(cfg, grid, substeps)
+    cont_incr = rng.standard_normal(sigma_root_h.size)
+    cont_incr *= sigma_root_h
+    cont_incr += drift_h
 
     events = _NO_JUMPS
-    jump_incr = np.zeros(nf)
+    jump_incr = 0.0
     if jump_params is not None:
         lam, size_std = jump_params
         times = _poisson_times(rng, grid.t_end, lam)
         if times:
             sizes = rng.normal(0.0, size_std, len(times))
             events = JumpTable(times, sizes)
-            np.add.at(jump_incr, containing_intervals(fine_times, times), sizes)
+            jump_incr = _jump_increments(fine_times, times, sizes)
 
-    return _assemble(grid, substeps, cont_incr, jump_incr, events,
-                     spot=np.full(nf + 1, sigma * sigma))
+    return _assemble(grid, substeps, cont_incr, jump_incr, events, spot)
 
 
 def _simulate_model2(cfg, grid, substeps, fine_times, fine_widths, rng):
@@ -153,57 +170,83 @@ def _simulate_model2(cfg, grid, substeps, fine_times, fine_widths, rng):
     z1 = rng.standard_normal(nf)
     z2 = rng.standard_normal(nf)
 
+    # Each step below works in place, in the operation order of
+    # shocks = c21*z1 + c22*z2, sigma_left = exp(H[:-1]),
+    # cont = (mu - 0.5*sigma_left*sigma_left)*h + sigma_left*sqrt(h)*z1
+    # and spot = exp(2*H).
     sqrt_widths, alpha, c21, c22, ekt = _ou_coefficients(cfg, grid, substeps)
-    shocks = c21 * z1 + c22 * z2
-    h_path = _ou_path(cfg.h0, cfg.h_bar, alpha, ekt, shocks)
+    h_path = np.empty(nf + 1)
+    shocks = np.multiply(c21, z1, out=h_path[1:])
+    z2 *= c22
+    shocks += z2
+    _ou_scan(cfg.h0, cfg.h_bar, alpha, ekt, h_path)
 
-    sigma_left = np.exp(h_path[:-1])
-    drift_incr = (cfg.mu - 0.5 * sigma_left * sigma_left) * fine_widths
-    cont_incr = drift_incr + sigma_left * sqrt_widths * z1
+    sigma_left = np.exp(h_path[:-1], out=z2)
+    drift_incr = np.multiply(0.5, sigma_left)
+    drift_incr *= sigma_left
+    np.subtract(cfg.mu, drift_incr, out=drift_incr)
+    drift_incr *= fine_widths
+    sigma_left *= sqrt_widths
+    cont_incr = z1
+    cont_incr *= sigma_left
+    cont_incr += drift_incr
 
     times = _poisson_times(rng, grid.t_end, cfg.jump_intensity)
     events = _NO_JUMPS
-    jump_incr = np.zeros(nf)
+    jump_incr = 0.0
     if times:
         jump_sd = math.sqrt(cfg.jump_var)
         sizes = np.array([_draw_log_jump(rng, cfg.jump_mean, jump_sd) for _ in times])
         events = JumpTable(times, sizes)
-        np.add.at(jump_incr, containing_intervals(fine_times, times), sizes)
+        jump_incr = _jump_increments(fine_times, times, sizes)
 
+    h_path *= 2.0
     return _assemble(grid, substeps, cont_incr, jump_incr, events,
-                     spot=np.exp(2.0 * h_path))
+                     spot=np.exp(h_path, out=h_path))
 
 
-def _simulate_model3(cfg, grid, substeps, fine_times, fine_widths, rng):
-    nf = fine_widths.size
-    b = cfg.gamma_var
-    dg = rng.gamma(fine_widths / b, b)
+def _simulate_model3(cfg, grid, substeps, fine_times, rng):
+    sigma_root_h, gamma_shape, spot, _ = _constant_vol_coefficients(cfg, grid, substeps)
+    nf = gamma_shape.size
+    dg = rng.standard_gamma(gamma_shape)
+    dg *= cfg.gamma_var
     z_jump = rng.standard_normal(nf)
-    z_diff = rng.standard_normal(nf)
+    cont_incr = rng.standard_normal(nf)
+    cont_incr *= sigma_root_h
 
     # Subordinator increments whose mass sits below the double denormal range
     # come back as exactly 0.0; the corresponding substep then carries no
     # jump increment and no event is recorded.
-    jump_incr = cfg.vg_drift * dg + cfg.vg_vol * np.sqrt(dg) * z_jump
-    cont_incr = cfg.sigma * np.sqrt(fine_widths) * z_diff
+    # jump_incr = vg_drift*dg + vg_vol*sqrt(dg)*z_jump, in place.
+    vol_part = np.sqrt(dg)
+    vol_part *= cfg.vg_vol
+    vol_part *= z_jump
+    jump_incr = dg
+    jump_incr *= cfg.vg_drift
+    jump_incr += vol_part
 
     nonzero = np.flatnonzero(jump_incr)
     events = JumpTable(fine_times[nonzero + 1], jump_incr[nonzero])
 
-    return _assemble(grid, substeps, cont_incr, jump_incr, events,
-                     spot=np.full(nf + 1, cfg.sigma * cfg.sigma))
+    return _assemble(grid, substeps, cont_incr, jump_incr, events, spot)
+
+
+def _jump_increments(fine_times, times, sizes) -> np.ndarray:
+    """Sum of the jump sizes in each substep, added in event order."""
+    return np.bincount(containing_intervals(fine_times, times), weights=sizes,
+                       minlength=fine_times.size - 1)
 
 
 def _assemble(grid, substeps, cont_incr, jump_incr, events, spot):
+    """jump_incr is an array of per-substep sums, or 0.0 without jumps."""
     x_fine = np.empty(cont_incr.size + 1)
-    cont_fine = np.empty_like(x_fine)
-    x_fine[0] = cont_fine[0] = 0.0
-    np.cumsum(cont_incr + jump_incr, out=x_fine[1:])
-    np.cumsum(cont_incr, out=cont_fine[1:])
+    x_fine[0] = 0.0
+    np.add(cont_incr, jump_incr, out=x_fine[1:])
+    np.cumsum(x_fine[1:], out=x_fine[1:])
     truth = GroundTruth(
         spot_variance=SpotVariancePath(spot, substeps),
         jumps=events,
-        continuous_part=cont_fine[::substeps],
+        continuous_increments=cont_incr,
     )
     return SamplePath(grid, x_fine[::substeps], truth)
 
@@ -237,6 +280,33 @@ def _draw_log_jump(rng, mean, sd) -> float:
         f"(mean={mean}, sd={sd})")
 
 
+@functools.lru_cache(maxsize=2)
+def _constant_vol_coefficients(cfg: Model1 | Model3 | CustomModel, grid: TimeGrid,
+                               substeps: int):
+    """Per-substep constants of the constant-volatility engines, computed
+    once per (model, grid, substeps): sigma*sqrt(h); drift*h for Model1 and
+    CustomModel, the Gamma shape h/b for Model3; the read-only sigma^2 spot
+    array; and the jump parameters (None for Model3).
+
+    Each (model, grid) pins arrays of the grid's size, and every CLI command
+    builds a new grid, so the cache keeps only the last two.
+    """
+    _, fine_widths = _subgrid(grid, substeps)
+    if isinstance(cfg, Model3):
+        sigma, per_step, jump_params = cfg.sigma, fine_widths / cfg.gamma_var, None
+    elif isinstance(cfg, Model1):
+        sigma, per_step = cfg.sigma, cfg.drift * fine_widths
+        jump_params = (cfg.jump_intensity, cfg.jump_size_std)
+    else:
+        sigma, per_step = cfg.sigma_value(), cfg.drift_value() * fine_widths
+        jump_params = cfg.jump_params()
+    sigma_root_h = sigma * np.sqrt(fine_widths)
+    spot = np.full(fine_widths.size + 1, sigma * sigma)
+    for arr in (sigma_root_h, per_step, spot):
+        arr.flags.writeable = False
+    return sigma_root_h, per_step, spot, jump_params
+
+
 @functools.lru_cache(maxsize=4)
 def _ou_coefficients(cfg: Model2, grid: TimeGrid, substeps: int):
     """Per-substep constants of the Model2 volatility scan, computed once per
@@ -265,24 +335,26 @@ def _ou_coefficients(cfg: Model2, grid: TimeGrid, substeps: int):
     return constants
 
 
-def _ou_path(h0, h_bar, alpha, ekt, shocks):
-    """Mean-reverting path H with exact Gaussian transitions.
+def _ou_scan(h0, h_bar, alpha, ekt, h_path):
+    """Fills h_path with the mean-reverting path H, exact Gaussian
+    transitions; h_path[1:] holds the shocks on entry.
 
     H_{j+1} = h_bar + alpha_j*(H_j - h_bar) + shocks_j. Given the exp(k*t_j)
     weights ekt, the recursion unrolls into a cumulative sum; without them
     (exponents that would overflow) the stepwise loop runs.
     """
-    nf = shocks.size
-    h_path = np.empty(nf + 1)
+    shocks = h_path[1:]
     h_path[0] = h0
     d0 = h0 - h_bar
     if ekt is not None:
         # D_j = exp(-k*t_j) * (D_0 + sum_{i<j} exp(k*t_{i+1}) * shocks_i)
-        inner = np.cumsum(ekt * shocks)
-        h_path[1:] = h_bar + (d0 + inner) / ekt
+        shocks *= ekt
+        np.cumsum(shocks, out=shocks)
+        shocks += d0
+        shocks /= ekt
+        shocks += h_bar
     else:
         d = d0
-        for j in range(nf):
+        for j in range(shocks.size):
             d = alpha[j] * d + shocks[j]
-            h_path[j + 1] = h_bar + d
-    return h_path
+            shocks[j] = h_bar + d

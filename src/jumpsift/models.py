@@ -8,6 +8,7 @@ jump-free diffusion or a compound-Poisson process with zero drift).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -222,13 +223,22 @@ class SpotVariancePath:
 class GroundTruth:
     """Simulator-side truth retained for oracle checks.
 
-    continuous_part holds X0(t_i) = int a dt + int sigma dW at observation
-    times.
+    continuous_increments holds the increment of X0 = int a dt + int sigma dW
+    over each simulation substep (n*refinement values).
     """
 
     spot_variance: SpotVariancePath
     jumps: JumpTable
-    continuous_part: np.ndarray
+    continuous_increments: np.ndarray
+
+    @functools.cached_property
+    def continuous_part(self) -> np.ndarray:
+        """X0(t_i) at observation times, derived on first read."""
+        incr = self.continuous_increments
+        cont_fine = np.empty(incr.size + 1)
+        cont_fine[0] = 0.0
+        np.cumsum(incr, out=cont_fine[1:])
+        return cont_fine[::self.spot_variance.refinement]
 
 
 @dataclass(frozen=True, eq=False)

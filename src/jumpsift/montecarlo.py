@@ -163,9 +163,11 @@ def run_experiment(cfg: ExperimentConfig) -> McSummary:
 
     Paths with a degenerate normalized-bias denominator are excluded from
     the normality statistics and counted in excluded_paths; their other
-    estimates still enter the record list.
+    estimates still enter the record list. An inadmissible threshold warns
+    once per run.
     """
     _require_sizes(cfg, min_paths=1)
+    _warn_if_inadmissible(cfg.threshold)
     records = tuple(_map_paths(_single_record, cfg))
 
     uniform = cfg.jitter == 0.0
@@ -235,6 +237,7 @@ def efficiency_comparison(cfg: ExperimentConfig) -> EfficiencyTable:
         raise InvalidArgumentError(
             "efficiency comparison requires a jump-free model")
     _require_sizes(cfg, min_paths=2)
+    _warn_if_inadmissible(cfg.threshold)
     pairs = _map_paths(_efficiency_pair, cfg)
     thr = sample_moments([p[0] for p in pairs]).variance
     bpv = sample_moments([p[1] for p in pairs]).variance
@@ -306,7 +309,6 @@ def _require_sizes(cfg: ExperimentConfig, min_paths: int) -> None:
 def _single_record(cfg: ExperimentConfig, index: int) -> PathRecord:
     path = _simulate_path(cfg, index)
     true_iv = true_integrated_variance(path, 2)
-    _warn_if_inadmissible(cfg.threshold)
     sums = _PathSums(path, cfg.threshold)
     # The quartic sum is read only for the normalized bias of a uniform run.
     sums.fill("rv", "bpv", *(("quartic",) if cfg.jitter == 0.0 else ()))
@@ -340,7 +342,6 @@ def _efficiency_pair(cfg: ExperimentConfig, index: int) -> tuple[float, float]:
     iv = true_integrated_variance(path, 2)
     iq = true_integrated_variance(path, 4)
     denom = math.sqrt(path.grid.h * iq)
-    _warn_if_inadmissible(cfg.threshold)
     sums = _PathSums(path, cfg.threshold)
     sums.fill("rv", "bpv")
     thr = (sums.iv_hat - iv) / denom

@@ -160,7 +160,7 @@ def make_truth_path():
     truth = GroundTruth(
         spot_variance=SpotVariancePath(np.full(5, 0.09), 1),
         jumps=JumpTable([0.30, 0.35, 0.80], [0.40, -0.20, 0.70]),
-        continuous_part=xs - np.array([0.0, 0.0, 0.2, 0.2, 0.9]),
+        continuous_increments=np.diff(xs - np.array([0.0, 0.0, 0.2, 0.2, 0.9])),
     )
     return SamplePath(TimeGrid(times), xs, truth)
 

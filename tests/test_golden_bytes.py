@@ -35,6 +35,21 @@ MC_DIGESTS = {
 }
 
 
+# path.csv of `simulate` (x_cont, jump_cum and sigma2 included), recorded
+# before the engines re-keyed one generator per thread and built their
+# per-run constants once. model2-desk runs 5 substeps per interval.
+SIMULATE_DIGESTS = {
+    ("model1-desk",):
+        "6c06466d7a6d1c1f8b3970adb1917fcc3dc31ca7b5d739b137ca45c071243d29",
+    ("model2-desk",):
+        "22755d7276e21b41fa4611f3b0feda492a122b4a18081b4492e686d65ec27dc2",
+    ("model3-desk",):
+        "e13708e3a4a4d92e900aa63bb8a72da715716eeee87638c5b8e8abdde21b6bda",
+    ("model2-desk", "--jitter", "0.3"):
+        "f3c6b9b81518d858d0d5ef13e0ba2d0ad1006deaae7647189ab389e54a646e4c",
+}
+
+
 def _sha256(path):
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
@@ -58,6 +73,14 @@ def test_golden_bytes_irregular_grid(tmp_path):
                    ["summary.json"])
     assert got == {"summary.json":
                    "a3c30940d7554bea626506697e280754090fadd6c9f43d5a13e66c7850fddcc6"}
+
+
+@pytest.mark.parametrize("flags", sorted(SIMULATE_DIGESTS), ids=" ".join)
+def test_golden_bytes_simulate(tmp_path, flags):
+    preset, *rest = flags
+    got = _outputs(tmp_path, ["simulate", "--preset", preset, *rest,
+                              "--n", "400", "--seed", "11"], ["path.csv"])
+    assert got == {"path.csv": SIMULATE_DIGESTS[flags]}
 
 
 def test_golden_bytes_simulate_and_detect(tmp_path):

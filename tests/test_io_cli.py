@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from jumpsift import (
+    AdmissibilityWarning,
     ConfigError,
     InvalidArgumentError,
     Model1,
@@ -28,7 +29,7 @@ from jumpsift import (
     simulate,
     threshold_realized_variance,
 )
-from jumpsift import montecarlo
+from jumpsift import cli, montecarlo
 from jumpsift.cli import _settings_echo, _settings_from_args, build_parser, main, replay_manifest
 from jumpsift.models import MODEL_CLASSES
 from jumpsift.config import (
@@ -512,7 +513,7 @@ def test_cli_out_of_memory_is_runtime_error(tmp_path):
     assert res.returncode == 3
     assert res.stderr == (
         "jumpsift: error: out of memory at n = 100000000, substeps = 1; a simulated path"
-        " needs about 115 bytes per fine step, and it has n * substeps of them\n")
+        " needs about 105 bytes per fine step, and it has n * substeps of them\n")
     assert res.stdout == ""
     assert not os.path.exists(out / "manifest.json")
 
@@ -551,6 +552,73 @@ def test_cli_detect_reports_inadmissible_beta(tmp_path, capsys):
     assert report["admissibility_warning"] is True
     lines = Path(os.path.join(det_dir, "detection.csv")).read_text().splitlines()
     assert len(lines) == 1 + 64
+
+
+INADMISSIBLE = ("jumpsift: warning: inadmissible threshold:"
+                " h*log(1/h)/r(h) ~ h^0.0*log(1/h) diverges as h -> 0\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--beta", "1"],
+    ["detect", "--beta", "1"],
+    ["mc", "--beta", "1", "--paths", "3", "--n", "64"],
+], ids=" ".join)
+def test_cli_inadmissible_threshold_warns_in_one_line(tmp_path, capsys, argv):
+    src = tmp_path / "path.csv"
+    src.write_text("time,x\n0,0\n0.5,0.1\n1.0,0.05\n", encoding="utf-8")
+    inputs = ["--in", str(src)] if argv[0] != "mc" else []
+    with warnings.catch_warnings():
+        # Python's default action, also when the suite runs with -W error.
+        warnings.simplefilter("default", AdmissibilityWarning)
+        assert main([*argv, *inputs, "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == INADMISSIBLE
+
+
+def test_cli_inadmissible_threshold_warns_once_across_workers(tmp_path):
+    import subprocess
+
+    res = subprocess.run(
+        [sys.executable, "-m", "jumpsift.cli", "mc", "--beta", "1", "--paths", "4",
+         "--n", "64", "--parallelism", "2", "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert res.returncode == 0
+    assert res.stderr == INADMISSIBLE
+
+
+def test_cli_passes_other_warnings_on(tmp_path, capsys, monkeypatch):
+    def warning_run(*args):
+        for category in (AdmissibilityWarning, UserWarning, AdmissibilityWarning):
+            warnings.warn(f"inadmissible threshold: a {category.__name__}", category)
+        return []
+
+    monkeypatch.setattr(cli, "_run_simulate", warning_run)
+    argv = ["simulate", "--out", str(tmp_path)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 0
+    assert [(w.category, str(w.message)) for w in caught] == [
+        (UserWarning, "inadmissible threshold: a UserWarning")]
+    assert capsys.readouterr().err == (
+        "jumpsift: warning: inadmissible threshold: a AdmissibilityWarning\n")
+
+    def runtime_warning_run(*args):
+        warnings.warn("overflow", RuntimeWarning)
+        return []
+
+    monkeypatch.setattr(cli, "_run_simulate", runtime_warning_run)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            main(argv)
+
+
+def test_cli_compare_on_a_model_with_jumps_is_config_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["compare", "--preset", "model1-desk", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "jumpsift: config error: compare needs a jump-free model, and model1 has jumps\n")
+    assert not out.exists()
 
 
 MC_ARGS = ["mc", "--n", "150", "--paths", "6", "--seed", "21"]

@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from jumpsift import (
     simulate,
     true_integrated_variance,
 )
+from jumpsift import engines
 
 
 def grid(n=100, t=1.0):
@@ -245,3 +249,65 @@ def test_custom_model_rejects_malformed_specs():
                {"jumps": "compound-poisson:3,inf"}):
         with pytest.raises(InvalidArgumentError):
             CustomModel(**kw)
+
+
+# ---------------------------------------------------------------------------
+# one generator per thread, re-keyed for each path
+
+RNG_DRAWS = {
+    "standard_normal": lambda rng: rng.standard_normal(37),
+    "normal": lambda rng: rng.normal(0.1, 0.6, 5),
+    "exponential": lambda rng: np.array([rng.exponential(0.2) for _ in range(9)]),
+    "standard_gamma": lambda rng: rng.standard_gamma(np.full(33, 0.004)),
+}
+
+# Draws that leave part of the Philox buffer, or a spare 32-bit half, unused.
+PART_USED = {
+    "nothing": lambda rng: None,
+    "random_raw(3)": lambda rng: rng.bit_generator.random_raw(3),
+    "uint32": lambda rng: rng.integers(0, 9, dtype=np.uint32),
+}
+
+
+@pytest.mark.parametrize("draw", sorted(RNG_DRAWS))
+@pytest.mark.parametrize("before", sorted(PART_USED))
+def test_rekeyed_generator_matches_a_new_one(before, draw):
+    for seed in (0, 1, 2**64 - 1, path_seed(123456789, 7)):
+        PART_USED[before](engines._path_rng(seed ^ 5))
+        rekeyed, new = engines._path_rng(seed), engines.rng_from_seed(seed)
+        for _ in range(2):
+            assert np.array_equal(RNG_DRAWS[draw](rekeyed), RNG_DRAWS[draw](new))
+
+
+def test_threads_simulating_interleaved_paths_match_a_serial_loop():
+    g = build_irregular_grid(300, 1.0, 0.3, 4)
+    jobs = [(model, seed) for seed in range(6)
+            for model in (Model1(), Model2(), Model3(), CustomModel())]
+    serial = [simulate(model, g, 2, seed) for model, seed in jobs]
+    # More threads than cores start each of their paths together and switch
+    # often, so their draws interleave.
+    threads = 3
+    barrier = threading.Barrier(threads, timeout=60)
+
+    def run(share):
+        out = []
+        for model, seed in share:
+            barrier.wait()
+            out.append(simulate(model, g, 2, seed))
+        return out
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(threads) as pool:
+            shares = list(pool.map(run, (jobs[k::threads] for k in range(threads))))
+    finally:
+        sys.setswitchinterval(interval)
+    threaded = [path for group in zip(*shares) for path in group]
+    for a, b in zip(threaded, serial, strict=True):
+        truth_a, truth_b = a.ground_truth, b.ground_truth
+        assert np.array_equal(a.observations, b.observations)
+        assert np.array_equal(truth_a.continuous_part, truth_b.continuous_part)
+        assert np.array_equal(truth_a.spot_variance.values, truth_b.spot_variance.values)
+        assert np.array_equal(truth_a.jumps.times, truth_b.jumps.times)
+        assert np.array_equal(truth_a.jumps.sizes, truth_b.jumps.sizes)
