@@ -25,7 +25,7 @@ from .models import (
     Model3,
     SamplePath,
     SpotVariancePath,
-    constant_sigma,
+    compound_poisson_law,
     finite_activity,
     has_jumps,
 )

@@ -30,11 +30,12 @@ from . import __version__
 from .config import RUN_PARAMETERS, RunSettings, load_config_file, merge_settings, resolve_seed
 from .errors import AdmissibilityWarning, ConfigError, InvalidArgumentError, JumpsiftError
 from .estimators import detect_jumps, estimation_report
-from .models import CustomModel, has_jumps, model_name
+from .models import has_jumps, model_name
 from .montecarlo import efficiency_comparison, run_experiment
 from .serialize import (
     build_manifest,
     file_sha256,
+    model_to_dict,
     read_path_csv,
     report_to_dict,
     summary_to_dict,
@@ -48,8 +49,9 @@ from .engines import RNG_ALGORITHM, path_seed, simulate
 
 _NEEDS_INPUT = {"estimate", "detect"}
 
-# Peak traced memory of one simulated and estimated path, per fine step.
-_BYTES_PER_FINE_STEP = 105
+# Peak traced memory of the first simulated and estimated path of a run,
+# per fine step; that path also builds the run's grid and cached constants.
+_BYTES_PER_FINE_STEP = 162
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -100,6 +102,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"jumpsift: error: {exc}", file=sys.stderr)
         return 3
     except MemoryError:
+        if args.command in _NEEDS_INPUT:
+            print(f"jumpsift: error: out of memory on the path read from {args.input}",
+                  file=sys.stderr)
+            return 3
         size = "" if settings is None else f" at n = {settings.n}, substeps = {settings.substeps}"
         print(f"jumpsift: error: out of memory{size}; a simulated path needs about"
               f" {_BYTES_PER_FINE_STEP} bytes per fine step, and it has n * substeps of them",
@@ -228,10 +234,9 @@ def _finish(command: str, settings: RunSettings, out_dir: str,
 def _settings_echo(settings: RunSettings) -> dict:
     """Scalar key-value echo; feeding it back through merge_settings yields
     the same RunSettings, which is what replay_manifest relies on."""
-    model = settings.model
-    out: dict = {"model": model_name(model)}
-    if isinstance(model, CustomModel):
-        out.update(drift=model.drift, spot_vol=model.spot_vol, jumps=model.jumps)
+    name = model_name(settings.model)
+    # Only a custom model's fields are config keys.
+    out = model_to_dict(settings.model) if name == "custom" else {"model": name}
     out.update({p.key: getattr(settings, p.field) for p in RUN_PARAMETERS})
     return out
 

@@ -11,12 +11,12 @@ defaults, the parsing and the manifest echo all read it.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
 from .errors import ConfigError, InvalidArgumentError
 from .estimators import ThresholdSpec
-from .models import MODEL_CLASSES, ModelConfig
+from .models import MODEL_CLASSES, CustomModel, ModelConfig
 from .montecarlo import ExperimentConfig
 from .serialize import SCHEMA_VERSION
 
@@ -61,7 +61,8 @@ RUN_PARAMETERS: tuple[RunParameter, ...] = (
     RunParameter("seed", "seed", int, None, "base seed (else $JUMPSIFT_SEED, else default)"),
 )
 
-_CUSTOM_KEYS = ("drift", "spot_vol", "jumps")
+# A custom model's fields are its config keys, in manifest echo order.
+_CUSTOM_KEYS = tuple(f.name for f in fields(CustomModel))
 _ALL_KEYS = {"schema_version", "preset", "model", *_CUSTOM_KEYS,
              *(p.key for p in RUN_PARAMETERS)}
 

@@ -39,6 +39,7 @@ from .models import (
     ModelConfig,
     SamplePath,
     SpotVariancePath,
+    compound_poisson_law,
 )
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -294,12 +295,9 @@ def _constant_vol_coefficients(cfg: Model1 | Model3 | CustomModel, grid: TimeGri
     _, fine_widths = _subgrid(grid, substeps)
     if isinstance(cfg, Model3):
         sigma, per_step, jump_params = cfg.sigma, fine_widths / cfg.gamma_var, None
-    elif isinstance(cfg, Model1):
-        sigma, per_step = cfg.sigma, cfg.drift * fine_widths
-        jump_params = (cfg.jump_intensity, cfg.jump_size_std)
     else:
-        sigma, per_step = cfg.sigma_value(), cfg.drift_value() * fine_widths
-        jump_params = cfg.jump_params()
+        drift, sigma, jump_params = compound_poisson_law(cfg)
+        per_step = drift * fine_widths
     sigma_root_h = sigma * np.sqrt(fine_widths)
     spot = np.full(fine_widths.size + 1, sigma * sigma)
     for arr in (sigma_root_h, per_step, spot):

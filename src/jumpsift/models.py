@@ -150,33 +150,26 @@ def model_name(model: ModelConfig) -> str:
     return {cls: name for name, cls in MODEL_CLASSES.items()}[type(model)]
 
 
-def has_jumps(model: ModelConfig) -> bool:
-    if isinstance(model, CustomModel):
-        return model.jump_params() is not None
-    return True
-
-
-def constant_sigma(model: ModelConfig) -> float | None:
-    """Spot volatility when it is constant over the path, else None.
-
-    Model3 qualifies: its continuous martingale part is sigma*B; the VG
-    component is pure-jump.
-    """
+def compound_poisson_law(model: ModelConfig) -> tuple | None:
+    """(drift, sigma, (intensity, size_std) or None without jumps) for the
+    constant-volatility compound-Poisson models, Model1 and CustomModel;
+    None for Model2 (stochastic volatility) and Model3 (Variance Gamma)."""
     if isinstance(model, Model1):
-        return model.sigma
-    if isinstance(model, Model3):
-        return model.sigma
+        return model.drift, model.sigma, (model.jump_intensity, model.jump_size_std)
     if isinstance(model, CustomModel):
-        return model.sigma_value()
+        return model.drift_value(), model.sigma_value(), model.jump_params()
     return None
 
 
+def has_jumps(model: ModelConfig) -> bool:
+    law = compound_poisson_law(model)
+    return law is None or law[2] is not None
+
+
 def finite_activity(model: ModelConfig) -> bool:
-    if isinstance(model, (Model1, Model2)):
-        return True
-    if isinstance(model, CustomModel):
-        return model.jump_params() is not None
-    return False
+    """True for compound-Poisson jumps; Model3's Variance Gamma jumps have
+    infinite activity."""
+    return has_jumps(model) and not isinstance(model, Model3)
 
 
 class JumpTable:

@@ -37,22 +37,15 @@ from .errors import (
     UnsupportedError,
 )
 from .estimators import (
+    JumpDetectionResult,
     ThresholdSpec,
     _match_events,
     _PathSums,
     _warn_if_inadmissible,
-    detect_jumps,
     jump_size_error_stat,
 )
 from .grids import TimeGrid, build_irregular_grid
-from .models import (
-    Model1,
-    Model3,
-    ModelConfig,
-    constant_sigma,
-    finite_activity,
-    has_jumps,
-)
+from .models import Model3, ModelConfig, compound_poisson_law, finite_activity, has_jumps
 from .engines import _MAX_ARRAY_BYTES, path_seed, simulate, true_integrated_variance
 
 
@@ -259,18 +252,20 @@ def jump_size_clt_experiment(cfg: ExperimentConfig) -> JumpSizeCltResult:
 
     Requires constant spot volatility and compound Poisson jumps, for which
     the limit law is the Poisson-mixed Gaussian with per-event variance
-    sigma^2 * T and an atom exp(-lam*T) at zero.
+    sigma^2 * T and an atom exp(-lam*T) at zero, and a uniform grid; both
+    are checked before any path is simulated. An inadmissible threshold
+    warns once per run.
     """
-    sigma = constant_sigma(cfg.model)
-    if sigma is None:
-        raise UnsupportedError("jump-size law needs constant spot volatility")
-    if isinstance(cfg.model, Model3):
-        raise UnsupportedError("jump-size law needs compound Poisson jumps")
-    if isinstance(cfg.model, Model1):
-        lam = cfg.model.jump_intensity
-    else:
-        params = cfg.model.jump_params()
-        lam = 0.0 if params is None else params[0]
+    law = compound_poisson_law(cfg.model)
+    if law is None:
+        raise UnsupportedError(
+            "jump-size law needs constant spot volatility and compound Poisson jumps")
+    if cfg.jitter != 0.0:
+        raise UnsupportedError(
+            f"jump-size law needs a uniform grid, got jitter = {cfg.jitter!r}")
+    _, sigma, jumps = law
+    lam = 0.0 if jumps is None else jumps[0]
+    _warn_if_inadmissible(cfg.threshold)
     samples = np.array(_map_paths(_jump_stat, cfg))
     mixture = PoissonMixtureCdf(lam * cfg.t_end, sigma * sigma * cfg.t_end)
     ks = ks_against_cdf(samples, mixture, atom_points=(0.0,))
@@ -351,7 +346,8 @@ def _efficiency_pair(cfg: ExperimentConfig, index: int) -> tuple[float, float]:
 
 def _jump_stat(cfg: ExperimentConfig, index: int) -> float:
     path = _simulate_path(cfg, index)
-    det = detect_jumps(path, cfg.threshold)
+    sums = _PathSums(path, cfg.threshold)
+    det = JumpDetectionResult(sums.flagged, sums.jump_sizes)
     return jump_size_error_stat(path, det, path.ground_truth.jumps)
 
 

@@ -96,6 +96,27 @@ def test_golden_bytes_simulate_and_detect(tmp_path):
     }
 
 
+# A custom model with drift and compound Poisson jumps, through `simulate`
+# and `mc`, recorded before the model laws moved behind
+# models.compound_poisson_law.
+CUSTOM_CONFIG = ("schema_version = 1\nmodel = custom\ndrift = constant:0.2\n"
+                 "spot_vol = constant:0.2\njumps = compound-poisson:40,0.5\n")
+
+
+def test_golden_bytes_custom_model(tmp_path):
+    cfg = tmp_path / "custom.cfg"
+    cfg.write_text(CUSTOM_CONFIG)
+    common = ["--config", str(cfg), "--n", "400", "--seed", "11"]
+    assert _outputs(tmp_path / "sim", ["simulate", *common], ["path.csv"]) == {
+        "path.csv": "493e116637f87d5d43552c8b881129dfb25fbfba1d47b7bf2c37f4a312e44738"}
+    got = _outputs(tmp_path / "mc", ["mc", *common, "--paths", "6", "--parallelism", "1"],
+                   ["summary.json", "hist.csv"])
+    assert got == {
+        "summary.json": "2fcad95d7c135c402f5eecde77ea20077c6ec0afef4c735548ba6e5880076a24",
+        "hist.csv": "ef19bc2fba2c8ad18814e4f22a4106dea9fb1c9fe62cfb433fc773ae627756f8",
+    }
+
+
 def test_golden_bytes_jump_size_law():
     cfg = ExperimentConfig(Model1(), ThresholdSpec(0.9), n=400, n_paths=6, base_seed=11)
     res = jump_size_clt_experiment(cfg)

@@ -28,6 +28,7 @@ from jumpsift import (
     threshold_realized_variance,
     true_integrated_variance,
 )
+from jumpsift import montecarlo
 from jumpsift.montecarlo import _map_paths
 
 SPEC09 = ThresholdSpec(0.9, 1.0)
@@ -245,6 +246,24 @@ def test_jump_size_clt_model_requirements():
                                            n_paths=2))
     with pytest.raises(UnsupportedError):
         jump_size_clt_experiment(small_cfg(model=Model3(), n_paths=2))
+
+
+def test_jump_size_clt_checks_come_before_any_path(monkeypatch):
+    calls = []
+    monkeypatch.setattr(montecarlo, "simulate", lambda *a: calls.append(a))
+    with pytest.raises(UnsupportedError, match="uniform grid"):
+        jump_size_clt_experiment(small_cfg(jitter=0.3, n_paths=2))
+    with pytest.raises(UnsupportedError, match="compound Poisson"):
+        jump_size_clt_experiment(small_cfg(model=Model2(), n_paths=2))
+    assert calls == []
+
+
+def test_jump_size_clt_inadmissible_threshold_warns_once():
+    cfg = small_cfg(threshold=ThresholdSpec(1.0, 1.0), n_paths=6)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        jump_size_clt_experiment(cfg)
+    assert [w.category for w in caught] == [AdmissibilityWarning]
 
 
 def test_jump_size_clt_mixture_parameters():

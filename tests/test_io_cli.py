@@ -513,8 +513,22 @@ def test_cli_out_of_memory_is_runtime_error(tmp_path):
     assert res.returncode == 3
     assert res.stderr == (
         "jumpsift: error: out of memory at n = 100000000, substeps = 1; a simulated path"
-        " needs about 105 bytes per fine step, and it has n * substeps of them\n")
+        " needs about 162 bytes per fine step, and it has n * substeps of them\n")
     assert res.stdout == ""
+    assert not os.path.exists(out / "manifest.json")
+
+
+def test_cli_out_of_memory_reading_a_path_names_the_file(tmp_path, capsys, monkeypatch):
+    def read_path_csv(name):
+        raise MemoryError
+
+    monkeypatch.setattr("jumpsift.cli.read_path_csv", read_path_csv)
+    src = str(tmp_path / "big" / "path.csv")
+    out = tmp_path / "out"
+    assert main(["estimate", "--in", src, "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"jumpsift: error: out of memory on the path read from {src}\n"
+    assert captured.out == ""
     assert not os.path.exists(out / "manifest.json")
 
 

@@ -17,6 +17,9 @@ from jumpsift import (
     UnsupportedError,
     build_irregular_grid,
     build_uniform_grid,
+    compound_poisson_law,
+    finite_activity,
+    has_jumps,
     path_seed,
     simulate,
     true_integrated_variance,
@@ -232,6 +235,20 @@ def test_custom_zero_intensity_has_no_jumps():
                         jumps="compound-poisson:0,0.6")
     p = simulate(model, g, 1, 33)
     assert len(p.ground_truth.jumps) == 0
+
+
+@pytest.mark.parametrize("model,jumps,finite,law", [
+    (Model1(), True, True, (0.0, 0.3, (5.0, 0.6))),
+    (Model2(), True, True, None),
+    (Model3(), True, False, None),
+    (CustomModel(), False, False, (0.0, 0.3, None)),
+    (CustomModel(jumps="compound-poisson:5,0.6"), True, True, (0.0, 0.3, (5.0, 0.6))),
+    (CustomModel(jumps="compound-poisson:0,1"), False, False, (0.0, 0.3, None)),
+], ids=repr)
+def test_model_facts(model, jumps, finite, law):
+    assert has_jumps(model) is jumps
+    assert finite_activity(model) is finite
+    assert compound_poisson_law(model) == law
 
 
 def test_custom_model_rejects_malformed_specs():
