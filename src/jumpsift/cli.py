@@ -29,7 +29,7 @@ import warnings
 from . import __version__
 from .config import RUN_PARAMETERS, RunSettings, load_config_file, merge_settings, resolve_seed
 from .errors import AdmissibilityWarning, ConfigError, InvalidArgumentError, JumpsiftError
-from .estimators import detect_jumps, estimation_report
+from .estimators import detect_and_report, estimation_report
 from .models import has_jumps, model_name
 from .montecarlo import efficiency_comparison, run_experiment
 from .serialize import (
@@ -49,8 +49,8 @@ from .engines import RNG_ALGORITHM, path_seed, simulate
 
 _NEEDS_INPUT = {"estimate", "detect"}
 
-# Peak traced memory of the first simulated and estimated path of a run,
-# per fine step; that path also builds the run's grid and cached constants.
+# Peak traced memory, per fine step, of building a run's plan (grid, subgrid,
+# threshold and engine constants) plus its first simulated and estimated path.
 _BYTES_PER_FINE_STEP = 162
 
 
@@ -186,9 +186,7 @@ def _run_estimate(settings: RunSettings, out_dir: str, input_path: str) -> list[
 
 def _run_detect(settings: RunSettings, out_dir: str, input_path: str) -> list[str]:
     path = read_path_csv(input_path)
-    spec = settings.threshold()
-    det = detect_jumps(path, spec)
-    report = estimation_report(path, spec)
+    det, report = detect_and_report(path, settings.threshold())
     write_detection_csv(path, det, os.path.join(out_dir, "detection.csv"))
     write_json(os.path.join(out_dir, "report.json"), report_to_dict(report, path))
     return _finish("detect", settings, out_dir, ["detection.csv", "report.json"],

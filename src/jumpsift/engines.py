@@ -21,9 +21,10 @@ Draw order is part of the determinism contract and is fixed per model:
 
 from __future__ import annotations
 
-import functools
 import math
 import threading
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,36 +88,59 @@ def path_seed(base_seed: int, path_index: int) -> int:
     return (int(base_seed) ^ int(path_index)) & _MASK64
 
 
-def simulate(cfg: ModelConfig, grid: TimeGrid, substeps: int = 1, seed: int = 0) -> SamplePath:
-    """Simulate one path of the configured model on the grid.
+@dataclass(frozen=True, eq=False)
+class SimulationPlan:
+    """What every path of a run on one grid shares, its arrays read-only:
+    the subgrid refine(grid, substeps), the model's per-substep constants,
+    the sigma^2 spot array of a constant-volatility model (None for Model2)
+    and the model's engine. A constant-volatility model's constants are
+    sigma*sqrt(h), drift*h (the Gamma shape h/b for Model3) and the jump
+    parameters (None for Model3); Model2's are those of _ou_coefficients."""
 
-    Parameters
-    ----------
-    cfg : ModelConfig
-        Model1, Model2, Model3 or CustomModel.
-    grid : TimeGrid
-        Observation times; the engine runs `substeps` times finer.
-    substeps : int
-        Subgrid refinement factor, >= 1.
-    seed : int
-        Philox key for this path.
+    model: ModelConfig
+    grid: TimeGrid
+    substeps: int
+    fine_times: np.ndarray
+    fine_widths: np.ndarray
+    spot: np.ndarray | None
+    constants: tuple
+    engine: Callable
 
-    Returns
-    -------
-    SamplePath
-        Observations starting at X(0) = 0 with full ground truth attached.
-    """
+    def simulate(self, seed: int) -> SamplePath:
+        return self.engine(self, _path_rng(seed))
+
+
+def simulation_plan(cfg: ModelConfig, grid: TimeGrid, substeps: int) -> SimulationPlan:
+    """The plan for the model on the grid; the grid's own arrays stay writable."""
     if not isinstance(substeps, (int, np.integer)) or substeps < 1:
         raise InvalidArgumentError(f"substeps must be a positive integer, got {substeps!r}")
-    rng = _path_rng(seed)
-    fine_times, fine_widths = _subgrid(grid, substeps)
-    if isinstance(cfg, (Model1, CustomModel)):
-        return _simulate_constant_vol(cfg, grid, substeps, fine_times, rng)
+    fine_times, fine_widths = (arr.view() for arr in refine(grid, substeps))
     if isinstance(cfg, Model2):
-        return _simulate_model2(cfg, grid, substeps, fine_times, fine_widths, rng)
-    if isinstance(cfg, Model3):
-        return _simulate_model3(cfg, grid, substeps, fine_times, rng)
-    raise InvalidArgumentError(f"unknown model config {type(cfg).__name__}")
+        engine, spot = _simulate_model2, None
+        constants = _ou_coefficients(cfg, fine_times, fine_widths)
+    else:
+        if isinstance(cfg, Model3):
+            engine, sigma, jump_params = _simulate_model3, cfg.sigma, None
+            per_step = fine_widths / cfg.gamma_var
+        elif isinstance(cfg, (Model1, CustomModel)):
+            engine = _simulate_constant_vol
+            drift, sigma, jump_params = compound_poisson_law(cfg)
+            per_step = drift * fine_widths
+        else:
+            raise InvalidArgumentError(f"unknown model config {type(cfg).__name__}")
+        constants = (sigma * np.sqrt(fine_widths), per_step, jump_params)
+        spot = np.full(fine_widths.size + 1, sigma * sigma)
+    for arr in (fine_times, fine_widths, spot, *constants):
+        if isinstance(arr, np.ndarray):
+            arr.flags.writeable = False
+    return SimulationPlan(cfg, grid, substeps, fine_times, fine_widths, spot, constants, engine)
+
+
+def simulate(cfg: ModelConfig, grid: TimeGrid, substeps: int = 1, seed: int = 0) -> SamplePath:
+    """One path of the model on the grid, simulated `substeps` times finer
+    from the Philox key `seed`: observations from X(0) = 0, with full ground
+    truth attached."""
+    return simulation_plan(cfg, grid, substeps).simulate(seed)
 
 
 def true_integrated_variance(path: SamplePath, power: int) -> float:
@@ -126,29 +150,20 @@ def true_integrated_variance(path: SamplePath, power: int) -> float:
     if path.ground_truth is None:
         raise UnsupportedError("path has no ground truth")
     spot = path.ground_truth.spot_variance
-    _, fine_widths = _subgrid(path.grid, spot.refinement)
-    left = spot.values[:-1]
+    return spot_integral(spot.values, refine(path.grid, spot.refinement)[1], power)
+
+
+def spot_integral(spot: np.ndarray, fine_widths: np.ndarray, power: int) -> float:
+    """sum_j spot_j^(power/2) * fine_widths_j over the left endpoints."""
+    left = spot[:-1]
     integrand = left if power == 2 else left * left
     return float((integrand * fine_widths).sum())
 
 
-@functools.lru_cache(maxsize=4)
-def _subgrid(grid: TimeGrid, substeps: int) -> tuple[np.ndarray, np.ndarray]:
-    """refine(grid, substeps) as read-only arrays, computed once per grid.
-
-    TimeGrid hashes by identity, so every path of a run on one grid object
-    shares a single subgrid.
-    """
-    fine_times, fine_widths = (arr.view() for arr in refine(grid, substeps))
-    fine_times.flags.writeable = False
-    fine_widths.flags.writeable = False
-    return fine_times, fine_widths
-
-
-def _simulate_constant_vol(cfg, grid, substeps, fine_times, rng):
+def _simulate_constant_vol(plan, rng):
     """Shared engine for Model1 and CustomModel (constant sigma, optional
     compound Poisson jumps with zero-mean normal sizes)."""
-    sigma_root_h, drift_h, spot, jump_params = _constant_vol_coefficients(cfg, grid, substeps)
+    sigma_root_h, drift_h, jump_params = plan.constants
     cont_incr = rng.standard_normal(sigma_root_h.size)
     cont_incr *= sigma_root_h
     cont_incr += drift_h
@@ -157,16 +172,17 @@ def _simulate_constant_vol(cfg, grid, substeps, fine_times, rng):
     jump_incr = 0.0
     if jump_params is not None:
         lam, size_std = jump_params
-        times = _poisson_times(rng, grid.t_end, lam)
+        times = _poisson_times(rng, plan.grid.t_end, lam)
         if times:
             sizes = rng.normal(0.0, size_std, len(times))
             events = JumpTable(times, sizes)
-            jump_incr = _jump_increments(fine_times, times, sizes)
+            jump_incr = _jump_increments(plan.fine_times, times, sizes)
 
-    return _assemble(grid, substeps, cont_incr, jump_incr, events, spot)
+    return _assemble(plan, cont_incr, jump_incr, events, plan.spot)
 
 
-def _simulate_model2(cfg, grid, substeps, fine_times, fine_widths, rng):
+def _simulate_model2(plan, rng):
+    cfg, fine_widths = plan.model, plan.fine_widths
     nf = fine_widths.size
     z1 = rng.standard_normal(nf)
     z2 = rng.standard_normal(nf)
@@ -175,7 +191,7 @@ def _simulate_model2(cfg, grid, substeps, fine_times, fine_widths, rng):
     # shocks = c21*z1 + c22*z2, sigma_left = exp(H[:-1]),
     # cont = (mu - 0.5*sigma_left*sigma_left)*h + sigma_left*sqrt(h)*z1
     # and spot = exp(2*H).
-    sqrt_widths, alpha, c21, c22, ekt = _ou_coefficients(cfg, grid, substeps)
+    sqrt_widths, alpha, c21, c22, ekt = plan.constants
     h_path = np.empty(nf + 1)
     shocks = np.multiply(c21, z1, out=h_path[1:])
     z2 *= c22
@@ -192,22 +208,22 @@ def _simulate_model2(cfg, grid, substeps, fine_times, fine_widths, rng):
     cont_incr *= sigma_left
     cont_incr += drift_incr
 
-    times = _poisson_times(rng, grid.t_end, cfg.jump_intensity)
+    times = _poisson_times(rng, plan.grid.t_end, cfg.jump_intensity)
     events = _NO_JUMPS
     jump_incr = 0.0
     if times:
         jump_sd = math.sqrt(cfg.jump_var)
         sizes = np.array([_draw_log_jump(rng, cfg.jump_mean, jump_sd) for _ in times])
         events = JumpTable(times, sizes)
-        jump_incr = _jump_increments(fine_times, times, sizes)
+        jump_incr = _jump_increments(plan.fine_times, times, sizes)
 
     h_path *= 2.0
-    return _assemble(grid, substeps, cont_incr, jump_incr, events,
-                     spot=np.exp(h_path, out=h_path))
+    return _assemble(plan, cont_incr, jump_incr, events, spot=np.exp(h_path, out=h_path))
 
 
-def _simulate_model3(cfg, grid, substeps, fine_times, rng):
-    sigma_root_h, gamma_shape, spot, _ = _constant_vol_coefficients(cfg, grid, substeps)
+def _simulate_model3(plan, rng):
+    cfg = plan.model
+    sigma_root_h, gamma_shape, _ = plan.constants
     nf = gamma_shape.size
     dg = rng.standard_gamma(gamma_shape)
     dg *= cfg.gamma_var
@@ -227,9 +243,9 @@ def _simulate_model3(cfg, grid, substeps, fine_times, rng):
     jump_incr += vol_part
 
     nonzero = np.flatnonzero(jump_incr)
-    events = JumpTable(fine_times[nonzero + 1], jump_incr[nonzero])
+    events = JumpTable(plan.fine_times[nonzero + 1], jump_incr[nonzero])
 
-    return _assemble(grid, substeps, cont_incr, jump_incr, events, spot)
+    return _assemble(plan, cont_incr, jump_incr, events, plan.spot)
 
 
 def _jump_increments(fine_times, times, sizes) -> np.ndarray:
@@ -238,18 +254,18 @@ def _jump_increments(fine_times, times, sizes) -> np.ndarray:
                        minlength=fine_times.size - 1)
 
 
-def _assemble(grid, substeps, cont_incr, jump_incr, events, spot):
+def _assemble(plan, cont_incr, jump_incr, events, spot):
     """jump_incr is an array of per-substep sums, or 0.0 without jumps."""
     x_fine = np.empty(cont_incr.size + 1)
     x_fine[0] = 0.0
     np.add(cont_incr, jump_incr, out=x_fine[1:])
     np.cumsum(x_fine[1:], out=x_fine[1:])
     truth = GroundTruth(
-        spot_variance=SpotVariancePath(spot, substeps),
+        spot_variance=SpotVariancePath(spot, plan.substeps),
         jumps=events,
         continuous_increments=cont_incr,
     )
-    return SamplePath(grid, x_fine[::substeps], truth)
+    return SamplePath(plan.grid, x_fine[::plan.substeps], truth)
 
 
 def _poisson_times(rng, t_end, lam) -> list[float]:
@@ -281,41 +297,15 @@ def _draw_log_jump(rng, mean, sd) -> float:
         f"(mean={mean}, sd={sd})")
 
 
-@functools.lru_cache(maxsize=2)
-def _constant_vol_coefficients(cfg: Model1 | Model3 | CustomModel, grid: TimeGrid,
-                               substeps: int):
-    """Per-substep constants of the constant-volatility engines, computed
-    once per (model, grid, substeps): sigma*sqrt(h); drift*h for Model1 and
-    CustomModel, the Gamma shape h/b for Model3; the read-only sigma^2 spot
-    array; and the jump parameters (None for Model3).
-
-    Each (model, grid) pins arrays of the grid's size, and every CLI command
-    builds a new grid, so the cache keeps only the last two.
-    """
-    _, fine_widths = _subgrid(grid, substeps)
-    if isinstance(cfg, Model3):
-        sigma, per_step, jump_params = cfg.sigma, fine_widths / cfg.gamma_var, None
-    else:
-        drift, sigma, jump_params = compound_poisson_law(cfg)
-        per_step = drift * fine_widths
-    sigma_root_h = sigma * np.sqrt(fine_widths)
-    spot = np.full(fine_widths.size + 1, sigma * sigma)
-    for arr in (sigma_root_h, per_step, spot):
-        arr.flags.writeable = False
-    return sigma_root_h, per_step, spot, jump_params
-
-
-@functools.lru_cache(maxsize=4)
-def _ou_coefficients(cfg: Model2, grid: TimeGrid, substeps: int):
-    """Per-substep constants of the Model2 volatility scan, computed once per
-    (model, grid, substeps) as read-only arrays: sqrt of the widths, the OU
-    decay alpha, the shock loadings (c21, c22) on (z1, z2), and the exp(k*t)
-    weights of the closed-form scan (None where they would overflow).
+def _ou_coefficients(cfg: Model2, fine_times, fine_widths):
+    """Per-substep constants of the Model2 volatility scan: sqrt of the
+    widths, the OU decay alpha, the shock loadings (c21, c22) on (z1, z2),
+    and the exp(k*t) weights of the closed-form scan (None where they would
+    overflow).
 
     The shock V = c21*z1 + c22*z2 makes Cov(dW1, V) = rho*eta*(1 - alpha)/k
     hold exactly, so each substep is an exact OU transition.
     """
-    fine_times, fine_widths = _subgrid(grid, substeps)
     k = cfg.mean_reversion
     eta = cfg.vol_of_vol
     sqrt_widths = np.sqrt(fine_widths)
@@ -326,11 +316,7 @@ def _ou_coefficients(cfg: Model2, grid: TimeGrid, substeps: int):
     ekt = None
     if k * float(fine_times[-1]) <= _OU_SCAN_MAX_EXPONENT:
         ekt = np.exp(k * fine_times[1:])
-    constants = (sqrt_widths, alpha, c21, c22, ekt)
-    for arr in constants:
-        if arr is not None:
-            arr.flags.writeable = False
-    return constants
+    return sqrt_widths, alpha, c21, c22, ekt
 
 
 def _ou_scan(h0, h_bar, alpha, ekt, h_path):

@@ -24,7 +24,6 @@ by one unit in the last place when realized_variance - F rounds at a tie.
 from __future__ import annotations
 
 import array
-import functools
 import math
 import warnings
 from collections.abc import Sequence
@@ -39,7 +38,7 @@ from .errors import (
     InvalidArgumentError,
     UnsupportedError,
 )
-from .grids import TimeGrid, containing_intervals
+from .grids import containing_intervals
 from .models import JumpTable, SamplePath
 
 # _exact_sums hands a row to math.fsum as it is when it is shorter than
@@ -210,7 +209,20 @@ def estimation_report(path: SamplePath, spec: ThresholdSpec,
     bipower_variation is None on a path with a single increment.
     """
     _warn_if_inadmissible(spec)
+    return _report(_PathSums(path, spec), true_iv)
+
+
+def detect_and_report(path: SamplePath,
+                      spec: ThresholdSpec) -> tuple[JumpDetectionResult, EstimationReport]:
+    """detect_jumps(path, spec) and estimation_report(path, spec) from one kernel."""
+    _warn_if_inadmissible(spec)
     sums = _PathSums(path, spec)
+    return JumpDetectionResult(sums.flagged, sums.jump_sizes), _report(sums)
+
+
+def _report(sums: _PathSums, true_iv: float | None = None) -> EstimationReport:
+    """estimation_report on the kernel of its path and threshold."""
+    path, spec = sums.path, sums.spec
     uniform = path.grid.is_uniform
     with_bpv = sums.dx.size >= 2
     sums.fill("rv", *(("quartic",) if uniform else ()), *(("bpv",) if with_bpv else ()))
@@ -241,14 +253,18 @@ class _PathSums:
     Every estimator above is a view over it. The Monte Carlo harness and
     estimation_report name the sums they read in one fill() call, which
     computes them together in a single extraction.
+
+    r, if given, is spec.r_at(path.grid.widths), computed once for a run.
     """
 
-    def __init__(self, path: SamplePath, spec: ThresholdSpec | None = None):
+    def __init__(self, path: SamplePath, spec: ThresholdSpec | None = None,
+                 r: np.ndarray | None = None):
         dx = path.increments
         if dx.size < 1:
             raise InvalidArgumentError("path needs at least 2 observations")
         self.path = path
         self.spec = spec
+        self.r = r
         self.dx = dx
         self.dx2 = dx * dx
         self._sums: dict[str, float] = {}
@@ -260,7 +276,7 @@ class _PathSums:
         if spec.scale_c <= 0.0:
             raise InvalidArgumentError(
                 f"threshold scale must be positive to evaluate r, got {spec.scale_c}")
-        return self.dx2 <= _threshold(self.path.grid, spec)
+        return self.dx2 <= (spec.r_at(self.path.grid.widths) if self.r is None else self.r)
 
     @cached_property
     def flagged(self) -> np.ndarray:
@@ -330,15 +346,6 @@ class _PathSums:
 def _require_uniform(path: SamplePath, what: str) -> None:
     if not path.grid.is_uniform:
         raise UnsupportedError(f"{what} requires a uniform grid")
-
-
-@functools.lru_cache(maxsize=4)
-def _threshold(grid: TimeGrid, spec: ThresholdSpec) -> np.ndarray:
-    """r at each lag of the grid as a read-only array, computed once per
-    grid and spec. TimeGrid hashes by identity, as in engines._subgrid."""
-    r = spec.r_at(grid.widths)
-    r.flags.writeable = False
-    return r
 
 
 def _exact_sums(arrays: Sequence[np.ndarray], exits: list[int] | None = None) -> list[float]:
@@ -433,11 +440,11 @@ def _exact_sums(arrays: Sequence[np.ndarray], exits: list[int] | None = None) ->
     return out
 
 
-def _warn_if_inadmissible(spec: ThresholdSpec) -> None:
+def _warn_if_inadmissible(spec: ThresholdSpec, stacklevel: int = 3) -> None:
     admissible, reason = threshold_admissible(spec)
     if not admissible and spec.scale_c > 0.0:
         warnings.warn(f"inadmissible threshold: {reason}", AdmissibilityWarning,
-                      stacklevel=3)
+                      stacklevel=stacklevel)
 
 
 def _jumpy_intervals(times: np.ndarray, jumps: JumpTable):

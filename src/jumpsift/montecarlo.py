@@ -8,7 +8,6 @@ neither a single record nor any aggregate bit.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 import pickle
@@ -46,7 +45,7 @@ from .estimators import (
 )
 from .grids import TimeGrid, build_irregular_grid
 from .models import Model3, ModelConfig, compound_poisson_law, finite_activity, has_jumps
-from .engines import _MAX_ARRAY_BYTES, path_seed, simulate, true_integrated_variance
+from .engines import _MAX_ARRAY_BYTES, SimulationPlan, path_seed, simulation_plan, spot_integral
 
 
 @dataclass(frozen=True, slots=True)
@@ -55,11 +54,8 @@ class ExperimentConfig:
 
     Construction checks the range of every run parameter; the config layer
     reports a failure as a ConfigError. parallelism is the total number of
-    processes, the calling one included: the caller computes the first
-    ceil(n_paths / parallelism) paths, and each of parallelism - 1 forked
-    children one contiguous slice of the rest. A child that dies raises
-    SimulationError; without os.fork every path runs in the caller. It never
-    affects results.
+    processes, the calling one included (see _map_paths); it never affects
+    results.
     """
 
     model: ModelConfig
@@ -159,9 +155,8 @@ def run_experiment(cfg: ExperimentConfig) -> McSummary:
     estimates still enter the record list. An inadmissible threshold warns
     once per run.
     """
-    _require_sizes(cfg, min_paths=1)
-    _warn_if_inadmissible(cfg.threshold)
-    records = tuple(_map_paths(_single_record, cfg))
+    plan = _plan(cfg, min_paths=1)
+    records = tuple(_map_paths(_single_record, plan))
 
     uniform = cfg.jitter == 0.0
     biases = np.array([r.normalized_bias for r in records
@@ -184,7 +179,7 @@ def run_experiment(cfg: ExperimentConfig) -> McSummary:
     )
 
     detection = None
-    if finite_activity(cfg.model):
+    if plan.finite_activity:
         recalls = [r.tp / (r.tp + r.fn) for r in records if (r.tp + r.fn) > 0]
         detection = DetectionSummary(
             mean_recall=_mean(recalls) if recalls else None,
@@ -229,9 +224,7 @@ def efficiency_comparison(cfg: ExperimentConfig) -> EfficiencyTable:
     if has_jumps(cfg.model):
         raise InvalidArgumentError(
             "efficiency comparison requires a jump-free model")
-    _require_sizes(cfg, min_paths=2)
-    _warn_if_inadmissible(cfg.threshold)
-    pairs = _map_paths(_efficiency_pair, cfg)
+    pairs = _map_paths(_efficiency_pair, _plan(cfg, min_paths=2))
     thr = sample_moments([p[0] for p in pairs]).variance
     bpv = sample_moments([p[1] for p in pairs]).variance
     return EfficiencyTable(thr, bpv, bpv / thr, cfg.n_paths)
@@ -264,12 +257,11 @@ def jump_size_clt_experiment(cfg: ExperimentConfig) -> JumpSizeCltResult:
         raise UnsupportedError(
             f"jump-size law needs a uniform grid, got jitter = {cfg.jitter!r}")
     _, sigma, jumps = law
-    lam = 0.0 if jumps is None else jumps[0]
-    _warn_if_inadmissible(cfg.threshold)
-    samples = np.array(_map_paths(_jump_stat, cfg))
-    mixture = PoissonMixtureCdf(lam * cfg.t_end, sigma * sigma * cfg.t_end)
-    ks = ks_against_cdf(samples, mixture, atom_points=(0.0,))
-    return JumpSizeCltResult(samples, ks, lam * cfg.t_end, sigma * sigma * cfg.t_end)
+    lam_t = (0.0 if jumps is None else jumps[0]) * cfg.t_end
+    var_one = sigma * sigma * cfg.t_end
+    samples = np.array(_map_paths(_jump_stat, _plan(cfg, min_paths=None)))
+    ks = ks_against_cdf(samples, PoissonMixtureCdf(lam_t, var_one), atom_points=(0.0,))
+    return JumpSizeCltResult(samples, ks, lam_t, var_one)
 
 
 def small_jump_bias_bound(model: Model3, spec: ThresholdSpec, h: float,
@@ -290,25 +282,55 @@ def small_jump_bias_bound(model: Model3, spec: ThresholdSpec, h: float,
     return 4.0 * t_end * r / model.gamma_var
 
 
-def _require_sizes(cfg: ExperimentConfig, min_paths: int) -> None:
-    """Rejects sizes no run can succeed at, before any path is simulated."""
-    if cfg.n < 2:
+@dataclass(frozen=True, eq=False)
+class _RunPlan:
+    """What every path of a run reads: built before any path runs, inherited
+    by forked workers, and dropped when the run returns. true_iv and true_iq,
+    the integrals of sigma^2 and sigma^4, are the same on every path of a
+    constant-volatility model; None for Model2, which always has jumps and
+    so never runs in efficiency_comparison."""
+
+    cfg: ExperimentConfig
+    sim: SimulationPlan
+    r: np.ndarray
+    finite_activity: bool
+    true_iv: float | None
+    true_iq: float | None
+
+
+def _plan(cfg: ExperimentConfig, min_paths: int | None) -> _RunPlan:
+    """Rejects sizes no run can succeed at (the jump-size statistic, with
+    min_paths None, has none), warns once on an inadmissible threshold, and
+    builds the run's plan."""
+    if min_paths is not None and cfg.n < 2:
         raise DegenerateSizeError(
             f"n must be >= 2: bipower variation needs at least 2 increments, got n = {cfg.n}")
-    if cfg.n_paths < min_paths:
+    if min_paths is not None and cfg.n_paths < min_paths:
         raise DegenerateSizeError(
             f"paths must be >= {min_paths}: a sample variance needs at least"
             f" {min_paths} samples, got paths = {cfg.n_paths}")
+    _warn_if_inadmissible(cfg.threshold, stacklevel=4)  # names the entry point's caller
+    grid = cfg.build_grid()
+    sim = simulation_plan(cfg.model, grid, cfg.substeps)
+    r = cfg.threshold.r_at(grid.widths)
+    r.flags.writeable = False
+    true_iv = true_iq = None
+    if sim.spot is not None:
+        true_iv, true_iq = (spot_integral(sim.spot, sim.fine_widths, p) for p in (2, 4))
+    return _RunPlan(cfg, sim, r, finite_activity(cfg.model), true_iv, true_iq)
 
 
-def _single_record(cfg: ExperimentConfig, index: int) -> PathRecord:
-    path = _simulate_path(cfg, index)
-    true_iv = true_integrated_variance(path, 2)
-    sums = _PathSums(path, cfg.threshold)
+def _single_record(plan: _RunPlan, index: int) -> PathRecord:
+    cfg = plan.cfg
+    path = _simulate_path(plan, index)
+    true_iv = plan.true_iv
+    if true_iv is None:
+        true_iv = spot_integral(path.ground_truth.spot_variance.values, plan.sim.fine_widths, 2)
+    sums = _PathSums(path, cfg.threshold, plan.r)
     # The quartic sum is read only for the normalized bias of a uniform run.
     sums.fill("rv", "bpv", *(("quartic",) if cfg.jitter == 0.0 else ()))
     match = None
-    if finite_activity(cfg.model):
+    if plan.finite_activity:
         match = _match_events(path.grid.times, sums.flagged, sums.dx, path.ground_truth.jumps)
 
     bias = None
@@ -332,49 +354,43 @@ def _single_record(cfg: ExperimentConfig, index: int) -> PathRecord:
     )
 
 
-def _efficiency_pair(cfg: ExperimentConfig, index: int) -> tuple[float, float]:
-    path = _simulate_path(cfg, index)
-    iv = true_integrated_variance(path, 2)
-    iq = true_integrated_variance(path, 4)
+def _efficiency_pair(plan: _RunPlan, index: int) -> tuple[float, float]:
+    path = _simulate_path(plan, index)
+    iv, iq = plan.true_iv, plan.true_iq
     denom = math.sqrt(path.grid.h * iq)
-    sums = _PathSums(path, cfg.threshold)
+    sums = _PathSums(path, plan.cfg.threshold, plan.r)
     sums.fill("rv", "bpv")
     thr = (sums.iv_hat - iv) / denom
     bpv = (sums.bpv - iv) / denom
     return thr, bpv
 
 
-def _jump_stat(cfg: ExperimentConfig, index: int) -> float:
-    path = _simulate_path(cfg, index)
-    sums = _PathSums(path, cfg.threshold)
+def _jump_stat(plan: _RunPlan, index: int) -> float:
+    path = _simulate_path(plan, index)
+    sums = _PathSums(path, plan.cfg.threshold, plan.r)
     det = JumpDetectionResult(sums.flagged, sums.jump_sizes)
     return jump_size_error_stat(path, det, path.ground_truth.jumps)
 
 
-def _simulate_path(cfg: ExperimentConfig, index: int):
-    return simulate(cfg.model, _grid_for(cfg), cfg.substeps, path_seed(cfg.base_seed, index))
+def _simulate_path(plan: _RunPlan, index: int):
+    return plan.sim.simulate(path_seed(plan.cfg.base_seed, index))
 
 
-@functools.lru_cache(maxsize=8)
-def _grid_for(cfg: ExperimentConfig) -> TimeGrid:
-    return cfg.build_grid()
-
-
-def _map_paths(fn, cfg: ExperimentConfig) -> list:
-    """[fn(cfg, i) for i in range(cfg.n_paths)], in index order for any worker count.
+def _map_paths(fn, plan: _RunPlan) -> list:
+    """[fn(plan, i) for i in range(n_paths)], in index order for any worker count.
 
     The calling process is one of p = min(parallelism, n_paths) processes.
-    It forks p - 1 children, each computing one contiguous slice of
-    [ceil(n_paths / p), n_paths) in index order, and computes the paths
-    [0, ceil(n_paths / p)) itself. A failure raises as in the serial map:
-    the one at the lowest index, with its type and message. A child that
-    dies without sending its results raises SimulationError naming its
-    slice. Without os.fork the map runs serially.
+    It forks p - 1 children, which inherit the plan, each computing one
+    contiguous slice of [ceil(n_paths / p), n_paths) in index order, and
+    computes the paths [0, ceil(n_paths / p)) itself. A failure raises as
+    in the serial map: the one at the lowest index, with its type and
+    message. A child that dies without sending its results raises
+    SimulationError naming its slice. Without os.fork the map runs serially.
     """
-    n_paths = cfg.n_paths
-    procs = min(cfg.parallelism, n_paths) if hasattr(os, "fork") else 1
+    n_paths = plan.cfg.n_paths
+    procs = min(plan.cfg.parallelism, n_paths) if hasattr(os, "fork") else 1
     if procs == 1:
-        return [fn(cfg, i) for i in range(n_paths)]
+        return [fn(plan, i) for i in range(n_paths)]
     own = -(-n_paths // procs)
     rest = n_paths - own
     bounds = [own + j * rest // (procs - 1) for j in range(procs)]
@@ -382,8 +398,8 @@ def _map_paths(fn, cfg: ExperimentConfig) -> list:
     reaped = 0
     try:
         for lo, hi in zip(bounds, bounds[1:]):
-            children.append(_fork_slice(fn, cfg, lo, hi))
-        results = [fn(cfg, i) for i in range(own)]
+            children.append(_fork_slice(fn, plan, lo, hi))
+        results = [fn(plan, i) for i in range(own)]
         for pid, pipe, lo, hi in children:
             payload = pipe.read()
             pipe.close()
@@ -398,7 +414,7 @@ def _map_paths(fn, cfg: ExperimentConfig) -> list:
     return results
 
 
-def _fork_slice(fn, cfg: ExperimentConfig, lo: int, hi: int):
+def _fork_slice(fn, plan: _RunPlan, lo: int, hi: int):
     """Forks a child that writes pickle.dumps((ok, records or exception))
     for the paths [lo, hi) to a pipe; returns (pid, the pipe's read end,
     lo, hi)."""
@@ -415,7 +431,7 @@ def _fork_slice(fn, cfg: ExperimentConfig, lo: int, hi: int):
         try:
             os.close(read_fd)
             try:
-                payload = pickle.dumps((True, [fn(cfg, i) for i in range(lo, hi)]))
+                payload = pickle.dumps((True, [fn(plan, i) for i in range(lo, hi)]))
             except Exception as exc:
                 payload = pickle.dumps((False, exc))
             with open(write_fd, "wb") as out:

@@ -1,8 +1,10 @@
 import dataclasses
+import gc
 import math
 import os
 import signal
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -29,7 +31,7 @@ from jumpsift import (
     true_integrated_variance,
 )
 from jumpsift import montecarlo
-from jumpsift.montecarlo import _map_paths
+from jumpsift.montecarlo import _map_paths, _plan
 
 SPEC09 = ThresholdSpec(0.9, 1.0)
 
@@ -82,9 +84,9 @@ def test_every_process_count_gives_the_serial_bits(parallelism):
             == jump_size_clt_experiment(pooled).samples.tobytes())
 
 
-def _fail_at_base_seed(cfg, index):
+def _fail_at_base_seed(plan, index):
     """A per-path function that fails at the path whose index is the base seed."""
-    if index == cfg.base_seed:
+    if index == plan.cfg.base_seed:
         raise SimulationError(f"path {index} failed")
     return index
 
@@ -94,9 +96,10 @@ def _fail_at_base_seed(cfg, index):
 def test_a_failing_path_raises_as_in_the_serial_map_and_leaves_no_worker(fail_at):
     cfg = small_cfg(n_paths=7, base_seed=fail_at)
     with pytest.raises(SimulationError) as serial:
-        _map_paths(_fail_at_base_seed, cfg)
+        _map_paths(_fail_at_base_seed, _plan(cfg, min_paths=1))
     with pytest.raises(SimulationError) as pooled:
-        _map_paths(_fail_at_base_seed, dataclasses.replace(cfg, parallelism=2))
+        _map_paths(_fail_at_base_seed, _plan(dataclasses.replace(cfg, parallelism=2),
+                                             min_paths=1))
     assert type(pooled.value) is type(serial.value)
     assert str(pooled.value) == str(serial.value) == f"path {fail_at} failed"
     assert_no_child_left()
@@ -107,10 +110,10 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def _die_at_base_seed(cfg, index):
+def _die_at_base_seed(plan, index):
     """A per-path function that kills its own process at the path whose
     index is the base seed."""
-    if index == cfg.base_seed:
+    if index == plan.cfg.base_seed:
         os.kill(os.getpid(), signal.SIGKILL)
     return index
 
@@ -127,7 +130,7 @@ def test_a_worker_that_dies_raises_simulation_error(parallelism, die_at, slice_)
         with pytest.raises(SimulationError, match=(
                 f"the worker for paths {slice_} was killed by SIGKILL"
                 " without sending its results")):
-            _map_paths(_die_at_base_seed, cfg)
+            _map_paths(_die_at_base_seed, _plan(cfg, min_paths=1))
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
@@ -140,8 +143,32 @@ def _raise_timeout(signum, frame):
 
 def test_without_fork_the_map_runs_serially(monkeypatch):
     monkeypatch.delattr(os, "fork")
-    got = _map_paths(lambda cfg, i: (i, os.getpid()), small_cfg(n_paths=5, parallelism=3))
+    got = _map_paths(lambda plan, i: (i, os.getpid()),
+                     _plan(small_cfg(n_paths=5, parallelism=3), min_paths=1))
     assert got == [(i, os.getpid()) for i in range(5)]
+
+
+@pytest.mark.parametrize("model,substeps", [(Model1(), 1), (Model2(), 5)],
+                         ids=["model1", "model2-substeps5"])
+def test_a_run_keeps_nothing_after_it_returns(model, substeps):
+    # A run's grid, subgrid, threshold and engine constants come to tens of
+    # bytes per fine step; all of it goes when the result does.
+    fine_steps = 200_000 * substeps
+    # A first run in the process also imports modules and makes this
+    # thread's generator, which stay.
+    run_experiment(small_cfg(model=model, substeps=substeps, n_paths=1))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        cfg = small_cfg(model=model, n=200_000, substeps=substeps, n_paths=2)
+        summary = run_experiment(cfg)
+        del summary, cfg
+        gc.collect()
+        left = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert left <= 2 * fine_steps, f"{left / fine_steps:.1f} bytes per fine step left"
 
 
 def test_records_match_standalone_pipeline():
@@ -250,7 +277,7 @@ def test_jump_size_clt_model_requirements():
 
 def test_jump_size_clt_checks_come_before_any_path(monkeypatch):
     calls = []
-    monkeypatch.setattr(montecarlo, "simulate", lambda *a: calls.append(a))
+    monkeypatch.setattr(montecarlo, "_simulate_path", lambda *a: calls.append(a))
     with pytest.raises(UnsupportedError, match="uniform grid"):
         jump_size_clt_experiment(small_cfg(jitter=0.3, n_paths=2))
     with pytest.raises(UnsupportedError, match="compound Poisson"):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from jumpsift import (
     CustomModel,
+    ExperimentConfig,
     InvalidArgumentError,
     JumpTable,
     Model1,
@@ -21,9 +22,10 @@ from jumpsift import (
     detect_jumps,
     jump_size_error_stat,
     path_seed,
+    run_experiment,
     simulate,
 )
-from jumpsift import engines
+from jumpsift import montecarlo
 from jumpsift.estimators import _jumpy_intervals
 from jumpsift.grids import containing_intervals, refine
 
@@ -68,21 +70,36 @@ def test_engines_build_tables():
 
 
 # ---------------------------------------------------------------------------
-# memoized simulation subgrid
+# the run plan's simulation subgrid
 
-def test_subgrid_is_cached_and_read_only():
-    g = build_uniform_grid(30, 1.0)
+def test_plan_subgrid_is_read_only_and_shared_by_every_path(monkeypatch):
+    seen = []
+    simulate_path = montecarlo._simulate_path
+
+    def spy(plan, index):
+        seen.append(plan.sim)
+        return simulate_path(plan, index)
+
+    monkeypatch.setattr(montecarlo, "_simulate_path", spy)
     for m in (1, 4):
-        fine_times, fine_widths = engines._subgrid(g, m)
-        assert engines._subgrid(g, m)[0] is fine_times
+        seen.clear()
+        run_experiment(ExperimentConfig(Model2(), ThresholdSpec(0.9), n=30, substeps=m,
+                                        n_paths=3))
+        assert len(seen) == 3
+        sim = seen[0]
+        fine_times, fine_widths = sim.fine_times, sim.fine_widths
+        assert all(s.fine_times is fine_times and s.fine_widths is fine_widths
+                   for s in seen)
+        g = sim.grid
         want_times, want_widths = refine(g, m)
         assert np.array_equal(fine_times, want_times)
         assert np.array_equal(fine_widths, want_widths)
         for arr in (fine_times, fine_widths):
             with pytest.raises(ValueError):
                 arr[0] = 1.0
-    # the grid's own arrays stay writable
-    g.widths[0] = g.widths[0]
+        # the grid's own arrays stay writable
+        g.widths[0] = g.widths[0]
+        g.times[0] = g.times[0]
 
 
 # ---------------------------------------------------------------------------
