@@ -24,7 +24,6 @@ from .models import (
     Model2,
     Model3,
     SamplePath,
-    SpotVariancePath,
     compound_poisson_law,
     finite_activity,
     has_jumps,

@@ -39,7 +39,6 @@ from .models import (
     Model3,
     ModelConfig,
     SamplePath,
-    SpotVariancePath,
     compound_poisson_law,
 )
 
@@ -111,12 +110,13 @@ class SimulationPlan:
 
 
 def simulation_plan(cfg: ModelConfig, grid: TimeGrid, substeps: int) -> SimulationPlan:
-    """The plan for the model on the grid; the grid's own arrays stay writable."""
-    if not isinstance(substeps, (int, np.integer)) or substeps < 1:
-        raise InvalidArgumentError(f"substeps must be a positive integer, got {substeps!r}")
+    """The plan for the model on the grid; the grid's own arrays stay writable.
+    Rejects what no path could run with: more expected jump times than numpy
+    can allocate, or a constant sigma^2 that is not positive and finite."""
     fine_times, fine_widths = (arr.view() for arr in refine(grid, substeps))
     if isinstance(cfg, Model2):
         engine, spot = _simulate_model2, None
+        _require_jump_count(cfg.jump_intensity, grid.t_end)
         constants = _ou_coefficients(cfg, fine_times, fine_widths)
     else:
         if isinstance(cfg, Model3):
@@ -126,10 +126,12 @@ def simulation_plan(cfg: ModelConfig, grid: TimeGrid, substeps: int) -> Simulati
             engine = _simulate_constant_vol
             drift, sigma, jump_params = compound_poisson_law(cfg)
             per_step = drift * fine_widths
+            if jump_params is not None:
+                _require_jump_count(jump_params[0], grid.t_end)
         else:
             raise InvalidArgumentError(f"unknown model config {type(cfg).__name__}")
         constants = (sigma * np.sqrt(fine_widths), per_step, jump_params)
-        spot = np.full(fine_widths.size + 1, sigma * sigma)
+        spot = _require_spot_variance(np.full(fine_widths.size + 1, sigma * sigma))
     for arr in (fine_times, fine_widths, spot, *constants):
         if isinstance(arr, np.ndarray):
             arr.flags.writeable = False
@@ -149,8 +151,8 @@ def true_integrated_variance(path: SamplePath, power: int) -> float:
         raise InvalidArgumentError(f"power must be 2 or 4, got {power!r}")
     if path.ground_truth is None:
         raise UnsupportedError("path has no ground truth")
-    spot = path.ground_truth.spot_variance
-    return spot_integral(spot.values, refine(path.grid, spot.refinement)[1], power)
+    truth = path.ground_truth
+    return spot_integral(truth.spot_variance, refine(path.grid, truth.refinement)[1], power)
 
 
 def spot_integral(spot: np.ndarray, fine_widths: np.ndarray, power: int) -> float:
@@ -218,7 +220,8 @@ def _simulate_model2(plan, rng):
         jump_incr = _jump_increments(plan.fine_times, times, sizes)
 
     h_path *= 2.0
-    return _assemble(plan, cont_incr, jump_incr, events, spot=np.exp(h_path, out=h_path))
+    spot = _require_spot_variance(np.exp(h_path, out=h_path))
+    return _assemble(plan, cont_incr, jump_incr, events, spot)
 
 
 def _simulate_model3(plan, rng):
@@ -261,7 +264,8 @@ def _assemble(plan, cont_incr, jump_incr, events, spot):
     np.add(cont_incr, jump_incr, out=x_fine[1:])
     np.cumsum(x_fine[1:], out=x_fine[1:])
     truth = GroundTruth(
-        spot_variance=SpotVariancePath(spot, plan.substeps),
+        spot_variance=spot,
+        refinement=plan.substeps,
         jumps=events,
         continuous_increments=cont_incr,
     )
@@ -269,13 +273,7 @@ def _assemble(plan, cont_incr, jump_incr, events, spot):
 
 
 def _poisson_times(rng, t_end, lam) -> list[float]:
-    """Event times in (0, t_end] from exponential waiting times with rate lam."""
-    if lam == 0.0:
-        return []
-    if lam * t_end * 8 > _MAX_ARRAY_BYTES:
-        raise InvalidArgumentError(
-            f"jump intensity {lam!r} over horizon t = {t_end!r} expects"
-            f" {lam * t_end!r} jump times, more doubles than numpy can allocate")
+    """Event times in (0, t_end] from exponential waiting times with rate lam > 0."""
     times = []
     t = 0.0
     scale = 1.0 / lam
@@ -284,6 +282,20 @@ def _poisson_times(rng, t_end, lam) -> list[float]:
         if t > t_end:
             return times
         times.append(t)
+
+
+def _require_jump_count(lam, t_end):
+    if lam * t_end * 8 > _MAX_ARRAY_BYTES:
+        raise InvalidArgumentError(
+            f"jump intensity {lam!r} over horizon t = {t_end!r} expects"
+            f" {lam * t_end!r} jump times, more doubles than numpy can allocate")
+
+
+def _require_spot_variance(spot: np.ndarray) -> np.ndarray:
+    # A NaN fails the first comparison.
+    if not (spot.min() > 0.0 and spot.max() < math.inf):
+        raise InvalidArgumentError("spot variance must be positive and finite")
+    return spot
 
 
 def _draw_log_jump(rng, mean, sd) -> float:

@@ -56,7 +56,8 @@ class ThresholdSpec:
     observation lag dt_i.
 
     Construction is permissive (any finite beta and scale_c) so that
-    inadmissible choices can be studied; estimators require scale_c > 0.
+    inadmissible choices can be studied; r is evaluated only for
+    scale_c > 0, so every estimator requires it.
     """
 
     beta: float
@@ -68,6 +69,9 @@ class ThresholdSpec:
 
     def r_at(self, dt):
         """Evaluate r at a lag (scalar or array)."""
+        if self.scale_c <= 0.0:
+            raise InvalidArgumentError(
+                f"threshold scale must be positive to evaluate r, got {self.scale_c}")
         return self.scale_c * dt ** self.beta
 
 
@@ -260,8 +264,6 @@ class _PathSums:
     def __init__(self, path: SamplePath, spec: ThresholdSpec | None = None,
                  r: np.ndarray | None = None):
         dx = path.increments
-        if dx.size < 1:
-            raise InvalidArgumentError("path needs at least 2 observations")
         self.path = path
         self.spec = spec
         self.r = r
@@ -273,9 +275,6 @@ class _PathSums:
     def keep(self) -> np.ndarray:
         """Boolean mask of increments with (dX_i)^2 <= r; ties are kept."""
         spec = self.spec
-        if spec.scale_c <= 0.0:
-            raise InvalidArgumentError(
-                f"threshold scale must be positive to evaluate r, got {spec.scale_c}")
         return self.dx2 <= (spec.r_at(self.path.grid.widths) if self.r is None else self.r)
 
     @cached_property
@@ -290,13 +289,7 @@ class _PathSums:
 
     def fill(self, *names: str) -> None:
         """Evaluate the named sums ("rv", "quartic", "bpv") that are not yet
-        cached, in one extraction.
-
-        With a threshold, the mask is built first, so a bad threshold scale
-        raises before a path too short for bipower variation does.
-        """
-        if self.spec is not None:
-            self.keep
+        cached, in one extraction."""
         todo = [name for name in names if name not in self._sums]
         if todo:
             terms = [self._terms(name) for name in todo]

@@ -91,12 +91,11 @@ def refine(grid: TimeGrid, substeps: int) -> tuple[np.ndarray, np.ndarray]:
     equal parts. Returns (fine_times, fine_widths); fine_times[i*substeps]
     equals grid.times[i] exactly.
     """
-    m = int(substeps)
-    if m < 1:
-        raise InvalidArgumentError(f"substeps must be >= 1, got {substeps}")
-    if m == 1:
+    if not isinstance(substeps, (int, np.integer)) or substeps < 1:
+        raise InvalidArgumentError(f"substeps must be a positive integer, got {substeps!r}")
+    if substeps == 1:
         return grid.times, grid.widths
-    offsets = np.arange(m) / m
+    offsets = np.arange(substeps) / substeps
     fine = (grid.times[:-1, None] + grid.widths[:, None] * offsets).ravel()
     fine = np.append(fine, grid.times[-1])
     return fine, np.diff(fine)

@@ -198,29 +198,14 @@ class JumpTable:
 
 
 @dataclass(frozen=True, eq=False)
-class SpotVariancePath:
-    """sigma^2 at every simulation subgrid point (n*refinement + 1 values)."""
-
-    values: np.ndarray
-    refinement: int
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        # A NaN fails the first comparison; an empty array passes, as with np.all.
-        if values.size and not (values.min() > 0.0 and values.max() < math.inf):
-            raise InvalidArgumentError("spot variance must be positive and finite")
-        object.__setattr__(self, "values", values)
-
-
-@dataclass(frozen=True, eq=False)
 class GroundTruth:
-    """Simulator-side truth retained for oracle checks.
-
-    continuous_increments holds the increment of X0 = int a dt + int sigma dW
-    over each simulation substep (n*refinement values).
+    """Simulator-side truth retained for oracle checks: sigma^2 at every
+    simulation subgrid point (n*refinement + 1 values), and the increment of
+    X0 = int a dt + int sigma dW over each substep (n*refinement values).
     """
 
-    spot_variance: SpotVariancePath
+    spot_variance: np.ndarray
+    refinement: int
     jumps: JumpTable
     continuous_increments: np.ndarray
 
@@ -231,7 +216,7 @@ class GroundTruth:
         cont_fine = np.empty(incr.size + 1)
         cont_fine[0] = 0.0
         np.cumsum(incr, out=cont_fine[1:])
-        return cont_fine[::self.spot_variance.refinement]
+        return cont_fine[::self.refinement]
 
 
 @dataclass(frozen=True, eq=False)

@@ -52,10 +52,10 @@ from .engines import _MAX_ARRAY_BYTES, SimulationPlan, path_seed, simulation_pla
 class ExperimentConfig:
     """Everything a repeated-path run depends on.
 
-    Construction checks the range of every run parameter; the config layer
-    reports a failure as a ConfigError. parallelism is the total number of
-    processes, the calling one included (see _map_paths); it never affects
-    results.
+    Construction checks the range of every run parameter, and that the sizes
+    are integers; the config layer reports a failure as a ConfigError.
+    parallelism is the total number of processes, the calling one included
+    (see _map_paths); it never affects results.
     """
 
     model: ModelConfig
@@ -69,6 +69,10 @@ class ExperimentConfig:
     parallelism: int = 1
 
     def __post_init__(self):
+        for name in ("n", "substeps", "n_paths", "parallelism"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)):
+                raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")
         if self.n < 1:
             raise InvalidArgumentError("n must be >= 1")
         if self.substeps < 1:
@@ -276,8 +280,6 @@ def small_jump_bias_bound(model: Model3, spec: ThresholdSpec, h: float,
         raise InvalidArgumentError("bound is defined for Model3 parameters")
     if not (h > 0.0) or not (t_end > 0.0):
         raise InvalidArgumentError("h and t_end must be positive")
-    if spec.scale_c <= 0.0:
-        raise InvalidArgumentError("threshold scale must be positive")
     r = float(spec.r_at(h))
     return 4.0 * t_end * r / model.gamma_var
 
@@ -301,7 +303,8 @@ class _RunPlan:
 def _plan(cfg: ExperimentConfig, min_paths: int | None) -> _RunPlan:
     """Rejects sizes no run can succeed at (the jump-size statistic, with
     min_paths None, has none), warns once on an inadmissible threshold, and
-    builds the run's plan."""
+    builds the run's plan. Building it checks what no path could run with:
+    simulation_plan the model on the grid, r_at the threshold scale."""
     if min_paths is not None and cfg.n < 2:
         raise DegenerateSizeError(
             f"n must be >= 2: bipower variation needs at least 2 increments, got n = {cfg.n}")
@@ -325,7 +328,7 @@ def _single_record(plan: _RunPlan, index: int) -> PathRecord:
     path = _simulate_path(plan, index)
     true_iv = plan.true_iv
     if true_iv is None:
-        true_iv = spot_integral(path.ground_truth.spot_variance.values, plan.sim.fine_widths, 2)
+        true_iv = spot_integral(path.ground_truth.spot_variance, plan.sim.fine_widths, 2)
     sums = _PathSums(path, cfg.threshold, plan.r)
     # The quartic sum is read only for the normalized bias of a uniform run.
     sums.fill("rv", "bpv", *(("quartic",) if cfg.jitter == 0.0 else ()))

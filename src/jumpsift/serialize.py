@@ -131,10 +131,9 @@ def write_path_csv(path: SamplePath, dest: str) -> None:
     if truth is None:
         header = ["time", "x"]
     else:
-        step = truth.spot_variance.refinement
         header = ["time", "x", "x_cont", "jump_cum", "sigma2"]
         columns += [truth.continuous_part, path.observations - truth.continuous_part,
-                    truth.spot_variance.values[::step]]
+                    truth.spot_variance[::truth.refinement]]
     write_csv(dest, header, columns)
 
 

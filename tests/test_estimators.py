@@ -12,7 +12,6 @@ from jumpsift import (
     JumpTable,
     Model1,
     SamplePath,
-    SpotVariancePath,
     ThresholdSpec,
     TimeGrid,
     UnsupportedError,
@@ -158,7 +157,8 @@ def make_truth_path():
     times = TIMES.copy()
     xs = np.array([0.0, 0.01, 0.22, 0.23, 0.95])
     truth = GroundTruth(
-        spot_variance=SpotVariancePath(np.full(5, 0.09), 1),
+        spot_variance=np.full(5, 0.09),
+        refinement=1,
         jumps=JumpTable([0.30, 0.35, 0.80], [0.40, -0.20, 0.70]),
         continuous_increments=np.diff(xs - np.array([0.0, 0.0, 0.2, 0.2, 0.9])),
     )

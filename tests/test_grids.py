@@ -121,3 +121,5 @@ def test_refine_rejects_bad_substeps():
     g = build_uniform_grid(10, 1.0)
     with pytest.raises(InvalidArgumentError):
         refine(g, 0)
+    with pytest.raises(InvalidArgumentError):
+        refine(g, 2.5)

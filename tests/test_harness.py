@@ -285,6 +285,34 @@ def test_jump_size_clt_checks_come_before_any_path(monkeypatch):
     assert calls == []
 
 
+JUMP_COUNT_ERROR = ("jump intensity 1e+300 over horizon t = 1.0 expects 1e+300 jump"
+                    " times, more doubles than numpy can allocate")
+SCALE_ERROR = "threshold scale must be positive to evaluate r, got 0.0"
+
+
+@pytest.mark.parametrize("entry,changes,message", [
+    (run_experiment, dict(threshold=ThresholdSpec(0.9, 0.0)), SCALE_ERROR),
+    (run_experiment, dict(model=CustomModel(spot_vol="constant:1e200")),
+     "spot variance must be positive and finite"),
+    (run_experiment, dict(model=CustomModel(spot_vol="constant:1e-200")),
+     "spot variance must be positive and finite"),
+    (run_experiment, dict(model=CustomModel(jumps="compound-poisson:1e300,0.5")),
+     JUMP_COUNT_ERROR),
+    (efficiency_comparison, dict(model=CustomModel(), threshold=ThresholdSpec(0.9, 0.0)),
+     SCALE_ERROR),
+], ids=["mc scale 0", "mc sigma 1e200", "mc sigma 1e-200", "mc lam 1e300", "compare scale 0"])
+def test_run_level_failures_come_before_any_path_or_fork(monkeypatch, entry, changes,
+                                                         message):
+    def no_path(*args):
+        raise AssertionError("a path was simulated or a worker forked")
+
+    monkeypatch.setattr(montecarlo, "_simulate_path", no_path)
+    monkeypatch.setattr(montecarlo, "_fork_slice", no_path)
+    with pytest.raises(InvalidArgumentError) as err:
+        entry(small_cfg(n_paths=4, parallelism=2, **changes))
+    assert str(err.value) == message
+
+
 def test_jump_size_clt_inadmissible_threshold_warns_once():
     cfg = small_cfg(threshold=ThresholdSpec(1.0, 1.0), n_paths=6)
     with warnings.catch_warnings(record=True) as caught:
@@ -343,6 +371,10 @@ def test_experiment_config_validation():
     with pytest.raises(InvalidArgumentError, match="t / n"):
         small_cfg(t_end=1e-320, n=5000)
     small_cfg(t_end=sys.float_info.min * 200, n=200)
+    for name in ("n", "substeps", "n_paths", "parallelism"):
+        with pytest.raises(InvalidArgumentError, match=f"^{name} must be an integer, got 2.5$"):
+            small_cfg(**{name: 2.5})
+    small_cfg(n=np.int64(200), substeps=np.int32(2), n_paths=np.int64(4))
 
 
 def test_sizes_no_run_can_succeed_at_are_rejected():

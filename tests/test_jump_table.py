@@ -15,7 +15,6 @@ from jumpsift import (
     Model2,
     Model3,
     SamplePath,
-    SpotVariancePath,
     ThresholdSpec,
     TimeGrid,
     build_uniform_grid,
@@ -26,6 +25,7 @@ from jumpsift import (
     simulate,
 )
 from jumpsift import montecarlo
+from jumpsift.engines import simulation_plan
 from jumpsift.estimators import _jumpy_intervals
 from jumpsift.grids import containing_intervals, refine
 
@@ -42,15 +42,25 @@ def test_table_arrays_are_read_only():
             arr[0] = 1
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -0.0, -1e-300])
-def test_spot_variance_must_be_positive_and_finite(bad):
-    for pos in (0, 2):
-        values = np.full(3, 0.09)
-        values[pos] = bad
-        with pytest.raises(InvalidArgumentError, match="spot variance must be positive and finite"):
-            SpotVariancePath(values, 1)
-    assert SpotVariancePath(np.array([5e-324, 1.7976931348623157e308]), 1).values.size == 2
-    assert SpotVariancePath(np.array([]), 1).values.size == 0
+SPOT_ERROR = "spot variance must be positive and finite"
+
+
+@pytest.mark.parametrize("model_cls", [Model1, Model3])
+def test_plan_rejects_a_constant_spot_variance_out_of_range(model_cls):
+    grid = build_uniform_grid(20, 1.0)
+    for sigma in (1e200, 1e-200):  # sigma^2 overflows to inf, underflows to 0
+        with pytest.raises(InvalidArgumentError, match=SPOT_ERROR):
+            simulation_plan(model_cls(sigma=sigma), grid, 1)
+    for sigma in (1e-160, 1e154):  # a subnormal and a near-maximal sigma^2
+        simulation_plan(model_cls(sigma=sigma), grid, 1)
+
+
+def test_model2_path_rejects_spot_variance_out_of_range():
+    grid = build_uniform_grid(20, 1.0)
+    with pytest.raises(InvalidArgumentError, match=SPOT_ERROR):
+        simulate(Model2(h0=-400.0, h_bar=-400.0), grid, 1, 7)  # exp(2H) underflows to 0
+    with np.errstate(over="ignore"), pytest.raises(InvalidArgumentError, match=SPOT_ERROR):
+        simulate(Model2(h0=400.0, h_bar=400.0), grid, 1, 7)  # exp(2H) overflows to inf
 
 
 def test_table_validation_errors():

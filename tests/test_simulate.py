@@ -67,8 +67,8 @@ def test_substeps_refine_truth_but_not_observations():
     g = grid(40)
     p = simulate(Model1(), g, 3, 9)
     assert p.observations.shape == (41,)
-    assert p.ground_truth.spot_variance.values.shape == (3 * 40 + 1,)
-    assert p.ground_truth.spot_variance.refinement == 3
+    assert p.ground_truth.spot_variance.shape == (3 * 40 + 1,)
+    assert p.ground_truth.refinement == 3
     assert p.ground_truth.continuous_part.shape == (41,)
 
 
@@ -140,7 +140,7 @@ def test_model2_terminal_logvol_matches_ou_law():
     ends = []
     for i in range(400):
         p = simulate(Model2(), g, 1, path_seed(1000, i))
-        h_path = 0.5 * np.log(p.ground_truth.spot_variance.values)
+        h_path = 0.5 * np.log(p.ground_truth.spot_variance)
         ends.append(h_path[-1])
     ends = np.array(ends)
     mean_theory = math.log(0.3) * math.exp(-k * t) + math.log(0.25) * (1 - math.exp(-k * t))
@@ -154,7 +154,7 @@ def test_model2_leverage_is_negative():
     dxs, dhs = [], []
     for i in range(200):
         p = simulate(Model2(), g, 1, path_seed(1000, i))
-        h_path = 0.5 * np.log(p.ground_truth.spot_variance.values)
+        h_path = 0.5 * np.log(p.ground_truth.spot_variance)
         dxs.append(np.diff(p.observations))
         dhs.append(np.diff(h_path))
     corr = np.corrcoef(np.concatenate(dxs), np.concatenate(dhs))[0, 1]
@@ -167,7 +167,7 @@ def test_model2_subgrid_refinement_converges():
     # subgrid vs its every-10th subsample must agree closely
     g = build_uniform_grid(50, 1.0)
     p = simulate(Model2(), g, 100, 7)
-    spot = p.ground_truth.spot_variance.values
+    spot = p.ground_truth.spot_variance
     w = 1.0 / 5000
     full = math.fsum((spot[:-1] * w).tolist())
     sub = spot[::10]
@@ -178,7 +178,7 @@ def test_model2_subgrid_refinement_converges():
 def test_model2_spot_variance_positive_and_varying():
     g = grid(200)
     p = simulate(Model2(), g, 1, 3)
-    spot = p.ground_truth.spot_variance.values
+    spot = p.ground_truth.spot_variance
     assert np.all(spot > 0)
     assert spot.std() > 0
 
@@ -207,7 +207,7 @@ def test_model3_jumps_are_small_aggregate_events():
 def test_model3_constant_spot_variance():
     g = grid(64)
     p = simulate(Model3(), g, 1, 4)
-    assert np.all(p.ground_truth.spot_variance.values == 0.09)
+    assert np.all(p.ground_truth.spot_variance == 0.09)
     assert math.isclose(true_integrated_variance(p, 2), 0.09, rel_tol=1e-12)
 
 
@@ -325,6 +325,6 @@ def test_threads_simulating_interleaved_paths_match_a_serial_loop():
         truth_a, truth_b = a.ground_truth, b.ground_truth
         assert np.array_equal(a.observations, b.observations)
         assert np.array_equal(truth_a.continuous_part, truth_b.continuous_part)
-        assert np.array_equal(truth_a.spot_variance.values, truth_b.spot_variance.values)
+        assert np.array_equal(truth_a.spot_variance, truth_b.spot_variance)
         assert np.array_equal(truth_a.jumps.times, truth_b.jumps.times)
         assert np.array_equal(truth_a.jumps.sizes, truth_b.jumps.sizes)

@@ -264,7 +264,7 @@ def test_ou_scan_matches_the_stepwise_recursion(n, substeps, jitter, seed, k, et
                                                 h0, h_bar):
     cfg = Model2(rho=rho, h0=h0, mean_reversion=k, h_bar=h_bar, vol_of_vol=eta)
     grid = build_irregular_grid(n, 1.0, jitter, 3)
-    spot = simulate(cfg, grid, substeps, seed).ground_truth.spot_variance.values
+    spot = simulate(cfg, grid, substeps, seed).ground_truth.spot_variance
     # Draw order: W1 normals, then W2 normals, one per substep.
     offsets = np.arange(substeps) / substeps
     fine = np.append((grid.times[:-1, None] + grid.widths[:, None] * offsets).ravel(), 1.0)
@@ -272,12 +272,15 @@ def test_ou_scan_matches_the_stepwise_recursion(n, substeps, jitter, seed, k, et
     rng = rng_from_seed(seed)
     z1 = rng.standard_normal(widths.size)
     z2 = rng.standard_normal(widths.size)
+    # The coefficients come from numpy's exp and sqrt, as in the engine: math.exp
+    # can differ by an ulp, which 1 - alpha and c22's square root near
+    # |rho| = 1 blow up far past the bound below.
+    alpha = np.exp(-k * widths)
+    c21 = rho * eta * (1.0 - alpha) / (k * np.sqrt(widths))
+    c22 = np.sqrt(np.maximum(eta * eta * (1.0 - alpha * alpha) / (2.0 * k) - c21 * c21, 0.0))
     h = [h0]
-    for w, a, b in zip(widths, z1, z2):
-        alpha = math.exp(-k * w)
-        c21 = rho * eta * (1.0 - alpha) / (k * math.sqrt(w))
-        c22 = math.sqrt(max(eta * eta * (1.0 - alpha * alpha) / (2.0 * k) - c21 * c21, 0.0))
-        h.append(h_bar + alpha * (h[-1] - h_bar) + c21 * a + c22 * b)
+    for a, b21, b22, x1, x2 in zip(alpha.tolist(), c21.tolist(), c22.tolist(), z1, z2):
+        h.append(h_bar + a * (h[-1] - h_bar) + b21 * x1 + b22 * x2)
     # H is a log-volatility, so its natural scale is at least 1.
     h = np.array(h)
     assert np.max(np.abs(np.log(spot) / 2.0 - h)) <= 1e-14 * max(1.0, np.max(np.abs(h)))
