@@ -51,7 +51,7 @@ _NEEDS_INPUT = {"estimate", "detect"}
 
 # Peak traced memory, per fine step, of building a run's plan (grid, subgrid,
 # threshold and engine constants) plus its first simulated and estimated path.
-_BYTES_PER_FINE_STEP = 162
+_BYTES_PER_FINE_STEP = 122
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -2,14 +2,15 @@
 
 All operations are pure functions of a SamplePath (observations + grid) and
 a ThresholdSpec. Every sum is the correctly rounded exact sum, the same
-double math.fsum returns. The sums one path needs are computed together by
-error-free extraction (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31(1) and
-31(2), 2008): vectorized passes split each row into parts whose float sums
-are exact. After each pass a row stops once its rounding is certified,
-which at desk sizes the first pass does for almost every row. A row whose
-total lies too close to a rounding midpoint, or cancels to 0, runs the
-remaining passes, and math.fsum adds its few parts and what is left. Short
-rows, non-finite values and extreme magnitudes go to math.fsum directly.
+double math.fsum returns. Each sum a path needs is a row of terms,
+computed on its own when first read by error-free extraction (Rump, Ogita
+& Oishi, SIAM J. Sci. Comput. 31(1) and 31(2), 2008): vectorized passes
+split the row into parts whose float sums are exact. After each pass the
+row stops once its rounding is certified, which at desk sizes the first
+pass does for almost every row. A row whose total lies too close to a
+rounding midpoint, or cancels to 0, runs the remaining passes, and
+math.fsum adds its few parts and what is left. Short rows, non-finite
+values and extreme magnitudes go to math.fsum directly.
 The truncated sum is formed as the total minus the flagged sum F = sum over
 flagged intervals of (dX_i)^2, with realized_variance and F each correctly
 rounded, so
@@ -26,7 +27,6 @@ from __future__ import annotations
 import array
 import math
 import warnings
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -41,7 +41,7 @@ from .errors import (
 from .grids import containing_intervals
 from .models import JumpTable, SamplePath
 
-# _exact_sums hands a row to math.fsum as it is when it is shorter than
+# _exact_sum hands a row to math.fsum as it is when it is shorter than
 # _EXTRACT_MIN_LENGTH, or when its largest magnitude lies outside
 # _EXTRACT_RANGE (zero, nan and inf included); the range keeps sigma finite.
 _EXTRACT_MIN_LENGTH = 64
@@ -229,7 +229,6 @@ def _report(sums: _PathSums, true_iv: float | None = None) -> EstimationReport:
     path, spec = sums.path, sums.spec
     uniform = path.grid.is_uniform
     with_bpv = sums.dx.size >= 2
-    sums.fill("rv", *(("quartic",) if uniform else ()), *(("bpv",) if with_bpv else ()))
     iq_hat = sums.quartic / (3.0 * path.grid.h) if uniform else None
     bias = None
     if true_iv is not None and uniform:
@@ -254,9 +253,8 @@ class _PathSums:
     """Per-path kernel: increments, their squares and the threshold mask,
     with each exact sum evaluated at most once and only when first read.
 
-    Every estimator above is a view over it. The Monte Carlo harness and
-    estimation_report name the sums they read in one fill() call, which
-    computes them together in a single extraction.
+    Every estimator above is a view over it, and each sum is extracted on
+    its own, from its own row of terms.
 
     r, if given, is spec.r_at(path.grid.widths), computed once for a run.
     """
@@ -269,7 +267,6 @@ class _PathSums:
         self.r = r
         self.dx = dx
         self.dx2 = dx * dx
-        self._sums: dict[str, float] = {}
 
     @cached_property
     def keep(self) -> np.ndarray:
@@ -287,45 +284,34 @@ class _PathSums:
         idx = np.flatnonzero(self.flagged)
         return dict(zip(idx.tolist(), self.dx[idx].tolist()))
 
-    def fill(self, *names: str) -> None:
-        """Evaluate the named sums ("rv", "quartic", "bpv") that are not yet
-        cached, in one extraction."""
-        todo = [name for name in names if name not in self._sums]
-        if todo:
-            terms = [self._terms(name) for name in todo]
-            self._sums.update(zip(todo, _exact_sums(terms)))
+    @staticmethod
+    def _total(terms: np.ndarray) -> float:
+        """_exact_sum of non-negative terms. Where math.fsum overflows, their
+        correctly rounded sum is +inf, as it is when a term is inf."""
+        try:
+            return _exact_sum(terms)
+        except OverflowError:
+            return math.inf
 
-    def _terms(self, name: str) -> np.ndarray:
-        if name == "rv":
-            return self.dx2
-        if name == "quartic":
-            kept = self.dx2[self.keep]
-            return kept * kept
-        # "bpv"
-        if self.dx.size < 2:
-            raise InvalidArgumentError("bipower variation needs at least 2 increments")
-        a = np.abs(self.dx)
-        return a[1:] * a[:-1]
-
-    def _sum(self, name: str) -> float:
-        self.fill(name)
-        return self._sums[name]
-
-    @property
+    @cached_property
     def rv(self) -> float:
-        return self._sum("rv")
+        return self._total(self.dx2)
 
     @cached_property
     def iv_hat(self) -> float:
-        return self.rv - _exact_sums([self.dx2[self.flagged]])[0]
+        return self.rv - self._total(self.dx2[self.flagged])
 
-    @property
+    @cached_property
     def quartic(self) -> float:
-        return self._sum("quartic")
+        kept = self.dx2[self.keep]
+        return self._total(kept * kept)
 
-    @property
+    @cached_property
     def bpv(self) -> float:
-        return (math.pi / 2.0) * self._sum("bpv")
+        if self.dx.size < 2:
+            raise InvalidArgumentError("bipower variation needs at least 2 increments")
+        a = np.abs(self.dx)
+        return (math.pi / 2.0) * self._total(a[1:] * a[:-1])
 
     def normalized_bias(self, true_iv: float) -> float:
         _require_uniform(self.path, "normalized_bias")
@@ -341,96 +327,79 @@ def _require_uniform(path: SamplePath, what: str) -> None:
         raise UnsupportedError(f"{what} requires a uniform grid")
 
 
-def _exact_sums(arrays: Sequence[np.ndarray], exits: list[int] | None = None) -> list[float]:
-    """math.fsum of each 1-d float64 array, bit for bit, computed together.
+def _exact_sum(a: np.ndarray, exits: list[int] | None = None) -> float:
+    """math.fsum of a 1-d float64 array, bit for bit.
 
-    Rows are zero-padded into one block of n columns. Each pass splits every
-    row r into q = (r + sigma) - sigma and r - q, both exact, with sigma a
-    power of two at least 2**k times max|r| and 2**k > n + 1, so q's row sum
-    is exact in any order. sigma then drops by 2**(53 - k).
+    Each pass splits the row r, at first a itself read in place, into
+    q = (r + sigma) - sigma and r - q, both exact, with sigma a power of two
+    at least 2**k times max|a| and 2**k > n + 1, so q's sum is exact in any
+    order. sigma then drops by 2**(53 - k).
 
-    After each pass a row stops if its rounding is certified (Rump, Ogita &
-    Oishi, SIAM J. Sci. Comput. 31(2), 2008). S is the float sum of the row
-    sums extracted so far; TwoSum makes S's rounding errors exact, and they
-    join the residual. tau, the float sum of the residual in any order, is
-    within B = gamma * sum|residual| of its exact sum. If the exact error e
-    of c = fl(S + tau) satisfies |e| + B < half the smaller gap between c
+    After each pass the row stops if its rounding is certified (Rump, Ogita
+    & Oishi, SIAM J. Sci. Comput. 31(2), 2008). S is the float sum of the
+    sums of q extracted so far; TwoSum makes S's rounding errors exact, and
+    they join the residual. tau, the float sum of the residual in any order,
+    is within B = gamma * sum|residual| of its exact sum. If the exact error
+    e of c = fl(S + tau) satisfies |e| + B < half the smaller gap between c
     and its neighbours, c is the correctly rounded total. A row that is not
     certified after the last pass (a tie, cancellation, c = 0) goes to
-    math.fsum of its row sums and residual.
+    math.fsum of its extracted sums and residual.
 
-    exits, if given, is filled with each array's exit: 0 for math.fsum of
-    the array as is, p for certified after pass p, and _EXTRACT_PASSES + 1
-    for math.fsum of the parts.
+    exits, if given, gets the row's exit appended: 0 for math.fsum of a as
+    it is, p for certified after pass p, and _EXTRACT_PASSES + 1 for
+    math.fsum of the parts.
     """
-    out: list[float | None] = [None] * len(arrays)
-    exit_at = [0] * len(arrays)
-    rows, maxima = [], []
-    for i, a in enumerate(arrays):
-        if a.size >= _EXTRACT_MIN_LENGTH:
-            m = float(np.abs(a).max())
-            if _EXTRACT_RANGE[0] <= m <= _EXTRACT_RANGE[1]:  # False for nan
-                rows.append(i)
-                maxima.append(m)
-                continue
+    n = a.size
+    m = float(np.abs(a).max()) if n >= _EXTRACT_MIN_LENGTH else math.nan
+    if not _EXTRACT_RANGE[0] <= m <= _EXTRACT_RANGE[1]:  # True for nan, so for short rows
         # array.array reads the raw float64 bytes without building a list.
-        out[i] = math.fsum(array.array("d", a.tobytes()))
-    if rows:
-        n = max(arrays[i].size for i in rows)
-        r = np.zeros((len(rows), n))
-        for j, i in enumerate(rows):
-            r[j, :arrays[i].size] = arrays[i]
+        total, exit_at = math.fsum(array.array("d", a.tobytes())), 0
+    else:
         k = (n + 1).bit_length()
-        sigma = np.array([[math.ldexp(1.0, math.frexp(m)[1] + k)] for m in maxima])
+        sigma = math.ldexp(1.0, math.frexp(m)[1] + k)
         # tau adds at most N terms, so |tau - exact| <= gamma_{N-1} * sum|terms|
         # (Higham, Accuracy and Stability, 2002, eq. 4.4). Nu / (1 - 2Nu)
         # also covers the rounding of sum|terms|; the last factor covers the
         # rounding of this constant and of the product with it.
         big_n = n + _EXTRACT_PASSES
         gamma = big_n * _UNIT_ROUNDOFF / (1.0 - 2.0 * big_n * _UNIT_ROUNDOFF) * (1.0 + 2.0 ** -48)
-        q = np.empty_like(r)
-        # Per block row: its array index, exact row sums, S, and the sum and
-        # magnitude of S's rounding errors.
-        live = [[i, [], 0.0, 0.0, 0.0] for i in rows]
+        # The exact sums of q, S, and the sum and magnitude of S's rounding errors.
+        parts, s, lost, lost_mag = [], 0.0, 0.0, 0.0
+        r, q = a, np.empty(n)
+        total = None
         for p in range(1, _EXTRACT_PASSES + 1):
             np.add(r, sigma, out=q)
             q -= sigma
-            r -= q
-            extracted = q.sum(axis=1).tolist()
-            taus = r.sum(axis=1).tolist()
-            mags = np.abs(r, out=q).sum(axis=1).tolist()
-            keep = []
-            for j, (row, x, tau, mag) in enumerate(zip(live, extracted, taus, mags)):
-                i, parts, s, lost, lost_mag = row
-                parts.append(x)
-                t = s + x
-                z = t - s
-                err = (s - (t - z)) + (x - z)
-                lost += err
-                lost_mag += abs(err)
-                tau += lost
-                c = t + tau
-                z = c - t
-                e = (t - (c - z)) + (tau - z)
-                if abs(e) + gamma * (mag + lost_mag) < 0.5 * abs(c - math.nextafter(c, 0.0)):
-                    out[i] = c
-                    exit_at[i] = p
-                else:
-                    row[2:] = t, lost, lost_mag
-                    keep.append(j)
-            if len(keep) < len(live):
-                live = [live[j] for j in keep]
-                r, sigma = r[keep], sigma[keep]
-                q = np.empty_like(r)
-            if not any(mags[j] for j in keep):  # every residual left is zero
+            if r is a:
+                r = a - q
+            else:
+                r -= q
+            x = float(q.sum())
+            tau = float(r.sum())
+            mag = float(np.abs(r, out=q).sum())
+            parts.append(x)
+            t = s + x
+            z = t - s
+            err = (s - (t - z)) + (x - z)
+            lost += err
+            lost_mag += abs(err)
+            tau += lost
+            c = t + tau
+            z = c - t
+            e = (t - (c - z)) + (tau - z)
+            if abs(e) + gamma * (mag + lost_mag) < 0.5 * abs(c - math.nextafter(c, 0.0)):
+                total, exit_at = c, p
                 break
+            if not mag:  # the residual is zero
+                break
+            s = t
             sigma *= math.ldexp(1.0, k - 53)
-        for (i, parts, *_), rest in zip(live, r):
-            out[i] = math.fsum(parts + rest[rest != 0.0].tolist())
-            exit_at[i] = _EXTRACT_PASSES + 1
+        if total is None:
+            total = math.fsum(parts + r[r != 0.0].tolist())
+            exit_at = _EXTRACT_PASSES + 1
     if exits is not None:
-        exits[:] = exit_at
-    return out
+        exits.append(exit_at)
+    return total
 
 
 def _warn_if_inadmissible(spec: ThresholdSpec, stacklevel: int = 3) -> None:

@@ -330,8 +330,6 @@ def _single_record(plan: _RunPlan, index: int) -> PathRecord:
     if true_iv is None:
         true_iv = spot_integral(path.ground_truth.spot_variance, plan.sim.fine_widths, 2)
     sums = _PathSums(path, cfg.threshold, plan.r)
-    # The quartic sum is read only for the normalized bias of a uniform run.
-    sums.fill("rv", "bpv", *(("quartic",) if cfg.jitter == 0.0 else ()))
     match = None
     if plan.finite_activity:
         match = _match_events(path.grid.times, sums.flagged, sums.dx, path.ground_truth.jumps)
@@ -362,7 +360,6 @@ def _efficiency_pair(plan: _RunPlan, index: int) -> tuple[float, float]:
     iv, iq = plan.true_iv, plan.true_iq
     denom = math.sqrt(path.grid.h * iq)
     sums = _PathSums(path, plan.cfg.threshold, plan.r)
-    sums.fill("rv", "bpv")
     thr = (sums.iv_hat - iv) / denom
     bpv = (sums.bpv - iv) / denom
     return thr, bpv

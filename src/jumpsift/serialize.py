@@ -177,12 +177,12 @@ def _read_path_csv_by_line(src: str) -> SamplePath:
     the first other line is the header, and each cell goes through float()."""
     try:
         with open(src, "r", encoding="utf-8-sig") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
+            lines = [(number, ln.strip()) for number, ln in enumerate(fh, 1) if ln.strip()]
     except UnicodeDecodeError as exc:
         raise InvalidArgumentError(f"{src}: not UTF-8 text ({exc.reason})") from None
     if not lines:
         raise InvalidArgumentError(f"{src}: empty path file")
-    header = lines[0].split(",")
+    header = lines[0][1].split(",")
     try:
         t_col, x_col = header.index("time"), header.index("x")
     except ValueError:
@@ -190,16 +190,14 @@ def _read_path_csv_by_line(src: str) -> SamplePath:
             f"{src}: header must contain 'time' and 'x' columns") from None
     times, xs = [], []
     try:
-        for ln in lines[1:]:
+        for number, ln in lines[1:]:
             parts = ln.split(",")
             times.append(float(parts[t_col]))
             xs.append(float(parts[x_col]))
     except (IndexError, ValueError) as exc:
-        # xs grows last, so its length is the index of the failing data row.
         what = ("row has too few columns" if isinstance(exc, IndexError)
                 else "'time' and 'x' cells must be numeric")
-        raise InvalidArgumentError(
-            f"{src}:{_nonblank_line_number(src, len(xs) + 1)}: {what}") from None
+        raise InvalidArgumentError(f"{src}:{number}: {what}") from None
     if len(times) < 2:
         raise InvalidArgumentError(f"{src}: need at least two rows")
     return _path_from_columns(src, np.array(times), np.array(xs))
@@ -211,15 +209,6 @@ def _path_from_columns(src: str, times: np.ndarray, xs: np.ndarray) -> SamplePat
     except InvalidArgumentError as exc:
         raise InvalidArgumentError(f"{src}: time column: {exc}") from None
     return SamplePath(grid, xs)
-
-
-def _nonblank_line_number(src: str, k: int) -> int:
-    """1-based line number in src of its k-th (0-based) non-blank line."""
-    with open(src, "r", encoding="utf-8-sig") as fh:
-        nonblank = (number for number, ln in enumerate(fh, 1) if ln.strip())
-        for _ in range(k):
-            next(nonblank)
-        return next(nonblank)
 
 
 # ---------------------------------------------------------------------------

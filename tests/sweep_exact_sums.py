@@ -1,11 +1,11 @@
-"""Fixed-seed sweep of estimators._exact_sums against math.fsum, bit for bit.
+"""Fixed-seed sweep of estimators._exact_sum against math.fsum, bit for bit.
 
 Too long for the tier-1 suite; CI runs it as its own step:
 
     PYTHONPATH=src python tests/sweep_exact_sums.py --rows 5000 --seed 2008
 
-Rows have 64 to --max-length values (log-uniform) and come in batches of
-one to three, as the estimators pass them. Three kinds are mixed:
+Rows have 64 to --max-length values (log-uniform), and each is summed on
+its own. Three kinds are mixed:
 
 * squares: squared, neighbouring-product and fourth-power increments of a
   Brownian path with a few jumps, as the per-path kernel sums them;
@@ -27,7 +27,7 @@ import sys
 
 import numpy as np
 
-from jumpsift.estimators import _exact_sums
+from jumpsift.estimators import _exact_sum
 
 
 def squares_row(rng, n):
@@ -80,16 +80,16 @@ def main(argv=None) -> int:
     exits = collections.Counter()
     done = bad = 0
     while done < args.rows:
-        batch = []
+        # Rows are drawn in groups of one to three. The group size is used for
+        # nothing else, but drawing it keeps the rows each seed gives.
         for _ in range(min(int(rng.integers(1, 4)), args.rows - done)):
             n = int(math.exp(rng.uniform(math.log(64), math.log(args.max_length + 1))))
             kind = names[rng.integers(len(names))]
-            batch.append((kind, KINDS[kind](rng, n)))
-        taken = []
-        got = _exact_sums([row for _, row in batch], taken)
-        for (kind, row), value, exit_at in zip(batch, got, taken):
+            row = KINDS[kind](rng, n)
+            taken = []
+            value = _exact_sum(row, taken)
             want = math.fsum(row.tolist())
-            exits[kind, exit_at] += 1
+            exits[kind, taken[0]] += 1
             if np.float64(value).tobytes() != np.float64(want).tobytes():
                 bad += 1
                 print(f"row {done}: {kind}, {row.size} values: got {value!r}, fsum {want!r}")

@@ -130,6 +130,8 @@ HUGE_INTENSITY = b"schema_version = 1\n" + MODEL_LINES[1][0] + b"\n"
 @given(invocations())
 @example((["simulate", "--n=30", "--paths=2"], HUGE_INTENSITY, None))
 @example((["mc", "--n=30", "--paths=4", "--parallelism=2"], HUGE_INTENSITY, None))
+# Finite squares whose sum overflows: every kernel row is non-negative, so +inf.
+@example((["estimate"], None, b"time,x\n0,0\n0.25,1e154\n0.5,0\n0.75,1e154\n1,0\n"))
 def test_every_invocation_exits_0_2_or_3_with_a_message(case):
     argv, config, csv = case
     with tempfile.TemporaryDirectory() as tmp:

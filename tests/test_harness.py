@@ -171,6 +171,23 @@ def test_a_run_keeps_nothing_after_it_returns(model, substeps):
     assert left <= 2 * fine_steps, f"{left / fine_steps:.1f} bytes per fine step left"
 
 
+def test_a_warm_record_peaks_below_80_bytes_per_fine_step():
+    # Each exact sum extracts its own row of terms, so no sum holds a block
+    # of several rows of the path's length.
+    n = 200_000
+    plan = _plan(small_cfg(n=n, n_paths=2), min_paths=1)
+    montecarlo._single_record(plan, 0)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        montecarlo._single_record(plan, 1)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 80 * n, f"{peak / n:.1f} bytes per fine step"
+
+
 def test_records_match_standalone_pipeline():
     cfg = small_cfg()
     summary = run_experiment(cfg)

@@ -405,6 +405,20 @@ def test_cli_simulate_estimate_detect_run_at_one_interval(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_squares_summing_past_the_largest_double_read_null(tmp_path, capsys):
+    # Each squared increment is 1e308, but their sum overflows: it is +inf,
+    # written as null, as on a path where a single square overflows.
+    src = tmp_path / "path.csv"
+    src.write_text("time,x\n0,0\n0.25,1e154\n0.5,0\n0.75,1e154\n1,0\n")
+    for command in ("estimate", "detect"):
+        out = tmp_path / command
+        assert main([command, "--in", str(src), "--out", str(out)]) == 0
+        report = load_json(out / "report.json")
+        assert report["realized_variance"] is None
+        assert report["bipower_variation"] is None
+    capsys.readouterr()
+
+
 def test_cli_missing_input_file_is_runtime_error(tmp_path, capsys):
     missing = str(tmp_path / "absent.csv")
     assert main(["estimate", "--in", missing, "--out", str(tmp_path)]) == 3
@@ -513,7 +527,7 @@ def test_cli_out_of_memory_is_runtime_error(tmp_path):
     assert res.returncode == 3
     assert res.stderr == (
         "jumpsift: error: out of memory at n = 100000000, substeps = 1; a simulated path"
-        " needs about 162 bytes per fine step, and it has n * substeps of them\n")
+        " needs about 122 bytes per fine step, and it has n * substeps of them\n")
     assert res.stdout == ""
     assert not os.path.exists(out / "manifest.json")
 

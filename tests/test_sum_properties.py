@@ -1,7 +1,7 @@
 """Property tests for the exact sums and the algebra the estimators rest on.
 
-The first test compares the batched extraction with math.fsum bit for bit;
-the others pin identities of the estimators, the KS range and the Model2
+The first test compares the extraction with math.fsum bit for bit, row by
+row; the others pin identities of the estimators, the KS range and the Model2
 volatility scan, and hold independently of how the sums are computed.
 """
 
@@ -29,7 +29,7 @@ from jumpsift import (
     threshold_realized_variance,
 )
 from jumpsift.engines import rng_from_seed
-from jumpsift.estimators import _EXTRACT_PASSES, _exact_sums
+from jumpsift.estimators import _EXTRACT_PASSES, _exact_sum
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=60, deadline=None)
 
@@ -82,7 +82,7 @@ def fsum_or_error(row):
 
 def exact_sums_or_error(rows):
     try:
-        return _exact_sums(rows)
+        return [_exact_sum(row) for row in rows]
     except (ValueError, OverflowError) as exc:
         return type(exc)
 
@@ -131,7 +131,7 @@ def multiple_of(x, step=2.0 ** -80):
 
 
 def test_exact_sums_take_each_exit():
-    """Each exit of _exact_sums, placed so that halving the bound, dropping
+    """Each exit of _exact_sum, placed so that halving the bound, dropping
     the rounding error of c or certifying at equality changes it."""
     last = _EXTRACT_PASSES + 1
     rng = np.random.default_rng(3)
@@ -154,12 +154,10 @@ def test_exact_sums_take_each_exit():
         "short": (squares[:63], 0),
     }
     rows = [row for row, _ in cases.values()]
-    for row in rows:
-        alone = _exact_sums([row])[0]
-        assert np.float64(alone).tobytes() == np.float64(math.fsum(row.tolist())).tobytes()
     exits = []
-    got = _exact_sums(rows, exits)
-    assert got == [math.fsum(row.tolist()) for row in rows]
+    got = [_exact_sum(row, exits) for row in rows]
+    assert ([np.float64(g).tobytes() for g in got]
+            == [np.float64(math.fsum(row.tolist())).tobytes() for row in rows])
     assert dict(zip(cases, exits)) == {name: want for name, (_, want) in cases.items()}
     _, s, half_ulp = near_midpoint_row(0.0)
     assert got[list(cases).index("tie broken up")] == s + 2.0 * half_ulp
