@@ -8,6 +8,9 @@ Five subcommands sharing one option surface:
   mc         repeated paths -> summary.json + hist.csv
   compare    estimator efficiency -> efficiency.csv
 
+estimate and detect share one kernel call, so estimate's report.json is the
+one detect writes for the same path and threshold.
+
 Every run also writes manifest.json: the resolved configuration, seed, RNG
 id, and sha256 of each output. replay_manifest() re-executes a manifest and
 must reproduce the other files byte-for-byte.
@@ -29,7 +32,7 @@ import warnings
 from . import __version__
 from .config import RUN_PARAMETERS, RunSettings, load_config_file, merge_settings, resolve_seed
 from .errors import AdmissibilityWarning, ConfigError, InvalidArgumentError, JumpsiftError
-from .estimators import detect_and_report, estimation_report
+from .estimators import detect_and_report
 from .models import has_jumps, model_name
 from .montecarlo import efficiency_comparison, run_experiment
 from .serialize import (
@@ -93,8 +96,7 @@ def main(argv: list[str] | None = None) -> int:
         out_dir = args.out
         os.makedirs(out_dir, exist_ok=True)
         with _admissibility_lines():
-            outputs = _dispatch(args.command, settings, out_dir,
-                                getattr(args, "input", None))
+            outputs = _run(args.command, settings, out_dir, getattr(args, "input", None))
     except ConfigError as exc:
         print(f"jumpsift: config error: {exc}", file=sys.stderr)
         return 2
@@ -153,64 +155,35 @@ def _admissibility_lines():
         yield
 
 
-def _dispatch(command: str, settings: RunSettings, out_dir: str,
-              input_path: str | None) -> list[str]:
+def _run(command: str, settings: RunSettings, out_dir: str,
+         input_path: str | None) -> list[str]:
+    """Runs one command into out_dir: writes its outputs, then manifest.json
+    with the sha256 of each (and of the input, for estimate and detect), and
+    returns the names written, manifest.json last."""
+    writers = {}  # output name -> function writing that file to a path
     if command == "simulate":
-        return _run_simulate(settings, out_dir)
-    if command == "estimate":
-        return _run_estimate(settings, out_dir, input_path)
-    if command == "detect":
-        return _run_detect(settings, out_dir, input_path)
-    if command == "mc":
-        return _run_mc(settings, out_dir)
-    if command == "compare":
-        return _run_compare(settings, out_dir)
-    raise ConfigError(f"unknown command {command!r}")
-
-
-def _run_simulate(settings: RunSettings, out_dir: str) -> list[str]:
-    cfg = settings.experiment()
-    path = simulate(cfg.model, cfg.build_grid(), cfg.substeps,
-                    path_seed(cfg.base_seed, 0))
-    write_path_csv(path, os.path.join(out_dir, "path.csv"))
-    return _finish("simulate", settings, out_dir, ["path.csv"])
-
-
-def _run_estimate(settings: RunSettings, out_dir: str, input_path: str) -> list[str]:
-    path = read_path_csv(input_path)
-    report = estimation_report(path, settings.threshold())
-    write_json(os.path.join(out_dir, "report.json"), report_to_dict(report, path))
-    return _finish("estimate", settings, out_dir, ["report.json"],
-                   inputs=[input_path])
-
-
-def _run_detect(settings: RunSettings, out_dir: str, input_path: str) -> list[str]:
-    path = read_path_csv(input_path)
-    det, report = detect_and_report(path, settings.threshold())
-    write_detection_csv(path, det, os.path.join(out_dir, "detection.csv"))
-    write_json(os.path.join(out_dir, "report.json"), report_to_dict(report, path))
-    return _finish("detect", settings, out_dir, ["detection.csv", "report.json"],
-                   inputs=[input_path])
-
-
-def _run_mc(settings: RunSettings, out_dir: str) -> list[str]:
-    summary = run_experiment(settings.experiment())
-    write_json(os.path.join(out_dir, "summary.json"), summary_to_dict(summary))
-    names = ["summary.json"]
-    if summary.histogram is not None:
-        write_histogram_csv(summary.histogram, os.path.join(out_dir, "hist.csv"))
-        names.append("hist.csv")
-    return _finish("mc", settings, out_dir, names)
-
-
-def _run_compare(settings: RunSettings, out_dir: str) -> list[str]:
-    table = efficiency_comparison(settings.experiment())
-    write_efficiency_csv(table, os.path.join(out_dir, "efficiency.csv"))
-    return _finish("compare", settings, out_dir, ["efficiency.csv"])
-
-
-def _finish(command: str, settings: RunSettings, out_dir: str,
-            outputs: list[str], inputs: list[str] | None = None) -> list[str]:
+        cfg = settings.experiment()
+        path = simulate(cfg.model, cfg.build_grid(), cfg.substeps,
+                        path_seed(cfg.base_seed, 0))
+        writers["path.csv"] = lambda dest: write_path_csv(path, dest)
+    elif command in _NEEDS_INPUT:
+        path = read_path_csv(input_path)
+        det, report = detect_and_report(path, settings.threshold())
+        if command == "detect":
+            writers["detection.csv"] = lambda dest: write_detection_csv(path, det, dest)
+        writers["report.json"] = lambda dest: write_json(dest, report_to_dict(report, path))
+    elif command == "mc":
+        summary = run_experiment(settings.experiment())
+        writers["summary.json"] = lambda dest: write_json(dest, summary_to_dict(summary))
+        if summary.histogram is not None:
+            writers["hist.csv"] = lambda dest: write_histogram_csv(summary.histogram, dest)
+    elif command == "compare":
+        table = efficiency_comparison(settings.experiment())
+        writers["efficiency.csv"] = lambda dest: write_efficiency_csv(table, dest)
+    else:
+        raise ConfigError(f"unknown command {command!r}")
+    for name, write in writers.items():
+        write(os.path.join(out_dir, name))
     manifest = build_manifest(
         command=command,
         config=_settings_echo(settings),
@@ -220,13 +193,12 @@ def _finish(command: str, settings: RunSettings, out_dir: str,
         created_utc=datetime.datetime.now(datetime.timezone.utc)
                     .isoformat(timespec="seconds"),
         out_dir=out_dir,
-        outputs=outputs,
+        outputs=list(writers),
     )
-    if inputs:
-        manifest["inputs"] = [{"file": name, "sha256": file_sha256(name)}
-                              for name in inputs]
+    if command in _NEEDS_INPUT:
+        manifest["inputs"] = [{"file": input_path, "sha256": file_sha256(input_path)}]
     write_json(os.path.join(out_dir, "manifest.json"), manifest)
-    return outputs + ["manifest.json"]
+    return [*writers, "manifest.json"]
 
 
 def _settings_echo(settings: RunSettings) -> dict:
@@ -261,7 +233,7 @@ def replay_manifest(manifest_path: str, out_dir: str) -> list[str]:
     _check_hashes(inputs, "", "input")
     input_path = inputs[0]["file"] if inputs else None
     os.makedirs(out_dir, exist_ok=True)
-    outputs = _dispatch(manifest["command"], settings, out_dir, input_path)
+    outputs = _run(manifest["command"], settings, out_dir, input_path)
     _check_hashes(manifest.get("outputs") or [], out_dir, "output")
     return outputs
 

@@ -266,7 +266,10 @@ class _PathSums:
         self.spec = spec
         self.r = r
         self.dx = dx
-        self.dx2 = dx * dx
+        # A square or product past the largest double is inf, and inf * 0 in
+        # bpv is nan; both make the sum they enter non-finite, with no warning.
+        with np.errstate(over="ignore"):
+            self.dx2 = dx * dx
 
     @cached_property
     def keep(self) -> np.ndarray:
@@ -304,14 +307,18 @@ class _PathSums:
     @cached_property
     def quartic(self) -> float:
         kept = self.dx2[self.keep]
-        return self._total(kept * kept)
+        with np.errstate(over="ignore"):
+            terms = kept * kept
+        return self._total(terms)
 
     @cached_property
     def bpv(self) -> float:
         if self.dx.size < 2:
             raise InvalidArgumentError("bipower variation needs at least 2 increments")
         a = np.abs(self.dx)
-        return (math.pi / 2.0) * self._total(a[1:] * a[:-1])
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = a[1:] * a[:-1]
+        return (math.pi / 2.0) * self._total(terms)
 
     def normalized_bias(self, true_iv: float) -> float:
         _require_uniform(self.path, "normalized_bias")

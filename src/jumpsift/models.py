@@ -237,8 +237,10 @@ class SamplePath:
 
     @property
     def increments(self) -> np.ndarray:
+        """obs[i + 1] - obs[i]; a difference past the largest double is +-inf."""
         obs = self.observations
-        return obs[1:] - obs[:-1]
+        with np.errstate(over="ignore"):
+            return obs[1:] - obs[:-1]
 
 
 def _require_positive(**named):

@@ -250,7 +250,7 @@ def write_detection_csv(path: SamplePath, det: JumpDetectionResult, dest: str) -
     for i in np.flatnonzero(det.indicators).tolist():
         size_hat[i] = fmt_float(det.estimated_sizes[i])
     write_csv(dest, ["interval", "t_left", "t_right", "dx", "flagged", "size_hat"],
-              [np.arange(path.grid.n), times[:-1], times[1:], np.diff(path.observations),
+              [np.arange(path.grid.n), times[:-1], times[1:], path.increments,
                det.indicators.astype(np.int64), size_hat])
 
 

@@ -371,6 +371,29 @@ def test_cli_out_of_range_run_parameter_is_config_error(tmp_path, capsys, comman
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("lines,message", [
+    ("n = abc", "n must be an integer, got 'abc'"),
+    ("t = nan", "t must not be NaN"),
+    ("model = model9", "unknown model 'model9' (known: model1, model2, model3, custom)"),
+    ("model = custom\njumps = compound-poisson:1",
+     "invalid custom model: jumps id needs '<lam>,<size_std>', got 'compound-poisson:1'"),
+    ("model = custom\njumps = compound-poisson:a,b",
+     "invalid custom model: bad jumps id 'compound-poisson:a,b'"),
+    ("model = custom\njumps = compound-poisson:-1,0.5",
+     "invalid custom model: jump intensity must be >= 0"),
+    ("model = custom\njumps = compound-poisson:1,0",
+     "invalid custom model: jump size_std must be positive"),
+    ("model = custom\nspot_vol = linear:1", "invalid custom model: unknown spot_vol id 'linear:1'"),
+    ("model = custom\ndrift = constant:abc", "invalid custom model: bad drift id 'constant:abc'"),
+], ids=lambda v: v.splitlines()[-1])
+def test_cli_bad_config_value_is_one_config_error_line(tmp_path, capsys, lines, message):
+    cfg = write_cfg(tmp_path, f"schema_version = 1\n{lines}\n")
+    out = tmp_path / "out"
+    assert main(["mc", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"jumpsift: config error: {message}\n"
+    assert not (out / "manifest.json").exists()
+
+
 def test_cli_horizon_below_normal_spacing_names_t_and_n(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "schema_version = 1\nt = 1e-320\nn = 5000\n")
     assert main(["mc", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
@@ -417,6 +440,24 @@ def test_cli_squares_summing_past_the_largest_double_read_null(tmp_path, capsys)
         assert report["realized_variance"] is None
         assert report["bipower_variation"] is None
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("rows,flags", [
+    ("0,0\n0.5,1e200\n1,0\n", []),
+    ("0,0\n0.25,1e308\n0.5,-1e308\n0.75,-1e308\n1,0\n", []),
+    ("0,0\n0.5,1e80\n1,0\n", ["--scale-c", "1e200"]),
+], ids=["square overflows", "increment overflows", "kept fourth power overflows"])
+def test_cli_overflow_prints_no_warning(tmp_path, capsys, rows, flags):
+    # numpy's overflow and inf * 0 warnings stay inside the kernel, so they
+    # neither reach stderr nor, as errors, end the run.
+    src = tmp_path / "path.csv"
+    src.write_text("time,x\n" + rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for command in ("estimate", "detect"):
+            assert main([command, "--in", str(src), *flags,
+                         "--out", str(tmp_path / command)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_cli_missing_input_file_is_runtime_error(tmp_path, capsys):
@@ -620,7 +661,7 @@ def test_cli_passes_other_warnings_on(tmp_path, capsys, monkeypatch):
             warnings.warn(f"inadmissible threshold: a {category.__name__}", category)
         return []
 
-    monkeypatch.setattr(cli, "_run_simulate", warning_run)
+    monkeypatch.setattr(cli, "_run", warning_run)
     argv = ["simulate", "--out", str(tmp_path)]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -634,7 +675,7 @@ def test_cli_passes_other_warnings_on(tmp_path, capsys, monkeypatch):
         warnings.warn("overflow", RuntimeWarning)
         return []
 
-    monkeypatch.setattr(cli, "_run_simulate", runtime_warning_run)
+    monkeypatch.setattr(cli, "_run", runtime_warning_run)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(RuntimeWarning, match="overflow"):

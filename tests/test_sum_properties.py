@@ -254,10 +254,13 @@ def test_ks_lies_in_the_unit_interval(samples, lam_t, var_one):
     assert 0.0 <= mixed <= 1.0
 
 
+# k * T above 600 (T = 1) takes _ou_scan's stepwise loop instead of the
+# closed-form cumulative sum.
 @settings(derandomize=True, database=None, max_examples=25, deadline=None)
 @given(st.integers(1, 120), st.integers(1, 5), st.sampled_from([0.0, 0.6]),
-       st.integers(0, 2**32), st.floats(0.1, 8.0), st.floats(1e-3, 0.5),
-       st.floats(-1.0, 1.0), st.floats(-3.0, 0.0), st.floats(-3.0, 0.0))
+       st.integers(0, 2**32),
+       st.one_of(st.floats(0.1, 8.0), st.floats(600.0, 2000.0, exclude_min=True)),
+       st.floats(1e-3, 0.5), st.floats(-1.0, 1.0), st.floats(-3.0, 0.0), st.floats(-3.0, 0.0))
 def test_ou_scan_matches_the_stepwise_recursion(n, substeps, jitter, seed, k, eta, rho,
                                                 h0, h_bar):
     cfg = Model2(rho=rho, h0=h0, mean_reversion=k, h_bar=h_bar, vol_of_vol=eta)
@@ -279,6 +282,9 @@ def test_ou_scan_matches_the_stepwise_recursion(n, substeps, jitter, seed, k, et
     h = [h0]
     for a, b21, b22, x1, x2 in zip(alpha.tolist(), c21.tolist(), c22.tolist(), z1, z2):
         h.append(h_bar + a * (h[-1] - h_bar) + b21 * x1 + b22 * x2)
-    # H is a log-volatility, so its natural scale is at least 1.
+    # H is a log-volatility, so its natural scale is at least 1. The scan's
+    # rounding drift grows with the number of substeps m, about m * eps / 5
+    # at worst over random draws.
     h = np.array(h)
-    assert np.max(np.abs(np.log(spot) / 2.0 - h)) <= 1e-14 * max(1.0, np.max(np.abs(h)))
+    bound = max(1e-14, widths.size * 2.0 ** -52) * max(1.0, np.max(np.abs(h)))
+    assert np.max(np.abs(np.log(spot) / 2.0 - h)) <= bound
