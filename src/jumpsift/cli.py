@@ -215,27 +215,35 @@ def replay_manifest(manifest_path: str, out_dir: str) -> list[str]:
     """Re-executes the run a manifest describes, writing into out_dir.
 
     All outputs except the manifest's created_utc field are byte-identical
-    to the original run. Raises InvalidArgumentError, naming the file, if a
+    to the original run. Raises ConfigError, naming the manifest, if it is
+    not JSON or lacks a key, and InvalidArgumentError, naming the file, if a
     recorded input or output does not match its recorded sha256.
     """
     with open(manifest_path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+        try:
+            manifest = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+            raise ConfigError(f"{manifest_path}: not a JSON manifest ({exc})") from None
     for key in ("command", "config", "base_seed"):
         if key not in manifest:
             raise ConfigError(f"{manifest_path}: manifest lacks {key!r}")
+    inputs, outputs = manifest.get("inputs") or [], manifest.get("outputs") or []
+    for entry in (*inputs, *outputs):
+        if not isinstance(entry, dict) or not {"file", "sha256"} <= entry.keys():
+            raise ConfigError(f"{manifest_path}: an entry lacks 'file' or 'sha256'")
     echo = manifest["config"]
     # The echo holds only int, float and str; a float's repr parses back to
     # the same double.
     raw = {k: str(v) for k, v in echo.items()}
     settings = merge_settings(file_values=None, overrides=raw)
     settings = settings.with_seed(int(manifest["base_seed"]))
-    inputs = manifest.get("inputs") or []
     _check_hashes(inputs, "", "input")
-    input_path = inputs[0]["file"] if inputs else None
     os.makedirs(out_dir, exist_ok=True)
-    outputs = _run(manifest["command"], settings, out_dir, input_path)
-    _check_hashes(manifest.get("outputs") or [], out_dir, "output")
-    return outputs
+    with _admissibility_lines():
+        written = _run(manifest["command"], settings, out_dir,
+                       inputs[0]["file"] if inputs else None)
+    _check_hashes(outputs, out_dir, "output")
+    return written
 
 
 def _check_hashes(entries: list[dict], base_dir: str, role: str) -> None:

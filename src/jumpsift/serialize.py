@@ -4,7 +4,8 @@ Floats are written with 17 significant digits so parsing the text back
 reproduces the exact double. The JSON emitter is deliberately small and
 deterministic: insertion-ordered keys, two-space indent, LF endings, and
 non-finite floats mapped to null. CSV files are UTF-8 with a header row
-and LF endings.
+and LF endings. Long tables are built in numpy, with float cells certified
+to match format(x, ".17g") or formatted by it (tests/sweep_float_text.py).
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ def fmt_float(x: float) -> str:
 
 # write_csv sends rows out in chunks of _CSV_CHUNK_ROWS, one write each.
 _CSV_CHUNK_ROWS = 4096
+# Tables this long or longer go through _csv_bytes; _csv_rows is faster below.
+_VECTOR_MIN_ROWS = 1024
 
 
 def write_csv(dest: str, header: list[str], columns: list) -> None:
@@ -44,10 +47,11 @@ def write_csv(dest: str, header: list[str], columns: list) -> None:
     if len(lengths) > 1:
         raise ValueError(f"columns differ in length: {sorted(lengths)}")
     n = lengths.pop() if lengths else 0
-    with open(dest, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
+    with open(dest, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
         for lo in range(0, n, _CSV_CHUNK_ROWS):
-            fh.write(_csv_rows([c[lo:lo + _CSV_CHUNK_ROWS] for c in columns]))
+            chunk = [c[lo:lo + _CSV_CHUNK_ROWS] for c in columns]
+            fh.write(_csv_bytes(chunk) if n >= _VECTOR_MIN_ROWS else _csv_rows(chunk).encode())
 
 
 def _csv_rows(columns: list) -> str:
@@ -66,6 +70,124 @@ def _csv_rows(columns: list) -> str:
         for j, col in zip(floats, text[where.reshape(block.shape)].tolist()):
             cells[j] = col
     return "\n".join(map(",".join, zip(*cells))) + "\n"
+
+
+def _csv_bytes(columns: list) -> bytes:
+    """The bytes of _csv_rows(columns), built in numpy: each cell fills a slot
+    padded with NUL bytes, deleted at the end. A column of another kind, an int
+    of magnitude 2**53 or more, or a str with NUL sends the table to _csv_rows."""
+    slots = []
+    for c in columns:
+        if isinstance(c, np.ndarray) and c.dtype.kind == "f":
+            slots.append(_float_slots(np.asarray(c, np.float64)))
+        elif isinstance(c, np.ndarray) and c.dtype.kind == "i" and np.all(
+                (c > -2 ** 53) & (c < 2 ** 53)):  # exact as doubles, printed alike
+            slots.append(_float_slots(c.astype(np.float64)))
+        elif not isinstance(c, np.ndarray) and "\0" not in "".join(c):
+            slots.append(np.array([s.encode() for s in c]).view(np.uint8).reshape(len(c), -1))
+        else:
+            return _csv_rows(columns).encode()
+    sep = np.full((len(slots[0]), 1), ord(","), np.uint8)
+    parts = [part for slot in slots for part in (slot, sep)]
+    parts[-1] = np.full_like(sep, ord("\n"))
+    return np.concatenate(parts, axis=1).tobytes().translate(None, b"\0")
+
+
+# _float_slots certifies |x| in [1e-30, 1e30], exponents e in [-30, 30]; the
+# tables run one further each side. 10**(16 - e) is num / den, then hi + lo,
+# each rounded to nearest as Python's int division is, and hi split for Dekker.
+_E_MIN, _E_MAX = -31, 31
+_TENS = [(10 ** k, 1) if k >= 0 else (1, 10 ** -k) for k in range(16 - _E_MIN, 15 - _E_MAX, -1)]
+_POW_HI = np.array([num / den for num, den in _TENS])
+_POW_LO = np.array([(num * s - h * den) / (den * s) for (num, den), (h, s)
+                    in zip(_TENS, map(float.as_integer_ratio, _POW_HI.tolist()))])
+_SPLIT = 134217729.0  # 2**27 + 1
+_POW_HH = _SPLIT * _POW_HI - (_SPLIT * _POW_HI - _POW_HI)
+_POW_HL = _POW_HI - _POW_HH
+
+# A float slot is 28 bytes: the sign, 5 for text before the digits ("0.000"),
+# 18 for the 17 digits and a point among them, and 4 for an exponent. For
+# exponent index i = e - _E_MIN, '.17g' puts the first _POINT[i] digits in the
+# places _BEFORE[i] marks and the rest in those _AFTER[i] marks; row 2 * i of
+# _TEXT holds the other text, and row 2 * i + 1 adds the point among the digits.
+_POINT = np.zeros(_E_MAX - _E_MIN + 1, np.int64)
+_BEFORE, _AFTER = np.zeros((2, len(_POINT), 28), np.uint8)
+_TEXT = np.zeros((2 * len(_POINT), 28), np.uint8)
+for _i, _e in enumerate(range(_E_MIN, _E_MAX + 1)):
+    _head = "0." + "0" * (-_e - 1) if -4 <= _e < 0 else ""
+    _tail = "" if -4 <= _e < 17 else f"e{_e:+03d}"
+    _POINT[_i] = _e + 1 if 0 <= _e < 17 else 0 if _head else 1
+    _BEFORE[_i, 6:6 + _POINT[_i]] = _AFTER[_i, 7 + _POINT[_i]:24] = 0xFF
+    _TEXT[2 * _i:2 * _i + 2, 6 - len(_head):6] = list(_head.encode())
+    _TEXT[2 * _i:2 * _i + 2, 24:24 + len(_tail)] = list(_tail.encode())
+    _TEXT[2 * _i + 1, 6 + _POINT[_i]] = 0 if _head else ord(".")
+# Row k: the '0' bit set on the first k of 17 digits.
+_SHOWN = np.tril(np.full((18, 17), 0x30, np.uint8), -1)
+
+
+def _times_pow10(a: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a * 10**(16 - e) as p + t: p = fl(a * hi), t its exact error plus a * lo."""
+    i = e - _E_MIN
+    hi, hh, hl = _POW_HI[i], _POW_HH[i], _POW_HL[i]
+    c = _SPLIT * a
+    ah = c - (c - a)
+    al = a - ah
+    p = a * hi
+    return p, (al * hl - (((p - ah * hh) - al * hh) - ah * hl)) + a * _POW_LO[i]
+
+
+def _float_slots(x: np.ndarray) -> np.ndarray:
+    """28-byte NUL-padded slots holding format(v, ".17g") of each v in x.
+
+    For |v| in [1e-30, 1e30] and e = floor(log10 |v|), the 17 digits are
+    D = round(y), y = |v| * 10**(16 - e). _times_pow10 gives y as p + t, p an
+    integer double in [2**53, 2**57) and |t| < 32, with an error below 2**-47:
+    2**-49 each from the double-double's 2**-106 relative error, from rounding
+    a * lo and from adding it to the exact error term. A cell is certified if
+    the fraction of t lies more than 2**-30 from 1/2, so y rounds as p + t
+    does. e is guessed from log10 and corrected from p + t before rounding; a
+    D rounded up to 10**17 carries into e. Zeros print as a signed '0'.
+    Non-finite values, those out of range and near-ties go to format().
+    """
+    a = np.abs(x)
+    fast = (a >= 1e-30) & (a <= 1e30)
+    a = np.where(fast, a, 1.0)
+    e = np.floor(np.log10(a)).astype(np.int64)
+    p, t = _times_pow10(a, e)
+    off = ((p - 1e17) + t >= 0).astype(np.int64) - ((p - 1e16) + t < 0)
+    if off.any():
+        e += off
+        p, t = _times_pow10(a, e)
+    whole = np.floor(t)
+    frac = t - whole
+    fast &= np.abs(frac - 0.5) > 2.0 ** -30
+    d = p.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)
+    carry = d == 10 ** 17
+    d[carry] = 10 ** 16
+    i = e + carry - _E_MIN
+    d[x == 0] = 0  # shown as one '0' digit, signed by its sign bit
+    fast |= x == 0
+    # d's 17 digits, from its 8- and 9-digit halves, and how many precede trailing zeros.
+    high = d // 10 ** 9
+    halves = np.array([high, d - high * 10 ** 9], dtype=np.uint32)
+    digits = np.empty((2, 9, len(x)), np.uint8)
+    for k in range(8, -1, -1):
+        q = halves // 10
+        digits[:, k] = halves - q * 10
+        halves = q
+    digits = digits.reshape(18, -1)[1:]
+    significant = ((digits != 0) * np.arange(1, 18, dtype=np.uint8)[:, None]).max(axis=0)
+    shown = np.maximum(significant, _POINT[i])
+    padded = np.zeros((len(x), 29), np.uint8)
+    padded[:, 7:24] = digits.T | np.take(_SHOWN, shown, axis=0)
+    slots = (np.take(_TEXT, 2 * i + (significant > _POINT[i]), axis=0)
+             | (padded[:, 1:] & np.take(_BEFORE, i, axis=0))
+             | (padded[:, :-1] & np.take(_AFTER, i, axis=0)))
+    slots[:, 0] = np.signbit(x) * ord("-")
+    slow = np.flatnonzero(~fast)
+    text = [format(v, ".17g") for v in x[slow].tolist()]
+    slots[slow] = np.array(text, dtype="S28").view(np.uint8).reshape(-1, 28)
+    return slots
 
 
 # str.translate table for JSON strings: the quote, the backslash and every C0

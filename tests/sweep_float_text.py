@@ -1,0 +1,97 @@
+"""Fixed-seed sweep of the long-table CSV path against format(x, ".17g").
+
+Too long for the tier-1 suite; CI runs it as its own step:
+
+    PYTHONPATH=src python tests/sweep_float_text.py --values 1000000 --seed 2010
+
+Every value goes through serialize._csv_bytes in one-column tables of
+serialize._CSV_CHUNK_ROWS rows, as write_csv sends a long table, and each
+line is compared with format(x, ".17g"). The families, either sign:
+
+* bits: --values uniformly random 64-bit patterns, most of them outside
+  the certified range [1e-30, 1e30], NaN and infinity patterns included;
+* range: --values random doubles at every exponent of the certified range;
+* pow10: powers of ten from 1e-40 to 1e40, up to 40 doubles either side;
+* halfway: the double nearest a random 17-digit decimal with a 5 in the
+  18th digit, and the two doubles either side of it;
+* ties: m/2, m/4 and m/8 for m near 2**53, many of them exact ties;
+* edges: up to 40 doubles either side of 1e-30 and 1e30, zeros and
+  subnormals.
+
+Prints how many values each family had and how many differ, and exits 1 on
+any difference.
+"""
+
+from __future__ import annotations
+
+import argparse
+import itertools
+import math
+import sys
+
+import numpy as np
+
+from jumpsift import serialize
+
+
+def neighbours(values, k):
+    """Each value and the k doubles either side of it."""
+    out = []
+    for v in values:
+        up = down = v
+        out.append(v)
+        for _ in range(k):
+            up, down = math.nextafter(up, math.inf), math.nextafter(down, -math.inf)
+            out += [up, down]
+    return np.array(out)
+
+
+def families(rng, count):
+    bits = rng.integers(0, 2 ** 64, size=count, dtype=np.uint64).view(np.float64)
+    in_range = rng.uniform(1.0, 10.0, count) * 10.0 ** rng.integers(-30, 30, count)
+    pow10 = neighbours([float(f"1e{e}") for e in range(-40, 41)], 40)
+    digits = rng.integers(10 ** 16, 10 ** 17, count // 10).tolist()
+    exponents = rng.integers(-50, 16, count // 10).tolist()
+    halfway = neighbours([float(f"{d}5e{e}") for d, e in zip(digits, exponents)], 2)
+    m = rng.integers(2 ** 52, 2 ** 54, count // 10)
+    ties = np.concatenate([m / 2.0, m / 4.0, m / 8.0])
+    subnormal = rng.integers(1, 2 ** 52, count // 100, dtype=np.uint64).view(np.float64)
+    edges = np.concatenate([neighbours([1e-30, 1e30], 40), [0.0], subnormal])
+    return {name: np.concatenate([v, -v]) for name, v in (
+        ("bits", bits), ("range", in_range), ("pow10", pow10), ("halfway", halfway),
+        ("ties", ties), ("edges", edges))}
+
+
+def differences(values):
+    """The (value, got, want) lines where the long path and format() differ."""
+    bad = []
+    rows = serialize._CSV_CHUNK_ROWS
+    for lo in range(0, values.size, rows):
+        chunk = values[lo:lo + rows]
+        got = serialize._csv_bytes([chunk]).decode().split("\n")[:-1]
+        want = [format(v, ".17g") for v in chunk.tolist()]
+        bad += [(v, g, w) for v, g, w in itertools.zip_longest(chunk.tolist(), got, want)
+                if g != w]
+    return bad
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--values", type=int, default=1_000_000)
+    parser.add_argument("--seed", type=int, default=2010)
+    args = parser.parse_args(argv)
+    rng = np.random.default_rng(args.seed)
+    total = bad = 0
+    for name, values in families(rng, args.values).items():
+        found = differences(values)
+        for v, got, want in found[:10]:
+            print(f"{name}: {v!r}: got {got!r}, format gives {want!r}")
+        print(f"{name:>8}: {values.size} values, {len(found)} differ")
+        total += values.size
+        bad += len(found)
+    print(f"{total} values, {bad} differ from format(x, '.17g')")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import platform
+import re
 import sys
 import warnings
 from pathlib import Path
@@ -844,6 +845,46 @@ def test_replay_manifest_rejects_changed_input_or_output(tmp_path, capsys):
     replay_dir = tmp_path / "in_check"
     with pytest.raises(InvalidArgumentError, match="path.csv: input"):
         replay_manifest(manifest_path, str(replay_dir))
+    assert not replay_dir.exists()
+
+
+def test_replay_of_an_inadmissible_run_warns_in_one_line(tmp_path, capsys):
+    sim_dir, det_dir = str(tmp_path / "sim"), str(tmp_path / "det")
+    assert main(["simulate", "--n", "64", "--seed", "2", "--out", sim_dir]) == 0
+    assert main(["detect", "--beta", "1", "--in", os.path.join(sim_dir, "path.csv"),
+                 "--out", det_dir]) == 0
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("default", AdmissibilityWarning)
+        replay_manifest(os.path.join(det_dir, "manifest.json"), str(tmp_path / "again"))
+    assert capsys.readouterr().err == INADMISSIBLE
+
+
+# A manifest cut short, or an inputs or outputs entry without "file" or
+# "sha256", or one that is a bare file name.
+@pytest.mark.parametrize("damage", ["truncated", "inputs file", "inputs sha256",
+                                    "outputs file", "outputs sha256", "outputs entry"])
+def test_replay_of_a_malformed_manifest_is_config_error(tmp_path, capsys, damage):
+    sim_dir, est_dir = str(tmp_path / "sim"), str(tmp_path / "est")
+    assert main(["simulate", "--n", "64", "--seed", "2", "--out", sim_dir]) == 0
+    assert main(["estimate", "--in", os.path.join(sim_dir, "path.csv"), "--out", est_dir]) == 0
+    capsys.readouterr()
+    text = Path(est_dir, "manifest.json").read_text(encoding="utf-8")
+    if damage == "truncated":
+        text = text[:len(text) // 2]
+    else:
+        manifest = json.loads(text)
+        role, key = damage.split()
+        if key == "entry":
+            manifest[role][0] = manifest[role][0]["file"]
+        else:
+            del manifest[role][0][key]
+        text = json.dumps(manifest)
+    broken = tmp_path / "manifest.json"
+    broken.write_text(text, encoding="utf-8")
+    replay_dir = tmp_path / "replay"
+    with pytest.raises(ConfigError, match=re.escape(str(broken))):
+        replay_manifest(str(broken), str(replay_dir))
     assert not replay_dir.exists()
 
 

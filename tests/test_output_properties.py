@@ -107,6 +107,79 @@ def test_write_csv_matches_a_per_cell_join_across_chunks(tmp_path_factory, drawn
     assert dest.read_bytes() == ("\n".join([",".join(header), *rows]) + "\n").encode()
 
 
+def _ulps(v: float, k: int) -> float:
+    """v moved k doubles up (k > 0) or down."""
+    for _ in range(abs(k)):
+        v = math.nextafter(v, math.copysign(math.inf, k))
+    return v
+
+
+# Doubles next to where a 17-digit significand is hard to get right: powers
+# of ten a few ulps off (floor(log10) is one off next to them), doubles
+# nearest a 17-digit halfway decimal, m/2, m/4 and m/8 near 2**53 (some are
+# exact ties), the certified range's edges, subnormals, zeros, NaNs with
+# payloads and infinities; either sign.
+TRICKY_FLOATS = st.tuples(st.one_of(
+    st.builds(lambda e, k: _ulps(float(f"1e{e}"), k),
+              st.integers(-40, 40), st.sampled_from([-3, -2, -1, 1, 2, 3])),
+    st.builds(lambda d, e: float(f"{d}5e{e}"),
+              st.integers(10 ** 16, 10 ** 17 - 1), st.integers(-50, 15)),
+    st.builds(lambda m, j: m / j, st.integers(2 ** 52, 2 ** 54), st.sampled_from([2, 4, 8])),
+    st.builds(_ulps, st.sampled_from([1e-30, 1e30]), st.integers(-3, 3)),
+    st.integers(1, 2 ** 52 - 1).map(lambda bits: float(np.uint64(bits).view(np.float64))),
+    st.sampled_from([0.0, math.inf, *NAN_PAYLOADS]),
+    st.floats(),
+), st.booleans()).map(lambda pair: -pair[0] if pair[1] else pair[0])
+
+
+@st.composite
+def vector_csv_columns(draw):
+    """From one row short of serialize._VECTOR_MIN_ROWS to two chunks and
+    three rows: float columns mixing a drawn pool of tricky doubles with
+    random doubles of every exponent the certified range holds and random
+    bit patterns, int64 columns over the whole range, and str columns with
+    non-ASCII characters and, in some tables, NUL."""
+    n = draw(st.integers(serialize._VECTOR_MIN_ROWS - 1, 2 * serialize._CSV_CHUNK_ROWS + 3))
+    pool = np.array(draw(st.lists(TRICKY_FLOATS, min_size=1, max_size=40)))
+    ints = np.array(draw(st.lists(st.one_of(
+        st.integers(-2 ** 63, 2 ** 63 - 1),
+        st.sampled_from([-2 ** 63, 2 ** 63 - 1, 0, -10 ** 18, 10 ** 18, 1 - 10 ** 18,
+                         10 ** 18 - 1])), min_size=1, max_size=20)), dtype=np.int64)
+    alphabet = ["a", "-", " ", "\xe9", "\u20ac", "\U0001d11e"] + ["\0"] * draw(st.booleans())
+    texts = draw(st.lists(st.text(st.sampled_from(alphabet), max_size=4), min_size=1,
+                          max_size=8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(["float", "float", "int", "str"]),
+                          min_size=1, max_size=5))
+    columns, cells = [], []
+    for kind in kinds:
+        if kind == "float":
+            column = np.where(rng.random(n) < 0.5, pool[rng.integers(pool.size, size=n)],
+                              rng.standard_normal(n) * 10.0 ** rng.integers(-31, 31, n))
+            bits = rng.random(n) < 0.1
+            column[bits] = rng.integers(0, 2 ** 64, size=int(bits.sum()),
+                                        dtype=np.uint64).view(np.float64)
+        elif kind == "int":
+            column = np.where(rng.random(n) < 0.5, ints[rng.integers(ints.size, size=n)],
+                              rng.integers(-10 ** 6, 10 ** 6, n))
+        else:
+            column = [texts[k] for k in rng.integers(len(texts), size=n)]
+        columns.append(column)
+        cells.append(column.tolist() if isinstance(column, np.ndarray) else column)
+    return columns, cells
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(vector_csv_columns())
+def test_write_csv_of_a_long_table_matches_a_per_cell_join(tmp_path_factory, drawn):
+    columns, cells = drawn
+    header = [f"c{j}" for j in range(len(columns))]
+    dest = tmp_path_factory.mktemp("csv") / "out.csv"
+    write_csv(str(dest), header, columns)
+    rows = [",".join(reference_cell(v) for v in row) for row in zip(*cells)]
+    assert dest.read_bytes() == ("\n".join([",".join(header), *rows]) + "\n").encode()
+
+
 @st.composite
 def sample_paths(draw):
     later = draw(st.lists(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
