@@ -4,8 +4,9 @@ Floats are written with 17 significant digits so parsing the text back
 reproduces the exact double. The JSON emitter is deliberately small and
 deterministic: insertion-ordered keys, two-space indent, LF endings, and
 non-finite floats mapped to null. CSV files are UTF-8 with a header row
-and LF endings. Long tables are built in numpy, with float cells certified
-to match format(x, ".17g") or formatted by it (tests/sweep_float_text.py).
+and LF endings. Long tables are built in numpy: float cells certified to
+match format(x, ".17g") or formatted by it, int cells as str() prints them
+(tests/sweep_float_text.py), and a table with a text column cell by cell.
 """
 
 from __future__ import annotations
@@ -47,11 +48,17 @@ def write_csv(dest: str, header: list[str], columns: list) -> None:
     if len(lengths) > 1:
         raise ValueError(f"columns differ in length: {sorted(lengths)}")
     n = lengths.pop() if lengths else 0
+    text = _csv_bytes if n >= _VECTOR_MIN_ROWS else lambda chunk: _csv_rows(chunk).encode()
+    _write_table(dest, header, n, lambda lo, hi: text([c[lo:hi] for c in columns]))
+
+
+def _write_table(dest: str, header: list[str], n: int, chunk) -> None:
+    """Writes the header row, then the bytes chunk(lo, hi) of rows lo to hi,
+    _CSV_CHUNK_ROWS at a time."""
     with open(dest, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
         for lo in range(0, n, _CSV_CHUNK_ROWS):
-            chunk = [c[lo:lo + _CSV_CHUNK_ROWS] for c in columns]
-            fh.write(_csv_bytes(chunk) if n >= _VECTOR_MIN_ROWS else _csv_rows(chunk).encode())
+            fh.write(chunk(lo, min(lo + _CSV_CHUNK_ROWS, n)))
 
 
 def _csv_rows(columns: list) -> str:
@@ -73,24 +80,38 @@ def _csv_rows(columns: list) -> str:
 
 
 def _csv_bytes(columns: list) -> bytes:
-    """The bytes of _csv_rows(columns), built in numpy: each cell fills a slot
-    padded with NUL bytes, deleted at the end. A column of another kind, an int
-    of magnitude 2**53 or more, or a str with NUL sends the table to _csv_rows."""
-    slots = []
-    for c in columns:
-        if isinstance(c, np.ndarray) and c.dtype.kind == "f":
-            slots.append(_float_slots(np.asarray(c, np.float64)))
-        elif isinstance(c, np.ndarray) and c.dtype.kind == "i" and np.all(
-                (c > -2 ** 53) & (c < 2 ** 53)):  # exact as doubles, printed alike
-            slots.append(_float_slots(c.astype(np.float64)))
-        elif not isinstance(c, np.ndarray) and "\0" not in "".join(c):
-            slots.append(np.array([s.encode() for s in c]).view(np.uint8).reshape(len(c), -1))
-        else:
-            return _csv_rows(columns).encode()
+    """The bytes of _csv_rows(columns), built in numpy from float and int
+    slots; a table with a column of another kind goes to _csv_rows."""
+    if not all(isinstance(c, np.ndarray) and c.dtype.kind in "fi" for c in columns):
+        return _csv_rows(columns).encode()
+    return _join_slots([_float_slots(np.asarray(c, np.float64)) if c.dtype.kind == "f"
+                        else _int_slots(np.asarray(c, np.int64)) for c in columns])
+
+
+def _join_slots(slots: list) -> bytes:
+    """CSV lines from one slot array per column, each row a cell padded with
+    NUL bytes: commas between the cells, LF after each row, padding deleted."""
     sep = np.full((len(slots[0]), 1), ord(","), np.uint8)
     parts = [part for slot in slots for part in (slot, sep)]
     parts[-1] = np.full_like(sep, ord("\n"))
     return np.concatenate(parts, axis=1).tobytes().translate(None, b"\0")
+
+
+def _int_slots(x: np.ndarray) -> np.ndarray:
+    """NUL-padded slots holding str(v) of each v in the int64 array x, one
+    byte for the sign and as many for digits as the largest magnitude has."""
+    a = np.abs(x).view(np.uint64)  # abs(-2**63) wraps to itself, 2**63 unsigned
+    digits = np.empty((len(str(int(a.max(initial=0)))), len(x)), np.uint8)
+    for k in range(len(digits) - 1, -1, -1):
+        q = a // 10
+        digits[k] = a - q * 10
+        a = q
+    shown = np.maximum.accumulate(digits, axis=0) > 0
+    shown[-1] = True  # 0 is one '0' digit
+    slots = np.empty((len(x), 1 + len(digits)), np.uint8)
+    slots[:, 0] = (x < 0) * ord("-")
+    slots[:, 1:] = ((digits | 0x30) * shown).T
+    return slots
 
 
 # _float_slots certifies |x| in [1e-30, 1e30], exponents e in [-30, 30]; the
@@ -262,22 +283,24 @@ def write_path_csv(path: SamplePath, dest: str) -> None:
 def read_path_csv(src: str) -> SamplePath:
     """Reads time and x back; truth columns are not reconstructed.
 
-    numpy's C reader parses the two columns, bit for bit as float() does.
-    A file it rejects, one with fewer than two data rows, one whose first
-    line is not the header, and one holding a byte in 0x1c-0x1f (which numpy
-    skips as whitespace inside a cell and float() does not) go through the
-    per-line reader, which decides what is accepted and words the errors.
+    numpy's C reader, given the path, reads the file in blocks and parses
+    the two columns bit for bit as float() does. A file it rejects, one with
+    fewer than two data rows, one whose first line is not the header, one
+    holding a byte in 0x1c-0x1f (which numpy skips as whitespace inside a
+    cell and float() does not), and one whose name ends in a suffix numpy
+    decompresses go through the per-line reader, which decides what is
+    accepted and words the errors.
     """
     data = None
-    if not _has_separator_bytes(src):
+    if not _has_separator_bytes(src) and not str(src).endswith((".bz2", ".gz", ".xz", ".lzma")):
         try:
             with open(src, "r", encoding="utf-8-sig") as fh:
                 header = fh.readline().strip().split(",")
-                usecols = (header.index("time"), header.index("x"))
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", UserWarning)  # a file without data rows
-                    data = np.loadtxt(fh, delimiter=",", usecols=usecols, comments=None,
-                                      ndmin=2)
+            usecols = (header.index("time"), header.index("x"))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # a file without data rows
+                data = np.loadtxt(src, delimiter=",", skiprows=1, encoding="utf-8-sig",
+                                  usecols=usecols, comments=None, ndmin=2)
         except ValueError:
             pass
     if data is None or len(data) < 2:
@@ -366,14 +389,29 @@ def report_to_dict(report: EstimationReport, path: SamplePath) -> dict:
 
 
 def write_detection_csv(path: SamplePath, det: JumpDetectionResult, dest: str) -> None:
-    """One row per interval: size_hat is empty where nothing was flagged."""
-    times = path.grid.times
-    size_hat = [""] * path.grid.n
-    for i in np.flatnonzero(det.indicators).tolist():
-        size_hat[i] = fmt_float(det.estimated_sizes[i])
-    write_csv(dest, ["interval", "t_left", "t_right", "dx", "flagged", "size_hat"],
-              [np.arange(path.grid.n), times[:-1], times[1:], path.increments,
-               det.indicators.astype(np.int64), size_hat])
+    """One row per interval: size_hat is empty where nothing was flagged. A
+    long table formats each time once, as one row's t_right and the next
+    row's t_left, and each flagged size once."""
+    n, times, dx = path.grid.n, path.grid.times, path.increments
+    flagged = det.indicators.astype(np.int64)
+    where = np.flatnonzero(flagged)
+    sizes = np.array([det.estimated_sizes[i] for i in where.tolist()], dtype=np.float64)
+    header = ["interval", "t_left", "t_right", "dx", "flagged", "size_hat"]
+    if n < _VECTOR_MIN_ROWS:
+        text = dict(zip(where.tolist(), map(fmt_float, sizes.tolist())))
+        write_csv(dest, header, [np.arange(n), times[:-1], times[1:], dx, flagged,
+                                 [text.get(i, "") for i in range(n)]])
+        return
+    sizes = _float_slots(sizes)
+
+    def chunk(lo: int, hi: int) -> bytes:
+        t = _float_slots(times[lo:hi + 1])
+        size_hat = np.zeros((hi - lo, sizes.shape[1]), np.uint8)
+        first, last = np.searchsorted(where, [lo, hi])
+        size_hat[where[first:last] - lo] = sizes[first:last]
+        return _join_slots([_int_slots(np.arange(lo, hi)), t[:-1], t[1:],
+                            _float_slots(dx[lo:hi]), _int_slots(flagged[lo:hi]), size_hat])
+    _write_table(dest, header, n, chunk)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Fixed-seed sweep of the long-table CSV path against format(x, ".17g").
+"""Fixed-seed sweep of the long-table CSV path against format(x, ".17g")
+and str(i).
 
 Too long for the tier-1 suite; CI runs it as its own step:
 
@@ -6,7 +7,8 @@ Too long for the tier-1 suite; CI runs it as its own step:
 
 Every value goes through serialize._csv_bytes in one-column tables of
 serialize._CSV_CHUNK_ROWS rows, as write_csv sends a long table, and each
-line is compared with format(x, ".17g"). The families, either sign:
+line is compared with format(x, ".17g"), or with str(i) for an int64. The
+families, either sign:
 
 * bits: --values uniformly random 64-bit patterns, most of them outside
   the certified range [1e-30, 1e30], NaN and infinity patterns included;
@@ -16,7 +18,9 @@ line is compared with format(x, ".17g"). The families, either sign:
   18th digit, and the two doubles either side of it;
 * ties: m/2, m/4 and m/8 for m near 2**53, many of them exact ties;
 * edges: up to 40 doubles either side of 1e-30 and 1e30, zeros and
-  subnormals.
+  subnormals;
+* ints: int64 values 10**k - 1, 10**k and 10**k + 1 for k up to 18, 0,
+  --values random ones in (-10**18, 10**18), and -2**63 and 2**63 - 1.
 
 Prints how many values each family had and how many differ, and exits 1 on
 any difference.
@@ -57,19 +61,25 @@ def families(rng, count):
     ties = np.concatenate([m / 2.0, m / 4.0, m / 8.0])
     subnormal = rng.integers(1, 2 ** 52, count // 100, dtype=np.uint64).view(np.float64)
     edges = np.concatenate([neighbours([1e-30, 1e30], 40), [0.0], subnormal])
-    return {name: np.concatenate([v, -v]) for name, v in (
+    tens = np.array([10 ** k + d for k in range(19) for d in (-1, 0, 1)])
+    ints = np.concatenate([tens, rng.integers(1 - 10 ** 18, 10 ** 18, count), [2 ** 63 - 1]])
+    out = {name: np.concatenate([v, -v]) for name, v in (
         ("bits", bits), ("range", in_range), ("pow10", pow10), ("halfway", halfway),
-        ("ties", ties), ("edges", edges))}
+        ("ties", ties), ("edges", edges), ("ints", ints))}
+    out["ints"] = np.append(out["ints"], np.int64(-2 ** 63))
+    return out
 
 
 def differences(values):
-    """The (value, got, want) lines where the long path and format() differ."""
+    """The (value, got, want) lines where the long path and format() or, for
+    ints, str() differ."""
     bad = []
     rows = serialize._CSV_CHUNK_ROWS
+    cell = str if values.dtype.kind == "i" else "{:.17g}".format
     for lo in range(0, values.size, rows):
         chunk = values[lo:lo + rows]
         got = serialize._csv_bytes([chunk]).decode().split("\n")[:-1]
-        want = [format(v, ".17g") for v in chunk.tolist()]
+        want = [cell(v) for v in chunk.tolist()]
         bad += [(v, g, w) for v, g, w in itertools.zip_longest(chunk.tolist(), got, want)
                 if g != w]
     return bad
@@ -89,7 +99,7 @@ def main(argv=None) -> int:
         print(f"{name:>8}: {values.size} values, {len(found)} differ")
         total += values.size
         bad += len(found)
-    print(f"{total} values, {bad} differ from format(x, '.17g')")
+    print(f"{total} values, {bad} differ from format(x, '.17g') or str(i)")
     return 1 if bad else 0
 
 

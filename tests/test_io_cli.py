@@ -167,6 +167,16 @@ def test_read_path_csv_rejects_bad_files(tmp_path):
         read_path_csv(str(short))
 
 
+@pytest.mark.parametrize("suffix", [".bz2", ".gz", ".xz", ".lzma"])
+def test_read_path_csv_reads_text_named_like_an_archive(tmp_path, suffix):
+    # numpy would decompress a file by these suffixes; a path file is text.
+    src = tmp_path / f"path.csv{suffix}"
+    src.write_text("time,x\n0,1\n0.5,-2\n1,3.25\n")
+    back = read_path_csv(str(src))
+    assert back.grid.times.tolist() == [0.0, 0.5, 1.0]
+    assert back.observations.tolist() == [1.0, -2.0, 3.25]
+
+
 # ---------------------------------------------------------------------------
 # detection and histogram files
 

@@ -3,7 +3,8 @@
 Every CSV is written column-wise through serialize.write_csv. These tests
 compare it against a per-cell reference, check that a path file reads back
 bit for bit, that read_path_csv agrees with the per-line reader on any text,
-and that hist.csv accounts for every sample.
+that hist.csv accounts for every sample, and that a long detection.csv
+matches a per-cell join.
 """
 
 import math
@@ -12,9 +13,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jumpsift import InvalidArgumentError, SamplePath, TimeGrid, build_histogram
+from jumpsift import (InvalidArgumentError, JumpDetectionResult, SamplePath, TimeGrid,
+                      build_histogram)
 from jumpsift import serialize
-from jumpsift.serialize import read_path_csv, write_csv, write_histogram_csv, write_path_csv
+from jumpsift.serialize import (fmt_float, read_path_csv, write_csv, write_detection_csv,
+                                write_histogram_csv, write_path_csv)
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=60, deadline=None)
 
@@ -178,6 +181,48 @@ def test_write_csv_of_a_long_table_matches_a_per_cell_join(tmp_path_factory, dra
     write_csv(str(dest), header, columns)
     rows = [",".join(reference_cell(v) for v in row) for row in zip(*cells)]
     assert dest.read_bytes() == ("\n".join([",".join(header), *rows]) + "\n").encode()
+
+
+@st.composite
+def long_detections(draw):
+    """From one row short of serialize._VECTOR_MIN_ROWS to two chunks and
+    three rows on a jittered grid, with observations of every scale and
+    pairs of +-1.5e308 whose increments overflow to +-inf. No row, every row
+    or a random share is flagged; in the last case each chunk's first and
+    last rows are flagged too. The sizes are not the increments, so each
+    must come from estimated_sizes."""
+    n = draw(st.integers(serialize._VECTOR_MIN_ROWS - 1, 2 * serialize._CSV_CHUNK_ROWS + 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    steps = rng.uniform(1.0 - draw(st.sampled_from([0.0, 0.3, 0.9])), 1.0, n) / n
+    times = np.r_[0.0, np.cumsum(steps)]
+    xs = rng.standard_normal(n + 1) * 10.0 ** rng.integers(-30, 30, n + 1)
+    huge = rng.choice(n, size=draw(st.integers(0, 8)), replace=False)
+    xs[huge] = rng.choice([-1.5e308, 1.5e308], huge.size)
+    xs[huge + 1] = -xs[huge]
+    share = draw(st.sampled_from([0.0, 1.0, 0.02, 0.2, 0.5]))
+    flagged = rng.random(n) < share
+    if 0 < share < 1:
+        edges = np.arange(0, n, serialize._CSV_CHUNK_ROWS)
+        flagged[edges] = flagged[np.minimum(edges + serialize._CSV_CHUNK_ROWS, n) - 1] = True
+    sizes = rng.standard_normal(n) * 10.0 ** rng.integers(-40, 40, n)
+    sizes[rng.random(n) < 0.05] = np.inf
+    return SamplePath(TimeGrid(times), xs), JumpDetectionResult(
+        flagged, {i: sizes[i] for i in np.flatnonzero(flagged).tolist()})
+
+
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(long_detections())
+def test_write_detection_csv_matches_a_per_cell_join(tmp_path_factory, drawn):
+    path, det = drawn
+    dest = tmp_path_factory.mktemp("det") / "detection.csv"
+    write_detection_csv(path, det, str(dest))
+    t, dx = path.grid.times.tolist(), path.increments.tolist()
+    rows = [",".join([str(i), format(t[i], ".17g"), format(t[i + 1], ".17g"),
+                      format(dx[i], ".17g"), str(int(f)),
+                      fmt_float(det.estimated_sizes[i]) if f else ""])
+            for i, f in enumerate(det.indicators.tolist())]
+    header = "interval,t_left,t_right,dx,flagged,size_hat"
+    assert dest.read_bytes() == ("\n".join([header, *rows]) + "\n").encode()
 
 
 @st.composite
