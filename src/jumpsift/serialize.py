@@ -4,9 +4,10 @@ Floats are written with 17 significant digits so parsing the text back
 reproduces the exact double. The JSON emitter is deliberately small and
 deterministic: insertion-ordered keys, two-space indent, LF endings, and
 non-finite floats mapped to null. CSV files are UTF-8 with a header row
-and LF endings. Long tables are built in numpy: float cells certified to
-match format(x, ".17g") or formatted by it, int cells as str() prints them
-(tests/sweep_float_text.py), and a table with a text column cell by cell.
+and LF endings. detection.csv and other long tables are built in numpy:
+float cells certified to match format(x, ".17g") or formatted by it, int
+cells as str() prints them (tests/sweep_float_text.py), and a table with a
+text column cell by cell.
 """
 
 from __future__ import annotations
@@ -299,8 +300,10 @@ def read_path_csv(src: str) -> SamplePath:
             usecols = (header.index("time"), header.index("x"))
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # a file without data rows
-                data = np.loadtxt(src, delimiter=",", skiprows=1, encoding="utf-8-sig",
-                                  usecols=usecols, comments=None, ndmin=2)
+                # An absolute name has no URL scheme, so numpy opens the local file.
+                data = np.loadtxt(os.path.abspath(src), delimiter=",", skiprows=1,
+                                  encoding="utf-8-sig", usecols=usecols, comments=None,
+                                  ndmin=2)
         except ValueError:
             pass
     if data is None or len(data) < 2:
@@ -389,20 +392,15 @@ def report_to_dict(report: EstimationReport, path: SamplePath) -> dict:
 
 
 def write_detection_csv(path: SamplePath, det: JumpDetectionResult, dest: str) -> None:
-    """One row per interval: size_hat is empty where nothing was flagged. A
-    long table formats each time once, as one row's t_right and the next
-    row's t_left, and each flagged size once."""
+    """One row per interval: size_hat is empty where nothing was flagged.
+    Each time is formatted once, as one row's t_right and the next row's
+    t_left, and each flagged size once."""
     n, times, dx = path.grid.n, path.grid.times, path.increments
     flagged = det.indicators.astype(np.int64)
+    if len(flagged) != n:
+        raise ValueError(f"columns differ in length: {sorted({n, len(flagged)})}")
     where = np.flatnonzero(flagged)
-    sizes = np.array([det.estimated_sizes[i] for i in where.tolist()], dtype=np.float64)
-    header = ["interval", "t_left", "t_right", "dx", "flagged", "size_hat"]
-    if n < _VECTOR_MIN_ROWS:
-        text = dict(zip(where.tolist(), map(fmt_float, sizes.tolist())))
-        write_csv(dest, header, [np.arange(n), times[:-1], times[1:], dx, flagged,
-                                 [text.get(i, "") for i in range(n)]])
-        return
-    sizes = _float_slots(sizes)
+    sizes = _float_slots(np.array([det.estimated_sizes[i] for i in where.tolist()], np.float64))
 
     def chunk(lo: int, hi: int) -> bytes:
         t = _float_slots(times[lo:hi + 1])
@@ -411,7 +409,7 @@ def write_detection_csv(path: SamplePath, det: JumpDetectionResult, dest: str) -
         size_hat[where[first:last] - lo] = sizes[first:last]
         return _join_slots([_int_slots(np.arange(lo, hi)), t[:-1], t[1:],
                             _float_slots(dx[lo:hi]), _int_slots(flagged[lo:hi]), size_hat])
-    _write_table(dest, header, n, chunk)
+    _write_table(dest, ["interval", "t_left", "t_right", "dx", "flagged", "size_hat"], n, chunk)
 
 
 # ---------------------------------------------------------------------------

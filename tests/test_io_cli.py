@@ -5,6 +5,7 @@ import os
 import platform
 import re
 import sys
+import urllib.request
 import warnings
 from pathlib import Path
 
@@ -31,6 +32,7 @@ from jumpsift import (
     threshold_realized_variance,
 )
 from jumpsift import cli, montecarlo
+from jumpsift.estimators import JumpDetectionResult
 from jumpsift.cli import _settings_echo, _settings_from_args, build_parser, main, replay_manifest
 from jumpsift.models import MODEL_CLASSES
 from jumpsift.config import (
@@ -177,6 +179,19 @@ def test_read_path_csv_reads_text_named_like_an_archive(tmp_path, suffix):
     assert back.observations.tolist() == [1.0, -2.0, 3.25]
 
 
+def test_read_path_csv_reads_a_url_shaped_name_locally(tmp_path, monkeypatch):
+    # numpy fetches "scheme://host/..." names by URL; this one is a local file.
+    def no_network(*args, **kwargs):
+        raise AssertionError("read_path_csv opened a URL")
+    monkeypatch.setattr(urllib.request, "urlopen", no_network)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "http:" / "h").mkdir(parents=True)
+    (tmp_path / "http:" / "h" / "p.csv").write_text("time,x\n0,1\n0.5,-2\n1,3.25\n")
+    back = read_path_csv("http://h/p.csv")
+    assert back.observations.tolist() == [1.0, -2.0, 3.25]
+    assert sorted(os.listdir(tmp_path)) == ["http:"]
+
+
 # ---------------------------------------------------------------------------
 # detection and histogram files
 
@@ -194,6 +209,18 @@ def test_detection_csv_rows(tmp_path):
     assert len(flagged) == 1 and flagged[0][0] == "2"
     assert float(flagged[0][5]) == 0.5
     assert all(c[5] == "" for c in quiet)
+
+
+@pytest.mark.parametrize("n", [4, 1024])
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_write_detection_csv_rejects_indicators_of_another_length(tmp_path, n, extra):
+    path = SamplePath(TimeGrid(np.linspace(0.0, 1.0, n + 1)), np.zeros(n + 1))
+    indicators = np.zeros(n + extra, dtype=bool)
+    indicators[-1] = True
+    dest = tmp_path / "det.csv"
+    with pytest.raises(ValueError, match="columns differ in length"):
+        write_detection_csv(path, JumpDetectionResult(indicators, {n + extra - 1: 0.5}), str(dest))
+    assert not dest.exists()
 
 
 def test_histogram_csv_layout(tmp_path):
