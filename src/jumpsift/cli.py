@@ -216,18 +216,27 @@ def replay_manifest(manifest_path: str, out_dir: str) -> list[str]:
 
     All outputs except the manifest's created_utc field are byte-identical
     to the original run. Raises ConfigError, naming the manifest, if it is
-    not JSON or lacks a key, and InvalidArgumentError, naming the file, if a
-    recorded input or output does not match its recorded sha256.
+    not JSON, lacks a key or holds a value of the wrong JSON type, and
+    InvalidArgumentError, naming the file, if a recorded input or output
+    does not match its recorded sha256.
     """
     with open(manifest_path, "r", encoding="utf-8") as fh:
         try:
             manifest = json.load(fh)
         except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
             raise ConfigError(f"{manifest_path}: not a JSON manifest ({exc})") from None
-    for key in ("command", "config", "base_seed"):
+    if not isinstance(manifest, dict):
+        raise ConfigError(f"{manifest_path}: manifest is {type(manifest).__name__}, not dict")
+    manifest = {"inputs": [], "outputs": [], **manifest}
+    for key, kind in (("command", str), ("config", dict), ("base_seed", int),
+                      ("inputs", list), ("outputs", list)):
         if key not in manifest:
             raise ConfigError(f"{manifest_path}: manifest lacks {key!r}")
-    inputs, outputs = manifest.get("inputs") or [], manifest.get("outputs") or []
+        value = manifest[key]
+        if not isinstance(value, kind) or isinstance(value, bool):  # bool is an int
+            raise ConfigError(f"{manifest_path}: {key!r} is {type(value).__name__},"
+                              f" not {kind.__name__}")
+    inputs, outputs = manifest["inputs"], manifest["outputs"]
     for entry in (*inputs, *outputs):
         if not isinstance(entry, dict) or not {"file", "sha256"} <= entry.keys():
             raise ConfigError(f"{manifest_path}: an entry lacks 'file' or 'sha256'")

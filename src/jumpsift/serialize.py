@@ -4,10 +4,10 @@ Floats are written with 17 significant digits so parsing the text back
 reproduces the exact double. The JSON emitter is deliberately small and
 deterministic: insertion-ordered keys, two-space indent, LF endings, and
 non-finite floats mapped to null. CSV files are UTF-8 with a header row
-and LF endings. detection.csv and other long tables are built in numpy:
-float cells certified to match format(x, ".17g") or formatted by it, int
-cells as str() prints them (tests/sweep_float_text.py), and a table with a
-text column cell by cell.
+and LF endings. Every table is built in numpy from NUL-padded slots, one per
+cell: float cells certified to match format(x, ".17g") or formatted by it
+(every cell of a column shorter than _KERNEL_MIN_VALUES), int cells as str()
+prints them (tests/sweep_float_text.py), and bytes cells as they are.
 """
 
 from __future__ import annotations
@@ -38,19 +38,16 @@ def fmt_float(x: float) -> str:
 
 # write_csv sends rows out in chunks of _CSV_CHUNK_ROWS, one write each.
 _CSV_CHUNK_ROWS = 4096
-# Tables this long or longer go through _csv_bytes; _csv_rows is faster below.
-_VECTOR_MIN_ROWS = 1024
 
 
-def write_csv(dest: str, header: list[str], columns: list) -> None:
-    """Writes equal-length columns under a header row: a float array with 17
-    significant digits, an int array or a list of str as it prints."""
+def write_csv(dest: str, header: list[str], columns: list[np.ndarray]) -> None:
+    """Writes equal-length columns, of the kinds _join_slots takes, under a
+    header row."""
     lengths = {len(c) for c in columns}
     if len(lengths) > 1:
         raise ValueError(f"columns differ in length: {sorted(lengths)}")
     n = lengths.pop() if lengths else 0
-    text = _csv_bytes if n >= _VECTOR_MIN_ROWS else lambda chunk: _csv_rows(chunk).encode()
-    _write_table(dest, header, n, lambda lo, hi: text([c[lo:hi] for c in columns]))
+    _write_table(dest, header, n, lambda lo, hi: _join_slots([c[lo:hi] for c in columns]))
 
 
 def _write_table(dest: str, header: list[str], n: int, chunk) -> None:
@@ -62,36 +59,14 @@ def _write_table(dest: str, header: list[str], n: int, chunk) -> None:
             fh.write(chunk(lo, min(lo + _CSV_CHUNK_ROWS, n)))
 
 
-def _csv_rows(columns: list) -> str:
-    """The CSV lines of equal-length column slices. Each distinct double
-    among the float columns is formatted once; distinct means the same bit
-    pattern, so 0.0 and -0.0 stay apart."""
-    floats = [j for j, c in enumerate(columns)
-              if isinstance(c, np.ndarray) and c.dtype.kind == "f"]
-    cells = [list(map(str, c.tolist())) if isinstance(c, np.ndarray) and j not in floats
-             else c for j, c in enumerate(columns)]
-    if floats:
-        block = np.array([columns[j] for j in floats], dtype=np.float64)
-        distinct, where = np.unique(block.view(np.int64), return_inverse=True)
-        text = np.array(list(map("{:.17g}".format, distinct.view(np.float64).tolist())),
-                        dtype=object)
-        for j, col in zip(floats, text[where.reshape(block.shape)].tolist()):
-            cells[j] = col
-    return "\n".join(map(",".join, zip(*cells))) + "\n"
-
-
-def _csv_bytes(columns: list) -> bytes:
-    """The bytes of _csv_rows(columns), built in numpy from float and int
-    slots; a table with a column of another kind goes to _csv_rows."""
-    if not all(isinstance(c, np.ndarray) and c.dtype.kind in "fi" for c in columns):
-        return _csv_rows(columns).encode()
-    return _join_slots([_float_slots(np.asarray(c, np.float64)) if c.dtype.kind == "f"
-                        else _int_slots(np.asarray(c, np.int64)) for c in columns])
-
-
-def _join_slots(slots: list) -> bytes:
-    """CSV lines from one slot array per column, each row a cell padded with
-    NUL bytes: commas between the cells, LF after each row, padding deleted."""
+def _join_slots(columns: list[np.ndarray]) -> bytes:
+    """CSV lines from equal-length columns, one NUL-padded slot per cell: a
+    float array with 17 significant digits, an int array as str() prints it,
+    an ASCII bytes array or a uint8 array of slots as it is. Commas go between
+    the cells, LF after each row, and the padding is deleted."""
+    slots = [_float_slots(np.asarray(c, np.float64)) if c.dtype.kind == "f"
+             else _int_slots(np.asarray(c, np.int64)) if c.dtype.kind == "i"
+             else c.view(np.uint8).reshape(len(c), -1) for c in columns]
     sep = np.full((len(slots[0]), 1), ord(","), np.uint8)
     parts = [part for slot in slots for part in (slot, sep)]
     parts[-1] = np.full_like(sep, ord("\n"))
@@ -145,6 +120,10 @@ for _i, _e in enumerate(range(_E_MIN, _E_MAX + 1)):
     _TEXT[2 * _i + 1, 6 + _POINT[_i]] = 0 if _head else ord(".")
 # Row k: the '0' bit set on the first k of 17 digits.
 _SHOWN = np.tril(np.full((18, 17), 0x30, np.uint8), -1)
+# A column shorter than this goes to format() value by value, which is faster
+# there: on a 2-core x86-64 box the kernel's fixed cost, about 140 us, bought
+# 150 to 175 calls of format() at 0.55 to 0.9 us each.
+_KERNEL_MIN_VALUES = 160
 
 
 def _times_pow10(a: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -169,8 +148,11 @@ def _float_slots(x: np.ndarray) -> np.ndarray:
     the fraction of t lies more than 2**-30 from 1/2, so y rounds as p + t
     does. e is guessed from log10 and corrected from p + t before rounding; a
     D rounded up to 10**17 carries into e. Zeros print as a signed '0'.
-    Non-finite values, those out of range and near-ties go to format().
+    Non-finite values, those out of range, near-ties and every value of a
+    column shorter than _KERNEL_MIN_VALUES go to format().
     """
+    if len(x) < _KERNEL_MIN_VALUES:
+        return _format_slots(x)
     a = np.abs(x)
     fast = (a >= 1e-30) & (a <= 1e30)
     a = np.where(fast, a, 1.0)
@@ -207,9 +189,14 @@ def _float_slots(x: np.ndarray) -> np.ndarray:
              | (padded[:, :-1] & np.take(_AFTER, i, axis=0)))
     slots[:, 0] = np.signbit(x) * ord("-")
     slow = np.flatnonzero(~fast)
-    text = [format(v, ".17g") for v in x[slow].tolist()]
-    slots[slow] = np.array(text, dtype="S28").view(np.uint8).reshape(-1, 28)
+    slots[slow] = _format_slots(x[slow])
     return slots
+
+
+def _format_slots(x: np.ndarray) -> np.ndarray:
+    """The slots of _float_slots(x), each formatted by format(v, ".17g")."""
+    text = [format(v, ".17g") for v in x.tolist()]
+    return np.array(text, dtype="S28").view(np.uint8).reshape(-1, 28)
 
 
 # str.translate table for JSON strings: the quote, the backslash and every C0
@@ -407,8 +394,8 @@ def write_detection_csv(path: SamplePath, det: JumpDetectionResult, dest: str) -
         size_hat = np.zeros((hi - lo, sizes.shape[1]), np.uint8)
         first, last = np.searchsorted(where, [lo, hi])
         size_hat[where[first:last] - lo] = sizes[first:last]
-        return _join_slots([_int_slots(np.arange(lo, hi)), t[:-1], t[1:],
-                            _float_slots(dx[lo:hi]), _int_slots(flagged[lo:hi]), size_hat])
+        return _join_slots([np.arange(lo, hi), t[:-1], t[1:], dx[lo:hi], flagged[lo:hi],
+                            size_hat])
     _write_table(dest, ["interval", "t_left", "t_right", "dx", "flagged", "size_hat"], n, chunk)
 
 
@@ -418,10 +405,11 @@ def write_detection_csv(path: SamplePath, det: JumpDetectionResult, dest: str) -
 def write_histogram_csv(hist: Histogram, dest: str) -> None:
     """bin_left,bin_right,count rows; the first and last rows carry the
     underflow and overflow tails with infinite edges."""
-    edges = hist.edges  # edges[0] == lo and edges[-1] == hi exactly
+    # hist.edges[0] == lo and hist.edges[-1] == hi exactly. Each edge is
+    # formatted once, as one row's bin_right and the next row's bin_left.
+    edges = _float_slots(np.r_[-np.inf, hist.edges, np.inf])
     write_csv(dest, ["bin_left", "bin_right", "count"],
-              [np.r_[-np.inf, edges], np.r_[edges, np.inf],
-               np.r_[hist.underflow, hist.counts, hist.overflow]])
+              [edges[:-1], edges[1:], np.r_[hist.underflow, hist.counts, hist.overflow]])
 
 
 def model_to_dict(model) -> dict:
@@ -467,7 +455,7 @@ def summary_to_dict(summary: McSummary) -> dict:
 
 def write_efficiency_csv(table: EfficiencyTable, dest: str) -> None:
     write_csv(dest, ["estimator", "normalized_error_variance", "ratio_to_threshold"],
-              [["threshold", "bipower"],
+              [np.array([b"threshold", b"bipower"]),
                np.array([table.threshold_variance, table.bipower_variance]),
                np.array([1.0, table.ratio])])
 

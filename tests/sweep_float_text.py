@@ -1,14 +1,17 @@
-"""Fixed-seed sweep of the long-table CSV path against format(x, ".17g")
-and str(i).
+"""Fixed-seed sweep of the CSV cell kernels against format(x, ".17g") and
+str(i).
 
 Too long for the tier-1 suite; CI runs it as its own step:
 
     PYTHONPATH=src python tests/sweep_float_text.py --values 1000000 --seed 2010
 
-Every value goes through serialize._csv_bytes in one-column tables of
-serialize._CSV_CHUNK_ROWS rows, as write_csv sends a long table, and each
-line is compared with format(x, ".17g"), or with str(i) for an int64. The
-families, either sign:
+Every value goes through serialize._float_slots, or serialize._int_slots
+for an int64, in one-column tables of serialize._CSV_CHUNK_ROWS rows, as
+write_csv sends a long table, joined by serialize._join_slots; each line is
+compared with format(x, ".17g"), or with str(i). A family's last chunk
+reaches back to take a full table, so that in a family of at least
+serialize._KERNEL_MIN_VALUES values every float value reaches the certified
+kernel rather than format(). The families, either sign:
 
 * bits: --values uniformly random 64-bit patterns, most of them outside
   the certified range [1e-30, 1e30], NaN and infinity patterns included;
@@ -71,14 +74,18 @@ def families(rng, count):
 
 
 def differences(values):
-    """The (value, got, want) lines where the long path and format() or, for
+    """The (value, got, want) lines where the kernel and format() or, for
     ints, str() differ."""
     bad = []
     rows = serialize._CSV_CHUNK_ROWS
-    cell = str if values.dtype.kind == "i" else "{:.17g}".format
+    ints = values.dtype.kind == "i"
+    cell = str if ints else "{:.17g}".format
+    slots = serialize._int_slots if ints else serialize._float_slots
     for lo in range(0, values.size, rows):
         chunk = values[lo:lo + rows]
-        got = serialize._csv_bytes([chunk]).decode().split("\n")[:-1]
+        start = max(0, min(lo, values.size - rows))
+        table = serialize._join_slots([slots(values[start:lo + rows])])
+        got = table.decode().split("\n")[lo - start:-1]
         want = [cell(v) for v in chunk.tolist()]
         bad += [(v, g, w) for v, g, w in itertools.zip_longest(chunk.tolist(), got, want)
                 if g != w]

@@ -897,10 +897,13 @@ def test_replay_of_an_inadmissible_run_warns_in_one_line(tmp_path, capsys):
     assert capsys.readouterr().err == INADMISSIBLE
 
 
-# A manifest cut short, or an inputs or outputs entry without "file" or
-# "sha256", or one that is a bare file name.
+# A manifest cut short; an inputs or outputs entry without "file" or
+# "sha256", or one that is a bare file name; a top level that is not an
+# object, or a key holding a JSON value of the wrong type ("key=value").
 @pytest.mark.parametrize("damage", ["truncated", "inputs file", "inputs sha256",
-                                    "outputs file", "outputs sha256", "outputs entry"])
+                                    "outputs file", "outputs sha256", "outputs entry",
+                                    "top=5", "config=[]", "outputs=5", 'base_seed="x"',
+                                    "base_seed=1.5", "base_seed=true", "command=5"])
 def test_replay_of_a_malformed_manifest_is_config_error(tmp_path, capsys, damage):
     sim_dir, est_dir = str(tmp_path / "sim"), str(tmp_path / "est")
     assert main(["simulate", "--n", "64", "--seed", "2", "--out", sim_dir]) == 0
@@ -909,6 +912,14 @@ def test_replay_of_a_malformed_manifest_is_config_error(tmp_path, capsys, damage
     text = Path(est_dir, "manifest.json").read_text(encoding="utf-8")
     if damage == "truncated":
         text = text[:len(text) // 2]
+    elif "=" in damage:
+        key, value = damage.split("=")
+        manifest = json.loads(text)
+        if key == "top":
+            manifest = json.loads(value)
+        else:
+            manifest[key] = json.loads(value)
+        text = json.dumps(manifest)
     else:
         manifest = json.loads(text)
         role, key = damage.split()

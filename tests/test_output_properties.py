@@ -1,10 +1,13 @@
 """Property tests for the output files' byte contract.
 
-Every CSV is written column-wise through serialize.write_csv. These tests
-compare it against a per-cell reference, check that a path file reads back
-bit for bit, that read_path_csv agrees with the per-line reader on any text,
-that hist.csv accounts for every sample, and that a long detection.csv
-matches a per-cell join.
+Every CSV is built from NUL-padded cell slots, through serialize.write_csv
+or, for detection.csv, its own chunk writer. These tests compare write_csv
+on float, int and ASCII bytes columns, and detection.csv, against a
+per-cell join, in tables of up to 12 rows and in tables from one row short
+of the column length at which _float_slots leaves format() for its kernel
+to more than two chunks. They also check that a path file reads back bit
+for bit, that read_path_csv agrees with the per-line reader on any text,
+and that hist.csv accounts for every sample.
 """
 
 import math
@@ -34,13 +37,15 @@ def reference_cell(v) -> str:
         if math.isinf(v):
             return "inf" if v > 0 else "-inf"
         return format(v, ".17g")
+    if isinstance(v, bytes):
+        return v.decode("ascii")
     return str(v)
 
 
 @st.composite
 def csv_columns(draw):
     n = draw(st.integers(0, 12))
-    kinds = draw(st.lists(st.sampled_from(["float", "int", "str"]), min_size=1, max_size=5))
+    kinds = draw(st.lists(st.sampled_from(["float", "int", "bytes"]), min_size=1, max_size=5))
     columns, cells = [], []
     for kind in kinds:
         if kind == "float":
@@ -50,8 +55,9 @@ def csv_columns(draw):
             values = draw(st.lists(st.integers(-2**63, 2**63 - 1), min_size=n, max_size=n))
             columns.append(np.array(values, dtype=np.int64))
         else:
-            values = draw(st.lists(st.text("abc-_ .", max_size=4), min_size=n, max_size=n))
-            columns.append(values)
+            values = draw(st.lists(st.text("abc-_ .", max_size=4).map(str.encode),
+                                   min_size=n, max_size=n))
+            columns.append(np.array(values, dtype=np.bytes_))
         cells.append(values)
     return columns, cells
 
@@ -84,7 +90,7 @@ def long_csv_columns(draw):
                          min_size=1, max_size=12))
     pool += draw(st.sampled_from([[], [0.0, -0.0], NAN_PAYLOADS]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kinds = draw(st.lists(st.sampled_from(["float", "float", "int", "str"]),
+    kinds = draw(st.lists(st.sampled_from(["float", "float", "int", "bytes"]),
                           min_size=1, max_size=5))
     columns, cells = [], []
     for kind in kinds:
@@ -93,9 +99,9 @@ def long_csv_columns(draw):
         elif kind == "int":
             column = rng.integers(-3, 3, size=n)
         else:
-            column = [("", "a", "b-c")[k] for k in rng.integers(3, size=n)]
+            column = np.array([b"", b"a", b"b-c"])[rng.integers(3, size=n)]
         columns.append(column)
-        cells.append(column.tolist() if isinstance(column, np.ndarray) else column)
+        cells.append(column.tolist())
     return columns, cells
 
 
@@ -137,22 +143,21 @@ TRICKY_FLOATS = st.tuples(st.one_of(
 
 @st.composite
 def vector_csv_columns(draw):
-    """From one row short of serialize._VECTOR_MIN_ROWS to two chunks and
+    """From one row short of serialize._KERNEL_MIN_VALUES to two chunks and
     three rows: float columns mixing a drawn pool of tricky doubles with
     random doubles of every exponent the certified range holds and random
-    bit patterns, int64 columns over the whole range, and str columns with
-    non-ASCII characters and, in some tables, NUL."""
-    n = draw(st.integers(serialize._VECTOR_MIN_ROWS - 1, 2 * serialize._CSV_CHUNK_ROWS + 3))
+    bit patterns, int64 columns over the whole range, and ASCII bytes
+    columns."""
+    n = draw(st.integers(serialize._KERNEL_MIN_VALUES - 1, 2 * serialize._CSV_CHUNK_ROWS + 3))
     pool = np.array(draw(st.lists(TRICKY_FLOATS, min_size=1, max_size=40)))
     ints = np.array(draw(st.lists(st.one_of(
         st.integers(-2 ** 63, 2 ** 63 - 1),
         st.sampled_from([-2 ** 63, 2 ** 63 - 1, 0, -10 ** 18, 10 ** 18, 1 - 10 ** 18,
                          10 ** 18 - 1])), min_size=1, max_size=20)), dtype=np.int64)
-    alphabet = ["a", "-", " ", "\xe9", "\u20ac", "\U0001d11e"] + ["\0"] * draw(st.booleans())
-    texts = draw(st.lists(st.text(st.sampled_from(alphabet), max_size=4), min_size=1,
-                          max_size=8))
+    texts = np.array(draw(st.lists(st.text("a- _", max_size=4).map(str.encode), min_size=1,
+                                   max_size=8)), dtype=np.bytes_)
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    kinds = draw(st.lists(st.sampled_from(["float", "float", "int", "str"]),
+    kinds = draw(st.lists(st.sampled_from(["float", "float", "int", "bytes"]),
                           min_size=1, max_size=5))
     columns, cells = [], []
     for kind in kinds:
@@ -166,9 +171,9 @@ def vector_csv_columns(draw):
             column = np.where(rng.random(n) < 0.5, ints[rng.integers(ints.size, size=n)],
                               rng.integers(-10 ** 6, 10 ** 6, n))
         else:
-            column = [texts[k] for k in rng.integers(len(texts), size=n)]
+            column = texts[rng.integers(texts.size, size=n)]
         columns.append(column)
-        cells.append(column.tolist() if isinstance(column, np.ndarray) else column)
+        cells.append(column.tolist())
     return columns, cells
 
 
@@ -185,13 +190,13 @@ def test_write_csv_of_a_long_table_matches_a_per_cell_join(tmp_path_factory, dra
 
 @st.composite
 def long_detections(draw):
-    """From one row short of serialize._VECTOR_MIN_ROWS to two chunks and
+    """From one row short of serialize._KERNEL_MIN_VALUES to two chunks and
     three rows on a jittered grid, with observations of every scale and
     pairs of +-1.5e308 whose increments overflow to +-inf. No row, every row
     or a random share is flagged; in the last case each chunk's first and
     last rows are flagged too. The sizes are not the increments, so each
     must come from estimated_sizes."""
-    n = draw(st.integers(serialize._VECTOR_MIN_ROWS - 1, 2 * serialize._CSV_CHUNK_ROWS + 3))
+    n = draw(st.integers(serialize._KERNEL_MIN_VALUES - 1, 2 * serialize._CSV_CHUNK_ROWS + 3))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     steps = rng.uniform(1.0 - draw(st.sampled_from([0.0, 0.3, 0.9])), 1.0, n) / n
     times = np.r_[0.0, np.cumsum(steps)]
