@@ -17,6 +17,9 @@ must reproduce the other files byte-for-byte.
 
 Exit codes: 0 success, 2 configuration error, 3 runtime error (running out
 of memory included).
+
+main(argv) is the same entry point in process: it returns the exit code,
+and repeated calls are independent but build the parser only once.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import datetime
+import functools
 import json
 import os
 import sys
@@ -50,6 +54,13 @@ from .serialize import (
 )
 from .engines import RNG_ALGORITHM, path_seed, simulate
 
+_COMMANDS = {
+    "simulate": "simulate one path and write it as CSV",
+    "estimate": "estimate integrated variance from a stored path",
+    "detect": "flag jump intervals in a stored path",
+    "mc": "repeated-path experiment with normality diagnostics",
+    "compare": "threshold vs bipower efficiency on a jump-free model",
+}
 _NEEDS_INPUT = {"estimate", "detect"}
 
 # Peak traced memory, per fine step, of building a run's plan (grid, subgrid,
@@ -71,22 +82,24 @@ def build_parser() -> argparse.ArgumentParser:
                                 type=param.kind, help=param.help)
     common.add_argument("--out", default=".", help="output directory (default: current)")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in (
-        ("simulate", "simulate one path and write it as CSV"),
-        ("estimate", "estimate integrated variance from a stored path"),
-        ("detect", "flag jump intervals in a stored path"),
-        ("mc", "repeated-path experiment with normality diagnostics"),
-        ("compare", "threshold vs bipower efficiency on a jump-free model"),
-    ):
+    for name, helptext in _COMMANDS.items():
         p = sub.add_parser(name, help=helptext, parents=[common])
         if name in _NEEDS_INPUT:
             p.add_argument("--in", dest="input", help="path CSV to read")
     return parser
 
 
+# Built on main's first call, not at import, and kept for the process: each
+# parse_args returns a fresh Namespace, and no action has a mutable default.
+# It holds no arrays or other run-scoped state, so nothing of a run outlives it.
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return int(code) if isinstance(code, int) else 2
@@ -177,11 +190,9 @@ def _run(command: str, settings: RunSettings, out_dir: str,
         writers["summary.json"] = lambda dest: write_json(dest, summary_to_dict(summary))
         if summary.histogram is not None:
             writers["hist.csv"] = lambda dest: write_histogram_csv(summary.histogram, dest)
-    elif command == "compare":
+    else:  # compare
         table = efficiency_comparison(settings.experiment())
         writers["efficiency.csv"] = lambda dest: write_efficiency_csv(table, dest)
-    else:
-        raise ConfigError(f"unknown command {command!r}")
     for name, write in writers.items():
         write(os.path.join(out_dir, name))
     manifest = build_manifest(
@@ -216,7 +227,8 @@ def replay_manifest(manifest_path: str, out_dir: str) -> list[str]:
 
     All outputs except the manifest's created_utc field are byte-identical
     to the original run. Raises ConfigError, naming the manifest, if it is
-    not JSON, lacks a key or holds a value of the wrong JSON type, and
+    not JSON, lacks a key, holds a value of the wrong JSON type, names an
+    unknown command, or is an estimate or detect manifest with no input, and
     InvalidArgumentError, naming the file, if a recorded input or output
     does not match its recorded sha256.
     """
@@ -236,10 +248,18 @@ def replay_manifest(manifest_path: str, out_dir: str) -> list[str]:
         if not isinstance(value, kind) or isinstance(value, bool):  # bool is an int
             raise ConfigError(f"{manifest_path}: {key!r} is {type(value).__name__},"
                               f" not {kind.__name__}")
+    if manifest["command"] not in _COMMANDS:
+        raise ConfigError(f"{manifest_path}: unknown command {manifest['command']!r}")
     inputs, outputs = manifest["inputs"], manifest["outputs"]
     for entry in (*inputs, *outputs):
         if not isinstance(entry, dict) or not {"file", "sha256"} <= entry.keys():
             raise ConfigError(f"{manifest_path}: an entry lacks 'file' or 'sha256'")
+        for key in ("file", "sha256"):
+            if not isinstance(entry[key], str):
+                raise ConfigError(f"{manifest_path}: an entry's {key!r} is"
+                                  f" {type(entry[key]).__name__}, not str")
+    if manifest["command"] in _NEEDS_INPUT and not inputs:
+        raise ConfigError(f"{manifest_path}: {manifest['command']} manifest has no input entry")
     echo = manifest["config"]
     # The echo holds only int, float and str; a float's repr parses back to
     # the same double.

@@ -798,6 +798,102 @@ def test_replay_manifest_reproduces_run(tmp_path, capsys):
     assert ma == mb
 
 
+# ---------------------------------------------------------------------------
+# repeated main calls in one process
+
+def run_outputs(out):
+    """Each file main wrote into out, as bytes; the manifest as JSON without
+    its timestamp."""
+    files = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    manifest.pop("created_utc")
+    return files, manifest
+
+
+@pytest.fixture
+def sim_csv(tmp_path, capsys):
+    out = tmp_path / "sim"
+    assert main(["simulate", "--n", "64", "--seed", "4", "--out", str(out)]) == 0
+    capsys.readouterr()
+    return str(out / "path.csv")
+
+
+def test_cli_flag_of_an_earlier_call_does_not_reach_a_later_one(tmp_path, capsys, sim_csv):
+    detect = ["detect", "--in", sim_csv]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AdmissibilityWarning)
+        assert main([*detect, "--beta", "1", "--out", str(tmp_path / "beta1")]) == 0
+    assert main([*detect, "--out", str(tmp_path / "second")]) == 0
+    cli._parser.cache_clear()
+    assert main([*detect, "--out", str(tmp_path / "first")]) == 0
+    capsys.readouterr()
+    files, manifest = run_outputs(tmp_path / "second")
+    default_beta = merge_settings(preset="model1-desk").beta
+    assert manifest["config"]["beta"] == default_beta
+    assert json.loads(files["report.json"])["beta"] == default_beta
+    assert (files, manifest) == run_outputs(tmp_path / "first")
+    assert run_outputs(tmp_path / "beta1")[1]["config"]["beta"] == 1.0
+
+
+@pytest.mark.parametrize("between,code", [(["detect", "--no-such-flag"], 2),
+                                          (["--version"], 0)], ids=["bad-flag", "version"])
+def test_cli_usage_error_or_version_between_runs_leaves_outputs_alone(
+        tmp_path, capsys, sim_csv, between, code):
+    detect = ["detect", "--in", sim_csv, "--out"]
+    assert main([*detect, str(tmp_path / "before")]) == 0
+    capsys.readouterr()
+    assert main(between) == code
+    captured = capsys.readouterr()
+    if code == 2:
+        assert "jumpsift: error: unrecognized arguments: --no-such-flag\n" in captured.err
+    else:
+        assert captured.out == f"jumpsift {cli.__version__}\n"
+    # What a parser built for this one call prints.
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(between)
+    assert capsys.readouterr() == captured
+    assert main([*detect, str(tmp_path / "after")]) == 0
+    capsys.readouterr()
+    assert run_outputs(tmp_path / "before") == run_outputs(tmp_path / "after")
+
+
+def test_cli_builds_its_parser_once_per_process(tmp_path, capsys, monkeypatch):
+    builds = []
+
+    def counting_build_parser():
+        builds.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._parser.cache_clear()
+    for i in range(3):
+        assert main(["simulate", "--n", "16", "--out", str(tmp_path / str(i))]) == 0
+    assert main(["--version"]) == 0
+    assert main(["mc", "--no-such-flag"]) == 2
+    capsys.readouterr()
+    assert len(builds) == 1
+    assert build_parser() is not build_parser()
+    cli._parser.cache_clear()
+
+
+def test_importing_the_cli_builds_no_parser():
+    import subprocess
+
+    code = ("import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting_init(self, *a, **k):\n"
+            "    built.append(1)\n"
+            "    init(self, *a, **k)\n"
+            "argparse.ArgumentParser.__init__ = counting_init\n"
+            "import jumpsift.cli\n"
+            "assert jumpsift.cli._parser.cache_info().currsize == 0\n"
+            "assert not built, len(built)\n")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=60, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert res.returncode == 0, res.stderr
+
+
 # A value other than the built-in default for each run parameter, spelled as
 # in a config file.
 SAMPLE_VALUES = {"n": "48", "t": "2.5", "paths": "3", "beta": "0.8", "scale_c": "1.5",
@@ -898,12 +994,17 @@ def test_replay_of_an_inadmissible_run_warns_in_one_line(tmp_path, capsys):
 
 
 # A manifest cut short; an inputs or outputs entry without "file" or
-# "sha256", or one that is a bare file name; a top level that is not an
-# object, or a key holding a JSON value of the wrong type ("key=value").
+# "sha256", or one that is a bare file name; an entry's "file" or "sha256"
+# that is not a string ("role key:value"); a top level that is not an
+# object, or a key holding a JSON value of the wrong type ("key=value"); an
+# unknown command, or an estimate manifest without an input entry.
 @pytest.mark.parametrize("damage", ["truncated", "inputs file", "inputs sha256",
                                     "outputs file", "outputs sha256", "outputs entry",
+                                    "inputs file:5", "inputs sha256:null",
+                                    "outputs file:5", "outputs sha256:7",
                                     "top=5", "config=[]", "outputs=5", 'base_seed="x"',
-                                    "base_seed=1.5", "base_seed=true", "command=5"])
+                                    "base_seed=1.5", "base_seed=true", "command=5",
+                                    'command="foo"', "inputs=[]"])
 def test_replay_of_a_malformed_manifest_is_config_error(tmp_path, capsys, damage):
     sim_dir, est_dir = str(tmp_path / "sim"), str(tmp_path / "est")
     assert main(["simulate", "--n", "64", "--seed", "2", "--out", sim_dir]) == 0
@@ -923,7 +1024,10 @@ def test_replay_of_a_malformed_manifest_is_config_error(tmp_path, capsys, damage
     else:
         manifest = json.loads(text)
         role, key = damage.split()
-        if key == "entry":
+        if ":" in key:
+            key, value = key.split(":")
+            manifest[role][0][key] = json.loads(value)
+        elif key == "entry":
             manifest[role][0] = manifest[role][0]["file"]
         else:
             del manifest[role][0][key]
