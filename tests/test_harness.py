@@ -261,6 +261,16 @@ def test_irregular_grid_disables_normality_stats():
     assert all(r.normalized_bias is None for r in summary.records)
 
 
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_a_bias_that_overflows_is_an_error_not_an_excluded_path(parallelism):
+    # Jumps of size 1e200 overflow the squared increments, so the normalized
+    # bias is computed but not finite; only an undefined bias excludes a path.
+    cfg = small_cfg(model=CustomModel(jumps="compound-poisson:5,1e200"), n=50,
+                    n_paths=4, base_seed=1, parallelism=parallelism)
+    with pytest.raises(InvalidArgumentError, match="^samples must be finite$"):
+        run_experiment(cfg)
+
+
 def test_rv_dominates_threshold_estimate_under_jumps():
     summary = run_experiment(small_cfg(n_paths=64))
     assert summary.estimates.mean_rv >= summary.estimates.mean_iv_hat

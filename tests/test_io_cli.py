@@ -567,6 +567,20 @@ def test_cli_size_numpy_cannot_allocate_is_config_error(tmp_path, capsys, comman
     assert not os.path.exists(out / "manifest.json")
 
 
+@pytest.mark.parametrize("parallelism", ["1", "2"])
+def test_cli_mc_bias_that_overflows_is_one_error_line(tmp_path, capsys, parallelism):
+    cfg = tmp_path / "f.cfg"
+    cfg.write_text("schema_version = 1\nmodel = custom\njumps = compound-poisson:5,1e200\n")
+    out = tmp_path / "out"
+    assert main(["mc", "--config", str(cfg), "--n", "50", "--paths", "4", "--seed", "1",
+                 "--parallelism", parallelism, "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "jumpsift: error: samples must be finite\n"
+    assert captured.out == ""
+    assert not os.path.exists(out / "summary.json")
+    assert not os.path.exists(out / "manifest.json")
+
+
 @pytest.mark.parametrize("command", ["simulate", "mc"])
 def test_cli_jump_intensity_numpy_cannot_allocate_is_runtime_error(tmp_path, command):
     import subprocess
