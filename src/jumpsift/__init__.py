@@ -35,9 +35,7 @@ from .engines import (
     true_integrated_variance,
 )
 from .estimators import (
-    EstimationReport,
     JumpDetectionResult,
-    JumpMatchStats,
     ThresholdSpec,
     bipower_variation,
     detect_jumps,
@@ -50,8 +48,6 @@ from .estimators import (
     threshold_realized_variance,
 )
 from .diagnostics import (
-    Histogram,
-    Moments,
     PoissonMixtureCdf,
     build_histogram,
     ks_against_cdf,
@@ -60,11 +56,7 @@ from .diagnostics import (
     sample_moments,
 )
 from .montecarlo import (
-    EfficiencyTable,
     ExperimentConfig,
-    JumpSizeCltResult,
-    McSummary,
-    PathRecord,
     efficiency_comparison,
     jump_size_clt_experiment,
     run_experiment,

@@ -101,21 +101,9 @@ class ExperimentConfig:
         return build_irregular_grid(self.n, self.t_end, self.jitter, self.base_seed)
 
 
-@dataclass(frozen=True, slots=True)
-class PathRecord:
-    """Per-path estimates; detection counts are None without ground truth
-    that detection can be matched against (finite-activity jumps)."""
-
-    path_index: int
-    iv_hat: float
-    true_iv: float
-    normalized_bias: float | None
-    rv: float
-    bpv: float
-    n_flagged: int
-    tp: int | None
-    fp: int | None
-    fn: int | None
+# The fields of a per-path record, in the order _single_record returns them.
+_RECORD_DTYPE = np.dtype([(name, np.float64) for name in (
+    "iv_hat", "true_iv", "normalized_bias", "rv", "bpv", "n_flagged", "tp", "fp", "fn")])
 
 
 @dataclass(frozen=True, slots=True)
@@ -139,8 +127,15 @@ class EstimateSummary:
 
 @dataclass(frozen=True, eq=False)
 class McSummary:
+    """records: a read-only numpy record array, one row per path in index
+    order, with nine float64 fields: iv_hat, true_iv, normalized_bias, rv,
+    bpv, n_flagged, tp, fp, fn (records[i].rv and records.rv both work).
+    normalized_bias is NaN where it is undefined: on an irregular grid, or
+    on an excluded path. tp, fp and fn are NaN without finite-activity
+    jumps to match detection against."""
+
     config: ExperimentConfig
-    records: tuple[PathRecord, ...]
+    records: np.recarray
     n_paths: int
     excluded_paths: int
     normality_supported: bool
@@ -156,47 +151,49 @@ def run_experiment(cfg: ExperimentConfig) -> McSummary:
 
     Paths with a degenerate normalized-bias denominator are excluded from
     the normality statistics and counted in excluded_paths; their other
-    estimates still enter the record list. An inadmissible threshold warns
+    estimates still enter the records. An inadmissible threshold warns
     once per run.
     """
     plan = _plan(cfg, min_paths=1)
-    records = tuple(_map_paths(_single_record, plan))
+    table = np.array(_map_paths(_single_record, plan), dtype=_RECORD_DTYPE)
+    table.flags.writeable = False
+    iv_hat, true_iv, bias, rv, bpv, _, tp, fp, fn = (table[name] for name in table.dtype.names)
 
     uniform = cfg.jitter == 0.0
-    biases = np.array([r.normalized_bias for r in records
-                       if r.normalized_bias is not None])
-    excluded = sum(1 for r in records if r.normalized_bias is None) if uniform else 0
+    biases = bias[~np.isnan(bias)]  # none on an irregular grid
+    excluded = cfg.n_paths - biases.size if uniform else 0
 
     ks = moments = hist = None
-    if uniform and biases.size:
+    if biases.size:
         moments = (Moments(float(biases[0]), 0.0, math.nan, math.nan)
                    if biases.size == 1 else sample_moments(biases))
         ks = ks_statistic(biases)
         hist = build_histogram(biases, DEFAULT_BIN_COUNT, DEFAULT_RANGE)
 
     estimates = EstimateSummary(
-        mean_iv_hat=_mean([r.iv_hat for r in records]),
-        mean_true_iv=_mean([r.true_iv for r in records]),
-        mean_abs_error=_mean([abs(r.iv_hat - r.true_iv) for r in records]),
-        mean_rv=_mean([r.rv for r in records]),
-        mean_bpv=_mean([r.bpv for r in records]),
+        mean_iv_hat=_mean(iv_hat),
+        mean_true_iv=_mean(true_iv),
+        mean_abs_error=_mean(np.abs(iv_hat - true_iv)),
+        mean_rv=_mean(rv),
+        mean_bpv=_mean(bpv),
     )
 
     detection = None
     if plan.finite_activity:
-        recalls = [r.tp / (r.tp + r.fn) for r in records if (r.tp + r.fn) > 0]
+        jumps = tp + fn
+        recalls = tp[jumps > 0] / jumps[jumps > 0]
         detection = DetectionSummary(
-            mean_recall=_mean(recalls) if recalls else None,
-            mean_false_flags=_mean([r.fp for r in records]),
-            paths_with_jumps=len(recalls),
-            total_tp=sum(r.tp for r in records),
-            total_fp=sum(r.fp for r in records),
-            total_fn=sum(r.fn for r in records),
+            mean_recall=_mean(recalls) if recalls.size else None,
+            mean_false_flags=_mean(fp),
+            paths_with_jumps=recalls.size,
+            total_tp=int(tp.sum()),
+            total_fp=int(fp.sum()),
+            total_fn=int(fn.sum()),
         )
 
     return McSummary(
         config=cfg,
-        records=records,
+        records=table.view(np.recarray),
         n_paths=cfg.n_paths,
         excluded_paths=excluded,
         normality_supported=uniform,
@@ -323,36 +320,33 @@ def _plan(cfg: ExperimentConfig, min_paths: int | None) -> _RunPlan:
     return _RunPlan(cfg, sim, r, finite_activity(cfg.model), true_iv, true_iq)
 
 
-def _single_record(plan: _RunPlan, index: int) -> PathRecord:
+def _single_record(plan: _RunPlan, index: int) -> tuple:
+    """The path's row of McSummary.records, in field order. NaN marks only an
+    undefined bias: one computed but not finite fails the run, as it would
+    fail the normality statistics."""
     cfg = plan.cfg
     path = _simulate_path(plan, index)
     true_iv = plan.true_iv
     if true_iv is None:
         true_iv = spot_integral(path.ground_truth.spot_variance, plan.sim.fine_widths, 2)
     sums = _PathSums(path, cfg.threshold, plan.r)
-    match = None
+    tp = fp = fn = math.nan
     if plan.finite_activity:
         match = _match_events(path.grid.times, sums.flagged, sums.dx, path.ground_truth.jumps)
+        tp, fp, fn = match.true_positives, match.false_positives, match.false_negatives
 
-    bias = None
+    bias = math.nan
     if cfg.jitter == 0.0:
         try:
             bias = sums.normalized_bias(true_iv)
         except DegenerateStatisticError:
-            bias = None
+            pass
+        else:
+            if not math.isfinite(bias):
+                raise InvalidArgumentError("samples must be finite")
 
-    return PathRecord(
-        path_index=index,
-        iv_hat=sums.iv_hat,
-        true_iv=true_iv,
-        normalized_bias=bias,
-        rv=sums.rv,
-        bpv=sums.bpv,
-        n_flagged=int(np.count_nonzero(sums.flagged)),
-        tp=match.true_positives if match else None,
-        fp=match.false_positives if match else None,
-        fn=match.false_negatives if match else None,
-    )
+    return (sums.iv_hat, true_iv, bias, sums.rv, sums.bpv,
+            np.count_nonzero(sums.flagged), tp, fp, fn)
 
 
 def _efficiency_pair(plan: _RunPlan, index: int) -> tuple[float, float]:
@@ -461,6 +455,5 @@ def _unpack_slice(payload: bytes, status: int, lo: int, hi: int) -> list:
     return value
 
 
-def _mean(values) -> float:
-    values = list(values)
-    return math.fsum(values) / len(values) if values else math.nan
+def _mean(values: np.ndarray) -> float:
+    return math.fsum(values.tolist()) / values.size

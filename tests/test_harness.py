@@ -13,6 +13,7 @@ import pytest
 from jumpsift import (
     AdmissibilityWarning,
     CustomModel,
+    DegenerateStatisticError,
     ExperimentConfig,
     InvalidArgumentError,
     Model1,
@@ -21,9 +22,14 @@ from jumpsift import (
     SimulationError,
     ThresholdSpec,
     UnsupportedError,
+    bipower_variation,
+    detect_jumps,
     efficiency_comparison,
+    finite_activity,
     jump_size_clt_experiment,
+    normalized_bias,
     path_seed,
+    realized_variance,
     run_experiment,
     simulate,
     small_jump_bias_bound,
@@ -46,7 +52,7 @@ def small_cfg(**kw):
 def test_run_experiment_is_deterministic():
     a = run_experiment(small_cfg())
     b = run_experiment(small_cfg())
-    assert a.records == b.records
+    assert a.records.tobytes() == b.records.tobytes()
     assert a.ks_statistic == b.ks_statistic
     assert a.moments == b.moments
 
@@ -54,7 +60,7 @@ def test_run_experiment_is_deterministic():
 def test_parallelism_does_not_change_results():
     serial = run_experiment(small_cfg())
     pooled = run_experiment(small_cfg(parallelism=3))
-    assert serial.records == pooled.records
+    assert serial.records.tobytes() == pooled.records.tobytes()
     assert serial.ks_statistic == pooled.ks_statistic
     assert serial.estimates == pooled.estimates
     assert np.array_equal(serial.histogram.counts, pooled.histogram.counts)
@@ -68,8 +74,7 @@ def test_every_process_count_gives_the_serial_bits(parallelism):
 
     serial, pooled = pair()
     a, b = run_experiment(serial), run_experiment(pooled)
-    # repr round-trips each double, so equal reprs are equal bits.
-    assert repr(a.records) == repr(b.records)
+    assert a.records.tobytes() == b.records.tobytes()
     ha, hb = a.histogram, b.histogram
     assert ha.counts.tobytes() == hb.counts.tobytes()
     assert repr((ha.lo, ha.hi, ha.underflow, ha.overflow)) == repr(
@@ -188,17 +193,48 @@ def test_a_warm_record_peaks_below_80_bytes_per_fine_step():
     assert peak < 80 * n, f"{peak / n:.1f} bytes per fine step"
 
 
-def test_records_match_standalone_pipeline():
-    cfg = small_cfg()
+def _standalone_record(cfg, path):
+    """A path's record from the public single-path functions, NaN where a
+    value is undefined."""
+    spec = cfg.threshold
+    true_iv = true_integrated_variance(path, 2)
+    bias = math.nan
+    if cfg.jitter == 0.0:
+        try:
+            bias = normalized_bias(path, spec, true_iv)
+        except DegenerateStatisticError:
+            pass
+    det = detect_jumps(path, spec,
+                       path.ground_truth.jumps if finite_activity(cfg.model) else None)
+    m = det.match
+    counts = ((math.nan,) * 3 if m is None
+              else (m.true_positives, m.false_positives, m.false_negatives))
+    return (threshold_realized_variance(path, spec), true_iv, bias, realized_variance(path),
+            bipower_variation(path), np.count_nonzero(det.indicators), *counts)
+
+
+@pytest.mark.parametrize("kw", [
+    {},
+    {"model": Model3(), "threshold": ThresholdSpec(0.99, 1.0), "n_paths": 8},
+    {"jitter": 0.4, "n_paths": 8},
+    {"threshold": ThresholdSpec(0.9, 1e-30), "n_paths": 8},
+], ids=["model1", "model3", "irregular", "excluded"])
+def test_records_match_standalone_pipeline(kw):
+    cfg = small_cfg(**kw)
     summary = run_experiment(cfg)
+    records = summary.records
+    assert records.shape == (cfg.n_paths,)
+    assert records.dtype.names == ("iv_hat", "true_iv", "normalized_bias", "rv", "bpv",
+                                   "n_flagged", "tp", "fp", "fn")
+    assert not records.flags.writeable
+    with pytest.raises(ValueError):
+        records.iv_hat[0] = 0.0
     grid = cfg.build_grid()
-    for i in (0, 7, 31):
+    for i in (0, 3, cfg.n_paths - 1):
         path = simulate(cfg.model, grid, cfg.substeps,
                         path_seed(cfg.base_seed, i))
-        rec = summary.records[i]
-        assert rec.path_index == i
-        assert rec.iv_hat == threshold_realized_variance(path, cfg.threshold)
-        assert rec.true_iv == true_integrated_variance(path, 2)
+        np.testing.assert_array_equal(np.array(records[i].tolist()),
+                                      np.array(_standalone_record(cfg, path), dtype=float))
 
 
 def test_all_paths_excluded_when_nothing_survives():
@@ -211,7 +247,7 @@ def test_all_paths_excluded_when_nothing_survives():
     assert summary.ks_statistic is None
     assert summary.moments is None
     assert summary.histogram is None
-    assert all(r.normalized_bias is None for r in summary.records)
+    assert all(np.isnan(r.normalized_bias) for r in summary.records)
     assert all(r.iv_hat == 0.0 for r in summary.records)
 
 
@@ -232,7 +268,7 @@ def test_detection_summary_presence_by_model():
     vg = run_experiment(small_cfg(model=Model3(), n_paths=4,
                                   threshold=ThresholdSpec(0.99, 1.0)))
     assert vg.detection is None
-    assert all(r.tp is None and r.fp is None and r.fn is None
+    assert all(np.isnan(r.tp) and np.isnan(r.fp) and np.isnan(r.fn)
                for r in vg.records)
 
     custom = run_experiment(small_cfg(
@@ -258,7 +294,7 @@ def test_irregular_grid_disables_normality_stats():
     assert summary.moments is None
     assert summary.histogram is None
     assert summary.excluded_paths == 0
-    assert all(r.normalized_bias is None for r in summary.records)
+    assert all(np.isnan(r.normalized_bias) for r in summary.records)
 
 
 @pytest.mark.parametrize("parallelism", [1, 2])
