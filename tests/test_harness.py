@@ -285,6 +285,13 @@ def test_detection_counts_are_consistent():
         1 for r in summary.records if r.tp + r.fn > 0)
     if det.mean_recall is not None:
         assert 0.0 <= det.mean_recall <= 1.0
+    # The column aggregates give the bits of a per-row loop.
+    rows = summary.records
+    recalls = [r.tp / (r.tp + r.fn) for r in rows if r.tp + r.fn > 0]
+    assert det.mean_recall == math.fsum(recalls) / len(recalls)
+    assert det.mean_false_flags == math.fsum(r.fp for r in rows) / len(rows)
+    assert summary.estimates.mean_abs_error == math.fsum(
+        abs(r.iv_hat - r.true_iv) for r in rows) / len(rows)
 
 
 def test_irregular_grid_disables_normality_stats():
