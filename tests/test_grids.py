@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jumpsift import InvalidArgumentError, TimeGrid, build_irregular_grid, build_uniform_grid, refine
+from jumpsift.grids import containing_intervals
 
 
 def test_uniform_grid_basic():
@@ -115,6 +116,28 @@ def test_refine_identity_for_one_substep():
     fine_times, fine_widths = refine(g, 1)
     assert np.array_equal(fine_times, g.times)
     assert np.array_equal(fine_widths, g.widths)
+
+
+# Jump matching in a run takes an event's observation interval as its
+# substep index // substeps; this pins that identity on refined grids.
+@settings(derandomize=True, database=None, deadline=None)
+@given(st.integers(1, 300),
+       st.sampled_from([1.0, 0.7, 3e-9, 2.5e6]),
+       st.sampled_from([0.0, 0.99]) | st.floats(0.0, 1.0, exclude_max=True),
+       st.integers(0, 2**64 - 1),
+       st.integers(1, 6),
+       st.integers(0, 2**32 - 1))
+def test_substep_interval_over_substeps_is_the_observation_interval(n, t_end, jitter, seed,
+                                                                    substeps, draw_seed):
+    g = build_irregular_grid(n, t_end, jitter, seed)
+    fine_times, _ = refine(g, substeps)
+    rng = np.random.default_rng(draw_seed)
+    uniforms = rng.uniform(0.0, t_end, 64)
+    uniforms[uniforms == 0.0] = t_end
+    events = np.concatenate([uniforms, g.times, fine_times,
+                             np.nextafter(fine_times, np.inf), np.nextafter(fine_times, 0.0)])
+    got = containing_intervals(fine_times, events) // substeps
+    assert np.array_equal(got, containing_intervals(g.times, events))
 
 
 def test_refine_rejects_bad_substeps():

@@ -27,6 +27,7 @@ from jumpsift import (
     efficiency_comparison,
     finite_activity,
     jump_size_clt_experiment,
+    jump_size_error_stat,
     normalized_bias,
     path_seed,
     realized_variance,
@@ -218,7 +219,13 @@ def _standalone_record(cfg, path):
     {"model": Model3(), "threshold": ThresholdSpec(0.99, 1.0), "n_paths": 8},
     {"jitter": 0.4, "n_paths": 8},
     {"threshold": ThresholdSpec(0.9, 1e-30), "n_paths": 8},
-], ids=["model1", "model3", "irregular", "excluded"])
+    {"model": Model2(), "substeps": 5, "n_paths": 8},
+    {"model": Model2(), "substeps": 5, "jitter": 0.4, "n_paths": 8},
+    {"substeps": 3, "jitter": 0.4, "n_paths": 8},
+    {"model": CustomModel(drift="constant:0.2", spot_vol="constant:0.2",
+                          jumps="compound-poisson:40,0.5"), "n_paths": 8},
+], ids=["model1", "model3", "irregular", "excluded", "model2 substeps 5",
+        "model2 substeps 5 irregular", "model1 substeps 3 irregular", "custom drift jumps"])
 def test_records_match_standalone_pipeline(kw):
     cfg = small_cfg(**kw)
     summary = run_experiment(cfg)
@@ -230,7 +237,7 @@ def test_records_match_standalone_pipeline(kw):
     with pytest.raises(ValueError):
         records.iv_hat[0] = 0.0
     grid = cfg.build_grid()
-    for i in (0, 3, cfg.n_paths - 1):
+    for i in range(cfg.n_paths):
         path = simulate(cfg.model, grid, cfg.substeps,
                         path_seed(cfg.base_seed, i))
         np.testing.assert_array_equal(np.array(records[i].tolist()),
@@ -381,6 +388,23 @@ def test_run_level_failures_come_before_any_path_or_fork(monkeypatch, entry, cha
     with pytest.raises(InvalidArgumentError) as err:
         entry(small_cfg(n_paths=4, parallelism=2, **changes))
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("kw", [
+    {},
+    {"model": CustomModel(drift="constant:0.2", spot_vol="constant:0.2",
+                          jumps="compound-poisson:40,0.5"), "substeps": 3},
+    {"model": CustomModel()},
+], ids=["model1", "custom substeps 3", "jump-free"])
+def test_jump_size_samples_match_standalone_pipeline(kw):
+    cfg = small_cfg(n_paths=16, **kw)
+    samples = jump_size_clt_experiment(cfg).samples
+    grid = cfg.build_grid()
+    for i, got in enumerate(samples.tolist()):
+        path = simulate(cfg.model, grid, cfg.substeps, path_seed(cfg.base_seed, i))
+        truth = path.ground_truth.jumps
+        want = jump_size_error_stat(path, detect_jumps(path, cfg.threshold), truth)
+        assert got == want, i
 
 
 def test_jump_size_clt_inadmissible_threshold_warns_once():
