@@ -107,7 +107,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         settings = _settings_from_args(args)
         out_dir = args.out
-        os.makedirs(out_dir, exist_ok=True)
         with _admissibility_lines():
             outputs = _run(args.command, settings, out_dir, getattr(args, "input", None))
     except ConfigError as exc:
@@ -193,6 +192,7 @@ def _run(command: str, settings: RunSettings, out_dir: str,
     else:  # compare
         table = efficiency_comparison(settings.experiment())
         writers["efficiency.csv"] = lambda dest: write_efficiency_csv(table, dest)
+    os.makedirs(out_dir, exist_ok=True)  # only now, so a failed command leaves no directory
     for name, write in writers.items():
         write(os.path.join(out_dir, name))
     manifest = build_manifest(
@@ -267,7 +267,6 @@ def replay_manifest(manifest_path: str, out_dir: str) -> list[str]:
     settings = merge_settings(file_values=None, overrides=raw)
     settings = settings.with_seed(int(manifest["base_seed"]))
     _check_hashes(inputs, "", "input")
-    os.makedirs(out_dir, exist_ok=True)
     with _admissibility_lines():
         written = _run(manifest["command"], settings, out_dir,
                        inputs[0]["file"] if inputs else None)

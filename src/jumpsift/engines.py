@@ -53,7 +53,7 @@ _MAX_JUMP_RESAMPLES = 100
 # beyond it the engine falls back to the stepwise recursion.
 _OU_SCAN_MAX_EXPONENT = 600.0
 
-_NO_JUMPS = JumpTable((), ())
+_NO_EVENTS = ((), np.empty(0), np.empty(0, dtype=np.intp))
 
 # numpy's limit on the bytes of one array.
 _MAX_ARRAY_BYTES = np.iinfo(np.intp).max
@@ -105,8 +105,23 @@ class SimulationPlan:
     constants: tuple
     engine: Callable
 
-    def simulate(self, seed: int) -> SamplePath:
+    def arrays(self, seed: int) -> tuple:
+        """The engine's raw arrays for one path: the fine path, the
+        continuous increments, the spot sigma^2 and the jumps. Jumps are
+        (times, sizes, substep index of each) for finite-activity models,
+        and the jump part of each substep for Model3."""
         return self.engine(self, _path_rng(seed))
+
+    def simulate(self, seed: int) -> SamplePath:
+        x_fine, cont_incr, spot, jumps = self.arrays(seed)
+        if isinstance(jumps, np.ndarray):
+            nonzero = np.flatnonzero(jumps)
+            table = JumpTable(self.fine_times[nonzero + 1], jumps[nonzero])
+        else:
+            table = JumpTable(*jumps[:2])
+        truth = GroundTruth(spot_variance=spot, refinement=self.substeps, jumps=table,
+                            continuous_increments=cont_incr)
+        return SamplePath(self.grid, x_fine[::self.substeps], truth)
 
 
 def simulation_plan(cfg: ModelConfig, grid: TimeGrid, substeps: int) -> SimulationPlan:
@@ -170,17 +185,14 @@ def _simulate_constant_vol(plan, rng):
     cont_incr *= sigma_root_h
     cont_incr += drift_h
 
-    events = _NO_JUMPS
-    jump_incr = 0.0
+    events, jump_incr = _NO_EVENTS, 0.0
     if jump_params is not None:
         lam, size_std = jump_params
         times = _poisson_times(rng, plan.grid.t_end, lam)
         if times:
-            sizes = rng.normal(0.0, size_std, len(times))
-            events = JumpTable(times, sizes)
-            jump_incr = _jump_increments(plan.fine_times, times, sizes)
+            events, jump_incr = _events(plan, times, rng.normal(0.0, size_std, len(times)))
 
-    return _assemble(plan, cont_incr, jump_incr, events, plan.spot)
+    return _assemble(cont_incr, jump_incr, plan.spot, events)
 
 
 def _simulate_model2(plan, rng):
@@ -211,17 +223,15 @@ def _simulate_model2(plan, rng):
     cont_incr += drift_incr
 
     times = _poisson_times(rng, plan.grid.t_end, cfg.jump_intensity)
-    events = _NO_JUMPS
-    jump_incr = 0.0
+    events, jump_incr = _NO_EVENTS, 0.0
     if times:
         jump_sd = math.sqrt(cfg.jump_var)
         sizes = np.array([_draw_log_jump(rng, cfg.jump_mean, jump_sd) for _ in times])
-        events = JumpTable(times, sizes)
-        jump_incr = _jump_increments(plan.fine_times, times, sizes)
+        events, jump_incr = _events(plan, times, sizes)
 
     h_path *= 2.0
     spot = _require_spot_variance(np.exp(h_path, out=h_path))
-    return _assemble(plan, cont_incr, jump_incr, events, spot)
+    return _assemble(cont_incr, jump_incr, spot, events)
 
 
 def _simulate_model3(plan, rng):
@@ -245,31 +255,25 @@ def _simulate_model3(plan, rng):
     jump_incr *= cfg.vg_drift
     jump_incr += vol_part
 
-    nonzero = np.flatnonzero(jump_incr)
-    events = JumpTable(plan.fine_times[nonzero + 1], jump_incr[nonzero])
-
-    return _assemble(plan, cont_incr, jump_incr, events, plan.spot)
+    return _assemble(cont_incr, jump_incr, plan.spot, jump_incr)
 
 
-def _jump_increments(fine_times, times, sizes) -> np.ndarray:
-    """Sum of the jump sizes in each substep, added in event order."""
-    return np.bincount(containing_intervals(fine_times, times), weights=sizes,
-                       minlength=fine_times.size - 1)
+def _events(plan, times, sizes) -> tuple:
+    """(times, sizes, substep index of each) and the sum of the jump sizes in
+    each substep, added in event order."""
+    substep = containing_intervals(plan.fine_times, times)
+    return (times, sizes, substep), np.bincount(substep, weights=sizes,
+                                                minlength=plan.fine_widths.size)
 
 
-def _assemble(plan, cont_incr, jump_incr, events, spot):
-    """jump_incr is an array of per-substep sums, or 0.0 without jumps."""
+def _assemble(cont_incr, jump_incr, spot, jumps):
+    """The arrays of SimulationPlan.arrays; jump_incr is an array of
+    per-substep sums, or 0.0 without jumps."""
     x_fine = np.empty(cont_incr.size + 1)
     x_fine[0] = 0.0
     np.add(cont_incr, jump_incr, out=x_fine[1:])
     np.cumsum(x_fine[1:], out=x_fine[1:])
-    truth = GroundTruth(
-        spot_variance=spot,
-        refinement=plan.substeps,
-        jumps=events,
-        continuous_increments=cont_incr,
-    )
-    return SamplePath(plan.grid, x_fine[::plan.substeps], truth)
+    return x_fine, cont_incr, spot, jumps
 
 
 def _poisson_times(rng, t_end, lam) -> list[float]:

@@ -1,16 +1,19 @@
 """Threshold variance estimators, comparison estimators, and jump recovery.
 
 All operations are pure functions of a SamplePath (observations + grid) and
-a ThresholdSpec. Every sum is the correctly rounded exact sum, the same
-double math.fsum returns. Each sum a path needs is a row of terms,
-computed on its own when first read by error-free extraction (Rump, Ogita
-& Oishi, SIAM J. Sci. Comput. 31(1) and 31(2), 2008): vectorized passes
-split the row into parts whose float sums are exact. After each pass the
-row stops once its rounding is certified, which at desk sizes the first
-pass does for almost every row. A row whose total lies too close to a
-rounding midpoint, or cancels to 0, runs the remaining passes, and
-math.fsum adds its few parts and what is left. Short rows, non-finite
-values and extreme magnitudes go to math.fsum directly.
+a ThresholdSpec. One per-path kernel, _path_sums, serves every estimator
+here and the Monte Carlo harness, which feeds it the engine's arrays
+directly: it forms the increments and the threshold mask once, then only
+the rows of terms its caller reads, one at a time. Every sum is the
+correctly rounded exact sum of its own row, the same double math.fsum
+returns, by error-free extraction (Rump, Ogita & Oishi, SIAM J. Sci.
+Comput. 31(1) and 31(2), 2008): vectorized passes split the row into
+parts whose float sums are exact. After each pass the row stops once its
+rounding is certified, which at desk sizes the first pass does for almost
+every row. A row whose total lies too close to a rounding midpoint, or
+cancels to 0, runs the remaining passes, and math.fsum adds its few parts
+and what is left. Short rows, non-finite values and extreme magnitudes go
+to math.fsum directly.
 The truncated sum is formed as the total minus the flagged sum F = sum over
 flagged intervals of (dX_i)^2, with realized_variance and F each correctly
 rounded, so
@@ -28,7 +31,6 @@ import array
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -138,7 +140,7 @@ class EstimationReport:
 
 def realized_variance(path: SamplePath) -> float:
     """Sum of squared increments over the grid."""
-    return _PathSums(path).rv
+    return _path_sums(path.observations, None, quartic=False, bpv=False)[2]
 
 
 def threshold_realized_variance(path: SamplePath, spec: ThresholdSpec) -> float:
@@ -148,19 +150,19 @@ def threshold_realized_variance(path: SamplePath, spec: ThresholdSpec) -> float:
     correctly rounded, so TRV == RV - F holds exactly (module docstring).
     """
     _warn_if_inadmissible(spec)
-    return _PathSums(path, spec).iv_hat
+    return _path_sums(*_observed(path, spec), quartic=False, bpv=False)[3]
 
 
 def threshold_quarticity(path: SamplePath, spec: ThresholdSpec) -> float:
     """Truncated quarticity sum((dX_i)^4 * I) / (3h); uniform grids only."""
     _warn_if_inadmissible(spec)
     _require_uniform(path, "threshold_quarticity")
-    return _PathSums(path, spec).quartic / (3.0 * path.grid.h)
+    return _path_sums(*_observed(path, spec), rv=False, bpv=False)[4] / (3.0 * path.grid.h)
 
 
 def bipower_variation(path: SamplePath) -> float:
     """(pi/2) * sum |dX_i| * |dX_{i-1}|, jump-robust baseline estimator."""
-    return _PathSums(path).bpv
+    return _path_sums(path.observations, None, rv=False, quartic=False)[5]
 
 
 def detect_jumps(path: SamplePath, spec: ThresholdSpec,
@@ -173,11 +175,17 @@ def detect_jumps(path: SamplePath, spec: ThresholdSpec,
     intervals holding several true jumps are listed separately.
     """
     _warn_if_inadmissible(spec)
-    sums = _PathSums(path, spec)
+    dx, flagged, *_ = _path_sums(*_observed(path, spec), rv=False, quartic=False, bpv=False)
     match = None
     if true_jumps is not None:
-        match = _match_events(path.grid.times, sums.flagged, sums.dx, true_jumps)
-    return JumpDetectionResult(sums.flagged, sums.jump_sizes, match)
+        jumpy, counts, first_sizes = _jumpy_intervals(path.grid.times, true_jumps)
+        hit = flagged[jumpy]
+        tp = int(np.count_nonzero(hit))
+        single = hit & (counts == 1)
+        errors = dx[jumpy[single]] - first_sizes[single]
+        match = JumpMatchStats(tp, int(np.count_nonzero(flagged)) - tp, jumpy.size - tp,
+                               tuple(errors.tolist()), tuple(jumpy[counts > 1].tolist()))
+    return JumpDetectionResult(flagged, _jump_sizes(dx, flagged), match)
 
 
 def normalized_bias(path: SamplePath, spec: ThresholdSpec, true_iv: float) -> float:
@@ -188,7 +196,9 @@ def normalized_bias(path: SamplePath, spec: ThresholdSpec, true_iv: float) -> fl
     Uniform grids only.
     """
     _warn_if_inadmissible(spec)
-    return _PathSums(path, spec).normalized_bias(true_iv)
+    _require_uniform(path, "normalized_bias")
+    _, _, _, iv_hat, quartic, _ = _path_sums(*_observed(path, spec), bpv=False)
+    return _bias(iv_hat, quartic, true_iv)
 
 
 def jump_size_error_stat(path: SamplePath, detection: JumpDetectionResult,
@@ -202,8 +212,7 @@ def jump_size_error_stat(path: SamplePath, detection: JumpDetectionResult,
         raise UnsupportedError("jump_size_error_stat requires ground-truth jumps")
     _require_uniform(path, "jump_size_error_stat")
     _, _, first_sizes = _jumpy_intervals(path.grid.times, true_jumps)
-    total = math.fsum(detection.estimated_sizes.values()) - math.fsum(first_sizes.tolist())
-    return math.sqrt(path.grid.n) * total
+    return _size_error_stat(path.grid.n, detection.estimated_sizes.values(), first_sizes)
 
 
 def estimation_report(path: SamplePath, spec: ThresholdSpec,
@@ -213,33 +222,33 @@ def estimation_report(path: SamplePath, spec: ThresholdSpec,
     bipower_variation is None on a path with a single increment.
     """
     _warn_if_inadmissible(spec)
-    return _report(_PathSums(path, spec), true_iv)
+    return _report(path, spec, true_iv)[1]
 
 
 def detect_and_report(path: SamplePath,
                       spec: ThresholdSpec) -> tuple[JumpDetectionResult, EstimationReport]:
     """detect_jumps(path, spec) and estimation_report(path, spec) from one kernel."""
     _warn_if_inadmissible(spec)
-    sums = _PathSums(path, spec)
-    return JumpDetectionResult(sums.flagged, sums.jump_sizes), _report(sums)
+    return _report(path, spec)
 
 
-def _report(sums: _PathSums, true_iv: float | None = None) -> EstimationReport:
-    """estimation_report on the kernel of its path and threshold."""
-    path, spec = sums.path, sums.spec
+def _report(path: SamplePath, spec: ThresholdSpec,
+            true_iv: float | None = None) -> tuple[JumpDetectionResult, EstimationReport]:
+    """The detection and the estimation report of the path, from one kernel."""
     uniform = path.grid.is_uniform
-    with_bpv = sums.dx.size >= 2
-    iq_hat = sums.quartic / (3.0 * path.grid.h) if uniform else None
+    dx, flagged, rv, iv_hat, quartic, bpv = _path_sums(*_observed(path, spec),
+                                                       quartic=uniform, bpv=path.grid.n >= 2)
+    iq_hat = quartic / (3.0 * path.grid.h) if uniform else None
     bias = None
     if true_iv is not None and uniform:
-        bias = sums.normalized_bias(true_iv)
-    sizes = sums.jump_sizes
+        bias = _bias(iv_hat, quartic, true_iv)
+    sizes = _jump_sizes(dx, flagged)
     admissible, reason = threshold_admissible(spec)
-    return EstimationReport(
-        iv_threshold=sums.iv_hat,
+    return JumpDetectionResult(flagged, sizes), EstimationReport(
+        iv_threshold=iv_hat,
         iq_threshold=iq_hat,
-        realized_variance=sums.rv,
-        bipower_variation=sums.bpv if with_bpv else None,
+        realized_variance=rv,
+        bipower_variation=bpv,
         flagged_intervals=tuple(sizes),
         jump_size_estimates=sizes,
         threshold_used=spec,
@@ -249,84 +258,65 @@ def _report(sums: _PathSums, true_iv: float | None = None) -> EstimationReport:
     )
 
 
-class _PathSums:
-    """Per-path kernel: increments, their squares and the threshold mask,
-    with each exact sum evaluated at most once and only when first read.
+def _observed(path: SamplePath, spec: ThresholdSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The path's observations and r at its lags."""
+    return path.observations, spec.r_at(path.grid.widths)
 
-    Every estimator above is a view over it, and each sum is extracted on
-    its own, from its own row of terms.
 
-    r, if given, is spec.r_at(path.grid.widths), computed once for a run.
-    """
+def _path_sums(x: np.ndarray, r: np.ndarray | None, *, rv: bool = True,
+               quartic: bool = True, bpv: bool = True) -> tuple:
+    """The per-path kernel over observations x and r at their lags: the
+    increments dx, the mask (dX_i)^2 > r, and the exact sums rv, iv_hat,
+    quartic and bpv (with its pi/2 factor). Only the rows asked for are
+    formed, each freed before the next; anything not formed is None, as are
+    flagged and iv_hat without r. A difference, square or product past the
+    largest double is +-inf, and inf * 0 is nan; either makes its sum
+    non-finite."""
+    flagged = rv_sum = iv_hat = quartic_sum = bpv_sum = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        dx = x[1:] - x[:-1]
+        dx2 = dx * dx
+        if r is not None:
+            flagged = dx2 > r
+        if rv:
+            rv_sum = _total(dx2)
+            if r is not None:
+                iv_hat = rv_sum - _total(dx2[flagged])
+        if quartic:
+            quartic_sum = _total(np.square(dx2[~flagged]))
+        if bpv:
+            if dx.size < 2:
+                raise InvalidArgumentError("bipower variation needs at least 2 increments")
+            a = np.abs(dx, out=dx2)
+            bpv_sum = (math.pi / 2.0) * _total(a[1:] * a[:-1])
+    return dx, flagged, rv_sum, iv_hat, quartic_sum, bpv_sum
 
-    def __init__(self, path: SamplePath, spec: ThresholdSpec | None = None,
-                 r: np.ndarray | None = None):
-        dx = path.increments
-        self.path = path
-        self.spec = spec
-        self.r = r
-        self.dx = dx
-        # A square or product past the largest double is inf, and inf * 0 in
-        # bpv is nan; both make the sum they enter non-finite, with no warning.
-        with np.errstate(over="ignore"):
-            self.dx2 = dx * dx
 
-    @cached_property
-    def keep(self) -> np.ndarray:
-        """Boolean mask of increments with (dX_i)^2 <= r; ties are kept."""
-        spec = self.spec
-        return self.dx2 <= (spec.r_at(self.path.grid.widths) if self.r is None else self.r)
+def _total(terms: np.ndarray) -> float:
+    """_exact_sum of non-negative terms. Where math.fsum overflows, their
+    correctly rounded sum is +inf, as it is when a term is inf."""
+    try:
+        return _exact_sum(terms)
+    except OverflowError:
+        return math.inf
 
-    @cached_property
-    def flagged(self) -> np.ndarray:
-        return ~self.keep
 
-    @cached_property
-    def jump_sizes(self) -> dict[int, float]:
-        """dX_i at every flagged interval i, in increasing order of i."""
-        idx = np.flatnonzero(self.flagged)
-        return dict(zip(idx.tolist(), self.dx[idx].tolist()))
+def _bias(iv_hat: float, quartic: float, true_iv: float) -> float:
+    if quartic <= 0.0:
+        raise DegenerateStatisticError(
+            "all increments excluded or zero; normalized bias undefined")
+    return (iv_hat - float(true_iv)) / math.sqrt((2.0 / 3.0) * quartic)
 
-    @staticmethod
-    def _total(terms: np.ndarray) -> float:
-        """_exact_sum of non-negative terms. Where math.fsum overflows, their
-        correctly rounded sum is +inf, as it is when a term is inf."""
-        try:
-            return _exact_sum(terms)
-        except OverflowError:
-            return math.inf
 
-    @cached_property
-    def rv(self) -> float:
-        return self._total(self.dx2)
+def _jump_sizes(dx: np.ndarray, flagged: np.ndarray) -> dict[int, float]:
+    """dX_i at every flagged interval i, in increasing order of i."""
+    idx = np.flatnonzero(flagged)
+    return dict(zip(idx.tolist(), dx[idx].tolist()))
 
-    @cached_property
-    def iv_hat(self) -> float:
-        return self.rv - self._total(self.dx2[self.flagged])
 
-    @cached_property
-    def quartic(self) -> float:
-        kept = self.dx2[self.keep]
-        with np.errstate(over="ignore"):
-            terms = kept * kept
-        return self._total(terms)
-
-    @cached_property
-    def bpv(self) -> float:
-        if self.dx.size < 2:
-            raise InvalidArgumentError("bipower variation needs at least 2 increments")
-        a = np.abs(self.dx)
-        with np.errstate(over="ignore", invalid="ignore"):
-            terms = a[1:] * a[:-1]
-        return (math.pi / 2.0) * self._total(terms)
-
-    def normalized_bias(self, true_iv: float) -> float:
-        _require_uniform(self.path, "normalized_bias")
-        quartic = self.quartic
-        if quartic <= 0.0:
-            raise DegenerateStatisticError(
-                "all increments excluded or zero; normalized bias undefined")
-        return (self.iv_hat - float(true_iv)) / math.sqrt((2.0 / 3.0) * quartic)
+def _size_error_stat(n: int, estimated_sizes, first_sizes: np.ndarray) -> float:
+    """jump_size_error_stat from the flagged and the first true sizes."""
+    return math.sqrt(n) * (math.fsum(estimated_sizes) - math.fsum(first_sizes.tolist()))
 
 
 def _require_uniform(path: SamplePath, what: str) -> None:
@@ -421,23 +411,16 @@ def _jumpy_intervals(times: np.ndarray, jumps: JumpTable):
     their jump counts and the size of the earliest jump in each (ties in
     time keep table order)."""
     order = np.argsort(jumps.times, kind="stable")
-    # Sorted times give sorted interval indices: each run is one interval.
-    intervals = containing_intervals(times, jumps.times[order])
+    return _interval_runs(containing_intervals(times, jumps.times[order]), jumps.sizes[order])
+
+
+def _interval_runs(intervals: np.ndarray, sizes: np.ndarray):
+    """_jumpy_intervals for events already in time order, so each run of
+    equal interval indices is one interval."""
     starts = np.ones(intervals.size, dtype=bool)
     np.not_equal(intervals[1:], intervals[:-1], out=starts[1:])
     first = np.flatnonzero(starts)
     counts = np.empty_like(first)
     np.subtract(first[1:], first[:-1], out=counts[:-1])
     counts[-1:] = intervals.size - first[-1:]
-    return intervals[first], counts, jumps.sizes[order[first]]
-
-
-def _match_events(times, flagged, dx, jumps: JumpTable) -> JumpMatchStats:
-    jumpy, counts, first_sizes = _jumpy_intervals(times, jumps)
-    hit = flagged[jumpy]
-    tp = int(np.count_nonzero(hit))
-    single = hit & (counts == 1)
-    errors = dx[jumpy[single]] - first_sizes[single]
-    fp = int(np.count_nonzero(flagged)) - tp
-    return JumpMatchStats(tp, fp, jumpy.size - tp, tuple(errors.tolist()),
-                          tuple(jumpy[counts > 1].tolist()))
+    return intervals[first], counts, sizes[first]

@@ -36,12 +36,12 @@ from .errors import (
     UnsupportedError,
 )
 from .estimators import (
-    JumpDetectionResult,
     ThresholdSpec,
-    _match_events,
-    _PathSums,
+    _bias,
+    _interval_runs,
+    _path_sums,
+    _size_error_stat,
     _warn_if_inadmissible,
-    jump_size_error_stat,
 )
 from .grids import TimeGrid, build_irregular_grid
 from .models import Model3, ModelConfig, compound_poisson_law, finite_activity, has_jumps
@@ -325,49 +325,61 @@ def _single_record(plan: _RunPlan, index: int) -> tuple:
     undefined bias: one computed but not finite fails the run, as it would
     fail the normality statistics."""
     cfg = plan.cfg
-    path = _simulate_path(plan, index)
+    x, spot, jumps = _observed_path(plan, index)
     true_iv = plan.true_iv
     if true_iv is None:
-        true_iv = spot_integral(path.ground_truth.spot_variance, plan.sim.fine_widths, 2)
-    sums = _PathSums(path, cfg.threshold, plan.r)
+        true_iv = spot_integral(spot, plan.sim.fine_widths, 2)
+    uniform = cfg.jitter == 0.0
+    _, flagged, rv, iv_hat, quartic, bpv = _path_sums(x, plan.r, quartic=uniform)
+    n_flagged = np.count_nonzero(flagged)
     tp = fp = fn = math.nan
     if plan.finite_activity:
-        match = _match_events(path.grid.times, sums.flagged, sums.dx, path.ground_truth.jumps)
-        tp, fp, fn = match.true_positives, match.false_positives, match.false_negatives
+        _, sizes, substep = jumps
+        jumpy = _interval_runs(substep // cfg.substeps, sizes)[0]
+        tp = np.count_nonzero(flagged[jumpy])
+        fp, fn = n_flagged - tp, jumpy.size - tp
 
     bias = math.nan
-    if cfg.jitter == 0.0:
+    if uniform:
         try:
-            bias = sums.normalized_bias(true_iv)
+            bias = _bias(iv_hat, quartic, true_iv)
         except DegenerateStatisticError:
             pass
         else:
             if not math.isfinite(bias):
                 raise InvalidArgumentError("samples must be finite")
 
-    return (sums.iv_hat, true_iv, bias, sums.rv, sums.bpv,
-            np.count_nonzero(sums.flagged), tp, fp, fn)
+    return iv_hat, true_iv, bias, rv, bpv, n_flagged, tp, fp, fn
 
 
 def _efficiency_pair(plan: _RunPlan, index: int) -> tuple[float, float]:
-    path = _simulate_path(plan, index)
     iv, iq = plan.true_iv, plan.true_iq
-    denom = math.sqrt(path.grid.h * iq)
-    sums = _PathSums(path, plan.cfg.threshold, plan.r)
-    thr = (sums.iv_hat - iv) / denom
-    bpv = (sums.bpv - iv) / denom
-    return thr, bpv
+    denom = math.sqrt(plan.sim.grid.h * iq)
+    _, _, _, iv_hat, _, bpv = _path_sums(_observed_path(plan, index)[0], plan.r,
+                                         quartic=False)
+    return (iv_hat - iv) / denom, (bpv - iv) / denom
 
 
 def _jump_stat(plan: _RunPlan, index: int) -> float:
-    path = _simulate_path(plan, index)
-    sums = _PathSums(path, plan.cfg.threshold, plan.r)
-    det = JumpDetectionResult(sums.flagged, sums.jump_sizes)
-    return jump_size_error_stat(path, det, path.ground_truth.jumps)
+    x, _, (_, sizes, substep) = _observed_path(plan, index)
+    dx, flagged, *_ = _path_sums(x, plan.r, rv=False, quartic=False, bpv=False)
+    first_sizes = _interval_runs(substep // plan.cfg.substeps, sizes)[2]
+    return _size_error_stat(plan.cfg.n, dx[flagged].tolist(), first_sizes)
 
 
-def _simulate_path(plan: _RunPlan, index: int):
-    return plan.sim.simulate(path_seed(plan.cfg.base_seed, index))
+def _observed_path(plan: _RunPlan, index: int) -> tuple:
+    """The path's observations, spot sigma^2 and jumps, straight from the
+    engine's arrays (SimulationPlan.arrays), with SamplePath's check: the
+    last fine value is enough, since a cumulative sum that goes non-finite
+    stays non-finite."""
+    x_fine, _, spot, jumps = _simulate_path(plan, index)
+    if not math.isfinite(x_fine[-1]):
+        raise InvalidArgumentError("observations must be finite")
+    return x_fine[::plan.cfg.substeps], spot, jumps
+
+
+def _simulate_path(plan: _RunPlan, index: int) -> tuple:
+    return plan.sim.arrays(path_seed(plan.cfg.base_seed, index))
 
 
 def _map_paths(fn, plan: _RunPlan) -> list:

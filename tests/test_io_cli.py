@@ -581,6 +581,20 @@ def test_cli_mc_bias_that_overflows_is_one_error_line(tmp_path, capsys, parallel
     assert not os.path.exists(out / "manifest.json")
 
 
+@pytest.mark.parametrize("flags", [
+    ["--config", "{cfg}", "--n", "50", "--paths", "4", "--seed", "1"],
+    ["--preset", "model1-desk", "--paths", "4", "--n", "50", "--scale-c", "0",
+     "--parallelism", "2"],
+], ids=["bias overflow", "scale-c 0"])
+def test_cli_failed_mc_leaves_no_out_directory(tmp_path, capsys, flags):
+    cfg = tmp_path / "f.cfg"
+    cfg.write_text("schema_version = 1\nmodel = custom\njumps = compound-poisson:5,1e200\n")
+    out = tmp_path / "out"
+    assert main(["mc", *(f.format(cfg=cfg) for f in flags), "--out", str(out)]) == 3
+    assert capsys.readouterr().out == ""
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("command", ["simulate", "mc"])
 def test_cli_jump_intensity_numpy_cannot_allocate_is_runtime_error(tmp_path, command):
     import subprocess
