@@ -19,7 +19,8 @@ Exit codes: 0 success, 2 configuration error, 3 runtime error (running out
 of memory included).
 
 main(argv) is the same entry point in process: it returns the exit code,
-and repeated calls are independent but build the parser only once.
+and repeated calls are independent but build the parser only once. Only mc
+and compare load the Monte Carlo harness, on their first run.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import argparse
 import contextlib
 import datetime
 import functools
-import json
 import os
 import sys
 import warnings
@@ -38,7 +38,6 @@ from .config import RUN_PARAMETERS, RunSettings, load_config_file, merge_setting
 from .errors import AdmissibilityWarning, ConfigError, InvalidArgumentError, JumpsiftError
 from .estimators import detect_and_report
 from .models import has_jumps, model_name
-from .montecarlo import efficiency_comparison, run_experiment
 from .serialize import (
     build_manifest,
     file_sha256,
@@ -185,11 +184,13 @@ def _run(command: str, settings: RunSettings, out_dir: str,
             writers["detection.csv"] = lambda dest: write_detection_csv(path, det, dest)
         writers["report.json"] = lambda dest: write_json(dest, report_to_dict(report, path))
     elif command == "mc":
+        from .montecarlo import run_experiment
         summary = run_experiment(settings.experiment())
         writers["summary.json"] = lambda dest: write_json(dest, summary_to_dict(summary))
         if summary.histogram is not None:
             writers["hist.csv"] = lambda dest: write_histogram_csv(summary.histogram, dest)
     else:  # compare
+        from .montecarlo import efficiency_comparison
         table = efficiency_comparison(settings.experiment())
         writers["efficiency.csv"] = lambda dest: write_efficiency_csv(table, dest)
     os.makedirs(out_dir, exist_ok=True)  # only now, so a failed command leaves no directory
@@ -232,6 +233,7 @@ def replay_manifest(manifest_path: str, out_dir: str) -> list[str]:
     InvalidArgumentError, naming the file, if a recorded input or output
     does not match its recorded sha256.
     """
+    import json
     with open(manifest_path, "r", encoding="utf-8") as fh:
         try:
             manifest = json.load(fh)

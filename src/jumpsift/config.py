@@ -1,5 +1,5 @@
-"""Run configuration: named presets, the key-value config file format, and
-seed resolution.
+"""Run configuration: ExperimentConfig, named presets, the key-value config
+file format, and seed resolution.
 
 Config files are plain `key = value` lines, '#' comments, one required
 `schema_version` key. Precedence when the CLI is driving: command-line flag,
@@ -10,14 +10,19 @@ defaults, the parsing and the manifest echo all read it.
 
 from __future__ import annotations
 
+import math
 import os
+import sys
 from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
+import numpy as np
+
+from .engines import _MAX_ARRAY_BYTES
 from .errors import ConfigError, InvalidArgumentError
 from .estimators import ThresholdSpec
+from .grids import TimeGrid, build_irregular_grid
 from .models import MODEL_CLASSES, CustomModel, ModelConfig
-from .montecarlo import ExperimentConfig
 from .serialize import SCHEMA_VERSION
 
 DEFAULT_BASE_SEED = 123456789
@@ -70,6 +75,59 @@ _DEFAULTS: dict[str, str] = {
     "model": "model1",
     **{p.key: p.default for p in RUN_PARAMETERS if p.default is not None},
 }
+
+
+@dataclass(frozen=True, slots=True)
+class ExperimentConfig:
+    """Everything a repeated-path run depends on.
+
+    Construction checks the range of every run parameter, and that the sizes
+    are integers; the config layer reports a failure as a ConfigError.
+    parallelism is the total number of processes, the calling one included
+    (see montecarlo._map_paths); it never affects results.
+    """
+
+    model: ModelConfig
+    threshold: ThresholdSpec
+    n: int = 2000
+    t_end: float = 1.0
+    jitter: float = 0.0
+    substeps: int = 1
+    n_paths: int = 500
+    base_seed: int = 0
+    parallelism: int = 1
+
+    def __post_init__(self):
+        for name in ("n", "substeps", "n_paths", "parallelism"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)):
+                raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")
+        if self.n < 1:
+            raise InvalidArgumentError("n must be >= 1")
+        if self.substeps < 1:
+            raise InvalidArgumentError("substeps must be >= 1")
+        if (self.n * self.substeps + 1) * 8 > _MAX_ARRAY_BYTES:
+            # Checked before t / n, which overflows for an int beyond any double.
+            raise InvalidArgumentError(
+                f"n = {self.n} with substeps = {self.substeps} needs arrays of"
+                f" n * substeps + 1 = {self.n * self.substeps + 1} doubles,"
+                " more than numpy can allocate")
+        if not (self.t_end > 0.0) or not math.isfinite(self.t_end):
+            raise InvalidArgumentError("t_end must be positive and finite")
+        if self.t_end / self.n < sys.float_info.min:
+            # Below it, n + 1 distinct times need not fit in [0, t].
+            raise InvalidArgumentError(
+                f"t / n must be at least the smallest normal double"
+                f" ({sys.float_info.min!r}), got t = {self.t_end!r}, n = {self.n}")
+        if self.n_paths < 1:
+            raise InvalidArgumentError("n_paths must be >= 1")
+        if self.parallelism < 1:
+            raise InvalidArgumentError("parallelism must be >= 1")
+        if not (0.0 <= self.jitter < 1.0):
+            raise InvalidArgumentError("jitter must lie in [0, 1)")
+
+    def build_grid(self) -> TimeGrid:
+        return build_irregular_grid(self.n, self.t_end, self.jitter, self.base_seed)
 
 
 @dataclass(frozen=True, slots=True)

@@ -63,7 +63,9 @@ def build_uniform_grid(n: int, t_end: float) -> TimeGrid:
     """Equally spaced grid with n intervals on [0, t_end], marked uniform:
     linspace widths spread by about n ulps of h, past _UNIFORM_RTOL."""
     _check_grid_args(n, t_end)
-    grid = TimeGrid(np.linspace(0.0, float(t_end), n + 1))
+    with np.errstate(over="ignore"):  # linspace's last step overflows near the largest double
+        times = np.linspace(0.0, float(t_end), n + 1)
+    grid = TimeGrid(times)
     object.__setattr__(grid, "is_uniform", True)
     return grid
 
@@ -80,7 +82,8 @@ def build_irregular_grid(n: int, t_end: float, jitter: float, seed: int) -> Time
     if jitter == 0.0 or n == 1:
         return build_uniform_grid(n, t_end)
     rng = np.random.Generator(np.random.Philox(key=(int(seed) ^ GRID_SALT) & _MASK64))
-    times = np.linspace(0.0, float(t_end), n + 1)
+    with np.errstate(over="ignore"):
+        times = np.linspace(0.0, float(t_end), n + 1)
     half = jitter * (t_end / n) / 2.0
     times[1:-1] += (rng.random(n - 1) * 2.0 - 1.0) * half
     return TimeGrid(times)

@@ -12,7 +12,6 @@ import math
 import os
 import pickle
 import signal
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,62 +42,10 @@ from .estimators import (
     _size_error_stat,
     _warn_if_inadmissible,
 )
-from .grids import TimeGrid, build_irregular_grid
-from .models import Model3, ModelConfig, compound_poisson_law, finite_activity, has_jumps
-from .engines import _MAX_ARRAY_BYTES, SimulationPlan, path_seed, simulation_plan, spot_integral
-
-
-@dataclass(frozen=True, slots=True)
-class ExperimentConfig:
-    """Everything a repeated-path run depends on.
-
-    Construction checks the range of every run parameter, and that the sizes
-    are integers; the config layer reports a failure as a ConfigError.
-    parallelism is the total number of processes, the calling one included
-    (see _map_paths); it never affects results.
-    """
-
-    model: ModelConfig
-    threshold: ThresholdSpec
-    n: int = 2000
-    t_end: float = 1.0
-    jitter: float = 0.0
-    substeps: int = 1
-    n_paths: int = 500
-    base_seed: int = 0
-    parallelism: int = 1
-
-    def __post_init__(self):
-        for name in ("n", "substeps", "n_paths", "parallelism"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)):
-                raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")
-        if self.n < 1:
-            raise InvalidArgumentError("n must be >= 1")
-        if self.substeps < 1:
-            raise InvalidArgumentError("substeps must be >= 1")
-        if (self.n * self.substeps + 1) * 8 > _MAX_ARRAY_BYTES:
-            # Checked before t / n, which overflows for an int beyond any double.
-            raise InvalidArgumentError(
-                f"n = {self.n} with substeps = {self.substeps} needs arrays of"
-                f" n * substeps + 1 = {self.n * self.substeps + 1} doubles,"
-                " more than numpy can allocate")
-        if not (self.t_end > 0.0) or not math.isfinite(self.t_end):
-            raise InvalidArgumentError("t_end must be positive and finite")
-        if self.t_end / self.n < sys.float_info.min:
-            # Below it, n + 1 distinct times need not fit in [0, t].
-            raise InvalidArgumentError(
-                f"t / n must be at least the smallest normal double"
-                f" ({sys.float_info.min!r}), got t = {self.t_end!r}, n = {self.n}")
-        if self.n_paths < 1:
-            raise InvalidArgumentError("n_paths must be >= 1")
-        if self.parallelism < 1:
-            raise InvalidArgumentError("parallelism must be >= 1")
-        if not (0.0 <= self.jitter < 1.0):
-            raise InvalidArgumentError("jitter must lie in [0, 1)")
-
-    def build_grid(self) -> TimeGrid:
-        return build_irregular_grid(self.n, self.t_end, self.jitter, self.base_seed)
+from .config import ExperimentConfig
+from .grids import build_irregular_grid
+from .models import Model3, compound_poisson_law, finite_activity, has_jumps
+from .engines import SimulationPlan, path_seed, simulation_plan, spot_integral
 
 
 # The fields of a per-path record, in the order _single_record returns them.

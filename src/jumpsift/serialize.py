@@ -18,6 +18,7 @@ import os
 import sys
 import warnings
 from dataclasses import asdict
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -25,8 +26,10 @@ from .errors import InvalidArgumentError
 from .estimators import EstimationReport, JumpDetectionResult
 from .grids import TimeGrid
 from .models import SamplePath, model_name
-from .diagnostics import Histogram
-from .montecarlo import EfficiencyTable, ExperimentConfig, McSummary
+if TYPE_CHECKING:  # annotations only: simulate, estimate and detect never load these
+    from .config import ExperimentConfig
+    from .diagnostics import Histogram
+    from .montecarlo import EfficiencyTable, McSummary
 
 # Format version of config files, manifests, reports and summaries.
 SCHEMA_VERSION = 1

@@ -64,10 +64,13 @@ def test_irregular_grid_is_increasing_and_each_time_stays_near_its_node(n, t_end
                                                                         seed):
     g = build_irregular_grid(n, t_end, jitter, seed)
     assert np.all(g.times[1:] > g.times[:-1])
-    nodes = np.linspace(0.0, t_end, n + 1)
     half = jitter * (t_end / n) / 2.0
-    # Adding the offset to a node rounds once, by at most half its ulp.
-    assert np.all(np.abs(g.times - nodes) <= half + np.spacing(nodes))
+    # linspace's last step and the spacing of the largest double overflow.
+    with np.errstate(over="ignore"):
+        nodes = np.linspace(0.0, t_end, n + 1)
+        # Adding the offset to a node rounds once, by at most half its ulp.
+        bound = half + np.spacing(nodes)
+    assert np.all(np.abs(g.times - nodes) <= bound)
 
 
 def test_irregular_grid_zero_jitter_is_uniform():

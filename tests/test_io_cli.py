@@ -922,6 +922,88 @@ def test_importing_the_cli_builds_no_parser():
     assert res.returncode == 0, res.stderr
 
 
+def _run_fresh(code: str) -> None:
+    """Runs code in a new interpreter, where no jumpsift module is loaded yet."""
+    import subprocess
+
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=120, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert res.returncode == 0, res.stderr
+
+
+def test_only_mc_loads_the_harness_and_its_diagnostics(tmp_path):
+    out = str(tmp_path)
+    _run_fresh(
+        "import sys\n"
+        "def harness():\n"
+        "    return [m for m in ('jumpsift.montecarlo', 'jumpsift.diagnostics')\n"
+        "            if m in sys.modules]\n"
+        "import jumpsift\n"
+        "assert not harness(), harness()\n"
+        "import jumpsift.cli\n"
+        "assert not harness(), harness()\n"
+        f"out = {out!r}\n"
+        "for argv in (['simulate', '--n', '200', '--out', out + '/sim'],\n"
+        "             ['estimate', '--in', out + '/sim/path.csv', '--out', out + '/est'],\n"
+        "             ['detect', '--in', out + '/sim/path.csv', '--out', out + '/det']):\n"
+        "    assert jumpsift.cli.main(argv) == 0, argv\n"
+        "assert not harness(), harness()\n"
+        "assert jumpsift.cli.main(['mc', '--paths', '4', '--n', '200', '--out', out + '/mc']) == 0\n"
+        "assert len(harness()) == 2, harness()\n")
+
+
+# Every public name of the package, by the module that defines it; "" marks
+# the submodules themselves.
+PUBLIC_NAMES = {
+    "": "config diagnostics engines errors estimators grids models montecarlo serialize",
+    "errors": "AdmissibilityWarning ConfigError DegenerateStatisticError InvalidArgumentError"
+              " JumpsiftError SimulationError UnsupportedError",
+    "grids": "TimeGrid build_irregular_grid build_uniform_grid refine",
+    "models": "CustomModel GroundTruth JumpTable Model1 Model2 Model3 SamplePath"
+              " compound_poisson_law finite_activity has_jumps",
+    "engines": "RNG_ALGORITHM path_seed simulate true_integrated_variance",
+    "estimators": "JumpDetectionResult ThresholdSpec bipower_variation detect_jumps"
+                  " estimation_report jump_size_error_stat normalized_bias realized_variance"
+                  " threshold_admissible threshold_quarticity threshold_realized_variance",
+    "diagnostics": "PoissonMixtureCdf build_histogram ks_against_cdf ks_statistic normal_cdf"
+                   " sample_moments",
+    "montecarlo": "efficiency_comparison jump_size_clt_experiment run_experiment"
+                  " small_jump_bias_bound",
+    "config": "ExperimentConfig PRESETS RunSettings load_config_file merge_settings"
+              " resolve_seed",
+}
+
+
+def test_every_public_name_resolves_to_its_modules_object():
+    _run_fresh(
+        "import importlib, jumpsift\n"
+        f"public = {PUBLIC_NAMES!r}\n"
+        "listed = dir(jumpsift)\n"
+        "for home, names in public.items():\n"
+        "    for name in names.split():\n"
+        "        assert name in listed, name\n"
+        "        module = importlib.import_module('jumpsift.' + (home or name))\n"
+        "        want = module if not home else getattr(module, name)\n"
+        "        assert getattr(jumpsift, name) is want, name\n"
+        "        assert name in dir(jumpsift), name\n"
+        "names = sorted(' '.join(public.values()).split())\n"
+        "assert sorted(n for n in dir(jumpsift) if not n.startswith('_')) == names\n"
+        "star = {}\n"
+        "exec('from jumpsift import *', star)\n"
+        "assert sorted(n for n in star if n != '__builtins__') == names\n")
+
+
+def test_the_harness_loads_through_either_import_form():
+    _run_fresh(
+        "import jumpsift\n"
+        "assert not hasattr(jumpsift, 'no_such_name')\n"
+        "from jumpsift import montecarlo\n"
+        "assert montecarlo.ExperimentConfig is jumpsift.config.ExperimentConfig\n"
+        "assert jumpsift.montecarlo is montecarlo\n"
+        "import jumpsift.diagnostics\n"
+        "assert jumpsift.build_histogram is jumpsift.diagnostics.build_histogram\n")
+
+
 # A value other than the built-in default for each run parameter, spelled as
 # in a config file.
 SAMPLE_VALUES = {"n": "48", "t": "2.5", "paths": "3", "beta": "0.8", "scale_c": "1.5",
