@@ -29,7 +29,7 @@ _LAZY = {
     **dict.fromkeys(("montecarlo", "efficiency_comparison", "jump_size_clt_experiment",
                      "run_experiment", "small_jump_bias_bound"), "montecarlo"),
 }
-# What `from jumpsift import *` binds: every public name, as before the lazy ones.
+# `from jumpsift import *` binds every public name, the lazy ones included.
 __all__ = sorted(name for name in {*globals(), *_LAZY} if not name.startswith("_"))
 
 

@@ -985,7 +985,6 @@ def test_every_public_name_resolves_to_its_modules_object():
         "        module = importlib.import_module('jumpsift.' + (home or name))\n"
         "        want = module if not home else getattr(module, name)\n"
         "        assert getattr(jumpsift, name) is want, name\n"
-        "        assert name in dir(jumpsift), name\n"
         "names = sorted(' '.join(public.values()).split())\n"
         "assert sorted(n for n in dir(jumpsift) if not n.startswith('_')) == names\n"
         "star = {}\n"
