@@ -34,7 +34,8 @@ import sys
 import warnings
 
 from . import __version__
-from .config import RUN_PARAMETERS, RunSettings, load_config_file, merge_settings, resolve_seed
+from .config import (_ALL_KEYS, RUN_PARAMETERS, RunSettings, load_config_file, merge_settings,
+                     resolve_seed)
 from .errors import AdmissibilityWarning, ConfigError, InvalidArgumentError, JumpsiftError
 from .estimators import detect_and_report
 from .models import has_jumps, model_name
@@ -78,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     for param in RUN_PARAMETERS:
         if param.help is not None:
             common.add_argument("--" + param.key.replace("_", "-"), dest=param.key,
-                                type=param.kind, help=param.help)
+                                help=param.help)
     common.add_argument("--out", default=".", help="output directory (default: current)")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, helptext in _COMMANDS.items():
@@ -229,7 +230,8 @@ def replay_manifest(manifest_path: str, out_dir: str) -> list[str]:
     All outputs except the manifest's created_utc field are byte-identical
     to the original run. Raises ConfigError, naming the manifest, if it is
     not JSON, lacks a key, holds a value of the wrong JSON type, names an
-    unknown command, or is an estimate or detect manifest with no input, and
+    unknown command, is an estimate or detect manifest with no input, or
+    echoes a config key or value a config file would reject, and
     InvalidArgumentError, naming the file, if a recorded input or output
     does not match its recorded sha256.
     """
@@ -262,11 +264,17 @@ def replay_manifest(manifest_path: str, out_dir: str) -> list[str]:
                                   f" {type(entry[key]).__name__}, not str")
     if manifest["command"] in _NEEDS_INPUT and not inputs:
         raise ConfigError(f"{manifest_path}: {manifest['command']} manifest has no input entry")
-    echo = manifest["config"]
     # The echo holds only int, float and str; a float's repr parses back to
-    # the same double.
-    raw = {k: str(v) for k, v in echo.items()}
-    settings = merge_settings(file_values=None, overrides=raw)
+    # the same double. Its keys are a config file's, less the two that
+    # select values rather than hold one.
+    echo = manifest["config"]
+    unknown = sorted(echo.keys() - (_ALL_KEYS - {"schema_version", "preset"}))
+    if unknown:
+        raise ConfigError(f"{manifest_path}: unknown config key {unknown[0]!r}")
+    try:
+        settings = merge_settings(None, {k: str(v) for k, v in echo.items()})
+    except ConfigError as exc:
+        raise ConfigError(f"{manifest_path}: {exc}") from None
     settings = settings.with_seed(int(manifest["base_seed"]))
     _check_hashes(inputs, "", "input")
     with _admissibility_lines():

@@ -10,18 +10,15 @@ defaults, the parsing and the manifest echo all read it.
 
 from __future__ import annotations
 
-import math
 import os
 import sys
 from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
-import numpy as np
-
 from .engines import _MAX_ARRAY_BYTES
 from .errors import ConfigError, InvalidArgumentError
 from .estimators import ThresholdSpec
-from .grids import TimeGrid, build_irregular_grid
+from .grids import TimeGrid, _check_count, _check_horizon, _check_jitter, build_irregular_grid
 from .models import MODEL_CLASSES, CustomModel, ModelConfig
 from .serialize import SCHEMA_VERSION
 
@@ -98,33 +95,23 @@ class ExperimentConfig:
     parallelism: int = 1
 
     def __post_init__(self):
-        for name in ("n", "substeps", "n_paths", "parallelism"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)):
-                raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")
-        if self.n < 1:
-            raise InvalidArgumentError("n must be >= 1")
-        if self.substeps < 1:
-            raise InvalidArgumentError("substeps must be >= 1")
+        _check_count("n", self.n)
+        _check_count("substeps", self.substeps)
         if (self.n * self.substeps + 1) * 8 > _MAX_ARRAY_BYTES:
             # Checked before t / n, which overflows for an int beyond any double.
             raise InvalidArgumentError(
                 f"n = {self.n} with substeps = {self.substeps} needs arrays of"
                 f" n * substeps + 1 = {self.n * self.substeps + 1} doubles,"
                 " more than numpy can allocate")
-        if not (self.t_end > 0.0) or not math.isfinite(self.t_end):
-            raise InvalidArgumentError("t_end must be positive and finite")
+        _check_horizon(self.t_end)
         if self.t_end / self.n < sys.float_info.min:
             # Below it, n + 1 distinct times need not fit in [0, t].
             raise InvalidArgumentError(
                 f"t / n must be at least the smallest normal double"
                 f" ({sys.float_info.min!r}), got t = {self.t_end!r}, n = {self.n}")
-        if self.n_paths < 1:
-            raise InvalidArgumentError("n_paths must be >= 1")
-        if self.parallelism < 1:
-            raise InvalidArgumentError("parallelism must be >= 1")
-        if not (0.0 <= self.jitter < 1.0):
-            raise InvalidArgumentError("jitter must lie in [0, 1)")
+        _check_count("n_paths", self.n_paths)
+        _check_count("parallelism", self.parallelism)
+        _check_jitter(self.jitter)
 
     def build_grid(self) -> TimeGrid:
         return build_irregular_grid(self.n, self.t_end, self.jitter, self.base_seed)
@@ -227,8 +214,8 @@ def merge_settings(file_values: dict[str, str] | None = None,
     merged = dict(_DEFAULTS)
     if chosen is not None:
         merged.update(preset_values(chosen))
-    merged.update(file_values)
-    for key, value in (overrides or {}).items():
+    # Every layer's value is read from its text, as a config file's is.
+    for key, value in (*file_values.items(), *(overrides or {}).items()):
         if value is not None:
             merged[key] = str(value)
     return _build(merged)
@@ -273,10 +260,10 @@ def _build(merged: dict[str, str]) -> RunSettings:
 
 
 def _parse(key: str, kind: type, value: str) -> int | float:
-    """Reads a value as its table type; an int string is a Python integer
+    """Reads a value's text as its table type; an int is a Python integer
     literal, so hex and octal work."""
     try:
-        out = int(value, 0) if kind is int and isinstance(value, str) else kind(value)
+        out = int(value, 0) if kind is int else kind(value)
     except (ValueError, TypeError):
         noun = "an integer" if kind is int else "a number"
         raise ConfigError(f"{key} must be {noun}, got {value!r}") from None

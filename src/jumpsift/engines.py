@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, SimulationError, UnsupportedError
-from .grids import TimeGrid, containing_intervals, refine
+from .grids import _MASK64, TimeGrid, containing_intervals, refine, rng_from_seed
 from .models import (
     CustomModel,
     GroundTruth,
@@ -42,7 +42,6 @@ from .models import (
     compound_poisson_law,
 )
 
-_MASK64 = 0xFFFFFFFFFFFFFFFF
 RNG_ALGORITHM = "numpy.random.Philox, raw 64-bit key, numpy Generator draws"
 
 # Resampling budget for Model2 jump sizes with 1 + Z <= 0 (a ~7 sigma event
@@ -60,10 +59,6 @@ _MAX_ARRAY_BYTES = np.iinfo(np.intp).max
 
 
 _thread = threading.local()
-
-
-def rng_from_seed(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=int(seed) & _MASK64))
 
 
 def _path_rng(seed: int) -> np.random.Generator:
@@ -112,6 +107,8 @@ class SimulationPlan:
         and the jump part of each substep for Model3."""
         return self.engine(self, _path_rng(seed))
 
+    # SamplePath's finiteness check reports a path that overflows.
+    @np.errstate(over="ignore", invalid="ignore")
     def simulate(self, seed: int) -> SamplePath:
         x_fine, cont_incr, spot, jumps = self.arrays(seed)
         if isinstance(jumps, np.ndarray):

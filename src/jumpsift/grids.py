@@ -59,10 +59,15 @@ class TimeGrid:
         return spread <= _UNIFORM_RTOL * self.h
 
 
+def rng_from_seed(seed: int) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(key=int(seed) & _MASK64))
+
+
 def build_uniform_grid(n: int, t_end: float) -> TimeGrid:
     """Equally spaced grid with n intervals on [0, t_end], marked uniform:
     linspace widths spread by about n ulps of h, past _UNIFORM_RTOL."""
-    _check_grid_args(n, t_end)
+    _check_count("n", n)
+    _check_horizon(t_end)
     with np.errstate(over="ignore"):  # linspace's last step overflows near the largest double
         times = np.linspace(0.0, float(t_end), n + 1)
     grid = TimeGrid(times)
@@ -76,12 +81,12 @@ def build_irregular_grid(n: int, t_end: float, jitter: float, seed: int) -> Time
     jitter must lie in [0, 1) so the perturbed times stay strictly
     increasing. jitter=0 returns exactly the uniform grid.
     """
-    _check_grid_args(n, t_end)
-    if not (0.0 <= jitter < 1.0):
-        raise InvalidArgumentError(f"jitter must be in [0, 1), got {jitter}")
+    _check_count("n", n)
+    _check_horizon(t_end)
+    _check_jitter(jitter)
     if jitter == 0.0 or n == 1:
         return build_uniform_grid(n, t_end)
-    rng = np.random.Generator(np.random.Philox(key=(int(seed) ^ GRID_SALT) & _MASK64))
+    rng = rng_from_seed(int(seed) ^ GRID_SALT)
     with np.errstate(over="ignore"):
         times = np.linspace(0.0, float(t_end), n + 1)
     half = jitter * (t_end / n) / 2.0
@@ -94,8 +99,7 @@ def refine(grid: TimeGrid, substeps: int) -> tuple[np.ndarray, np.ndarray]:
     equal parts. Returns (fine_times, fine_widths); fine_times[i*substeps]
     equals grid.times[i] exactly.
     """
-    if not isinstance(substeps, (int, np.integer)) or substeps < 1:
-        raise InvalidArgumentError(f"substeps must be a positive integer, got {substeps!r}")
+    _check_count("substeps", substeps)
     if substeps == 1:
         return grid.times, grid.widths
     offsets = np.arange(substeps) / substeps
@@ -114,8 +118,19 @@ def containing_intervals(times: np.ndarray, event_times) -> np.ndarray:
     return i
 
 
-def _check_grid_args(n, t_end):
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise InvalidArgumentError(f"n must be a positive integer, got {n!r}")
-    if not (float(t_end) > 0.0) or not np.isfinite(t_end):
-        raise InvalidArgumentError(f"T must be positive and finite, got {t_end!r}")
+# The range rules of the grid arguments, which ExperimentConfig applies too.
+def _check_count(name, value):
+    if not isinstance(value, (int, np.integer)):
+        raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise InvalidArgumentError(f"{name} must be >= 1, got {value!r}")
+
+
+def _check_horizon(t_end):
+    if not (0.0 < t_end < np.inf):
+        raise InvalidArgumentError(f"t_end must be positive and finite, got {t_end!r}")
+
+
+def _check_jitter(jitter):
+    if not (0.0 <= jitter < 1.0):
+        raise InvalidArgumentError(f"jitter must lie in [0, 1), got {jitter!r}")

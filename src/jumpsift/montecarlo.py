@@ -106,9 +106,8 @@ def run_experiment(cfg: ExperimentConfig) -> McSummary:
     table.flags.writeable = False
     iv_hat, true_iv, bias, rv, bpv, _, tp, fp, fn = (table[name] for name in table.dtype.names)
 
-    uniform = cfg.jitter == 0.0
     biases = bias[~np.isnan(bias)]  # none on an irregular grid
-    excluded = cfg.n_paths - biases.size if uniform else 0
+    excluded = cfg.n_paths - biases.size if plan.uniform else 0
 
     ks = moments = hist = None
     if biases.size:
@@ -143,7 +142,7 @@ def run_experiment(cfg: ExperimentConfig) -> McSummary:
         records=table.view(np.recarray),
         n_paths=cfg.n_paths,
         excluded_paths=excluded,
-        normality_supported=uniform,
+        normality_supported=plan.uniform,
         ks_statistic=ks,
         moments=moments,
         histogram=hist,
@@ -201,13 +200,13 @@ def jump_size_clt_experiment(cfg: ExperimentConfig) -> JumpSizeCltResult:
     if law is None:
         raise UnsupportedError(
             "jump-size law needs constant spot volatility and compound Poisson jumps")
-    if cfg.jitter != 0.0:
-        raise UnsupportedError(
-            f"jump-size law needs a uniform grid, got jitter = {cfg.jitter!r}")
+    plan = _plan(cfg, min_paths=None)
+    if not plan.uniform:
+        raise UnsupportedError("jump-size law needs a uniform grid")
     _, sigma, jumps = law
     lam_t = (0.0 if jumps is None else jumps[0]) * cfg.t_end
     var_one = sigma * sigma * cfg.t_end
-    samples = np.array(_map_paths(_jump_stat, _plan(cfg, min_paths=None)))
+    samples = np.array(_map_paths(_jump_stat, plan))
     ks = ks_against_cdf(samples, PoissonMixtureCdf(lam_t, var_one), atom_points=(0.0,))
     return JumpSizeCltResult(samples, ks, lam_t, var_one)
 
@@ -234,11 +233,13 @@ class _RunPlan:
     by forked workers, and dropped when the run returns. true_iv and true_iq,
     the integrals of sigma^2 and sigma^4, are the same on every path of a
     constant-volatility model; None for Model2, which always has jumps and
-    so never runs in efficiency_comparison."""
+    so never runs in efficiency_comparison. uniform is the grid's
+    is_uniform, the rule of the public estimators."""
 
     cfg: ExperimentConfig
     sim: SimulationPlan
     r: np.ndarray
+    uniform: bool
     finite_activity: bool
     true_iv: float | None
     true_iq: float | None
@@ -264,7 +265,7 @@ def _plan(cfg: ExperimentConfig, min_paths: int | None) -> _RunPlan:
     true_iv = true_iq = None
     if sim.spot is not None:
         true_iv, true_iq = (spot_integral(sim.spot, sim.fine_widths, p) for p in (2, 4))
-    return _RunPlan(cfg, sim, r, finite_activity(cfg.model), true_iv, true_iq)
+    return _RunPlan(cfg, sim, r, grid.is_uniform, finite_activity(cfg.model), true_iv, true_iq)
 
 
 def _single_record(plan: _RunPlan, index: int) -> tuple:
@@ -276,8 +277,7 @@ def _single_record(plan: _RunPlan, index: int) -> tuple:
     true_iv = plan.true_iv
     if true_iv is None:
         true_iv = spot_integral(spot, plan.sim.fine_widths, 2)
-    uniform = cfg.jitter == 0.0
-    _, flagged, rv, iv_hat, quartic, bpv = _path_sums(x, plan.r, quartic=uniform)
+    _, flagged, rv, iv_hat, quartic, bpv = _path_sums(x, plan.r, quartic=plan.uniform)
     n_flagged = np.count_nonzero(flagged)
     tp = fp = fn = math.nan
     if plan.finite_activity:
@@ -287,7 +287,7 @@ def _single_record(plan: _RunPlan, index: int) -> tuple:
         fp, fn = n_flagged - tp, jumpy.size - tp
 
     bias = math.nan
-    if uniform:
+    if plan.uniform:
         try:
             bias = _bias(iv_hat, quartic, true_iv)
         except DegenerateStatisticError:
@@ -329,6 +329,9 @@ def _simulate_path(plan: _RunPlan, index: int) -> tuple:
     return plan.sim.arrays(path_seed(plan.cfg.base_seed, index))
 
 
+# Once per run, children included: a path whose sums overflow fails its
+# finiteness check with one error, and no numpy warning reaches stderr.
+@np.errstate(over="ignore", invalid="ignore")
 def _map_paths(fn, plan: _RunPlan) -> list:
     """[fn(plan, i) for i in range(n_paths)], in index order for any worker count.
 

@@ -7,15 +7,18 @@ Too long for the tier-1 suite; CI runs it as its own step:
 
 For each model (Model1, Model2, Model3, a custom model with drift and
 compound Poisson jumps, and a jump-free custom diffusion), each substeps in
-{1, 3, 5} and each jitter in {0, 0.3}, it draws n, the base seed and the
-threshold scale, and compares --paths paths. Each path's mc record
+{1, 3, 5} and each jitter in {0, 1e-13, 0.3}, it draws n, the base seed and
+the threshold scale, and compares --paths paths. A jitter of 1e-13 moves
+the times by less than the spread TimeGrid.is_uniform tolerates, so that
+grid counts as uniform. Each path's mc record
 (montecarlo._single_record) must equal the record built from simulate,
 true_integrated_variance, threshold_realized_variance, realized_variance,
 bipower_variation, normalized_bias and detect_jumps; on the diffusion its
 compare pair (_efficiency_pair) must equal the one built from the same
 functions; on a uniform grid with compound Poisson jumps its jump-size
-statistic (_jump_stat) must equal jump_size_error_stat. NaN marks an
-undefined value on both sides.
+statistic (_jump_stat) must equal jump_size_error_stat. The reference
+decides both the bias and the jump-size check by path.grid.is_uniform, as
+normalized_bias does. NaN marks an undefined value on both sides.
 
 Prints the paths compared per configuration and exits 1 on any bit
 difference.
@@ -69,7 +72,7 @@ def public_rows(cfg: ExperimentConfig, path, jump_stat: bool) -> dict:
     trv, rv = threshold_realized_variance(path, spec), realized_variance(path)
     bpv = bipower_variation(path)
     bias = math.nan
-    if cfg.jitter == 0.0:
+    if path.grid.is_uniform:
         try:
             bias = normalized_bias(path, spec, iv)
         except DegenerateStatisticError:
@@ -107,7 +110,7 @@ def main(argv=None) -> int:
     compared = bad = 0
     for name, (model, beta) in MODELS.items():
         for substeps in (1, 3, 5):
-            for jitter in (0.0, 0.3):
+            for jitter in (0.0, 1e-13, 0.3):
                 n = int(rng.integers(2, 300))
                 scale = 1e-30 if rng.random() < 0.1 else float(10.0 ** rng.uniform(-2, 1))
                 cfg = ExperimentConfig(model, ThresholdSpec(beta, scale), n=n,
@@ -115,7 +118,7 @@ def main(argv=None) -> int:
                                        base_seed=int(rng.integers(2 ** 63)))
                 plan = montecarlo._plan(cfg, min_paths=1)
                 grid = cfg.build_grid()
-                jump_stat = jitter == 0.0 and compound_poisson_law(model) is not None
+                jump_stat = grid.is_uniform and compound_poisson_law(model) is not None
                 for i in range(args.paths):
                     path = simulate(model, grid, substeps, path_seed(cfg.base_seed, i))
                     want = public_rows(cfg, path, jump_stat)

@@ -5,11 +5,13 @@ raises nothing out of main (so no traceback), ends stderr with a line that
 starts with "jumpsift", and writes no manifest.json.
 
 Flags, config files and path CSVs are drawn from pools of bad values: zero,
-negative, huge, non-finite, non-numeric, empty and hex numbers, malformed
-config keys and ids, and CSV bytes a reader must refuse. The valid values
-in the pools keep every run small: --paths at most 4 and --n at most 100,
-so no draw runs long or forks more than 3 children. A huge --paths is a
-valid request that simply runs for a long time, so it is not drawn.
+negative, huge, non-finite, non-numeric and empty numbers, hex numbers for
+float keys, malformed config keys and ids, and CSV bytes a reader must
+refuse. A hex integer is valid, as in a config file, so the int keys draw
+small ones among their valid values. The valid values in the pools keep
+every run small: --paths at most 4 and --n at most 100, so no draw runs
+long or forks more than 3 children. A huge --paths is a valid request that
+simply runs for a long time, so it is not drawn.
 """
 
 import contextlib
@@ -26,17 +28,17 @@ from jumpsift.cli import main
 from jumpsift.config import RUN_PARAMETERS
 
 HUGE_INT = "99999999999999999999"
-BAD_VALUES = ("0", "-1", "1e308", "nan", "inf", "-inf", "abc", "", "0x1f")
+BAD_VALUES = ("0", "-1", "1e308", "nan", "inf", "-inf", "abc", "")
 
 # (valid, bad) flag values per RUN_PARAMETERS key.
 FLAG_POOLS = {
-    "n": (("2", "30", "100"), (*BAD_VALUES, HUGE_INT, "1")),
-    "paths": (("2", "3", "4"), (*BAD_VALUES, "1")),
-    "beta": (("0.5", "0.9", "0.99"), (*BAD_VALUES, HUGE_INT)),
-    "scale_c": (("0.1", "1"), (*BAD_VALUES, HUGE_INT)),
-    "substeps": (("1", "3"), (*BAD_VALUES, HUGE_INT)),
-    "jitter": (("0", "0.3"), (*BAD_VALUES, HUGE_INT, "0.999999")),
-    "parallelism": (("1", "2"), (*BAD_VALUES, HUGE_INT)),
+    "n": (("2", "30", "100", "0x3"), (*BAD_VALUES, HUGE_INT, "1")),
+    "paths": (("2", "3", "4", "0x2"), (*BAD_VALUES, "1")),
+    "beta": (("0.5", "0.9", "0.99"), (*BAD_VALUES, HUGE_INT, "0x1f")),
+    "scale_c": (("0.1", "1"), (*BAD_VALUES, HUGE_INT, "0x1f")),
+    "substeps": (("1", "3", "0x3"), (*BAD_VALUES, HUGE_INT)),
+    "jitter": (("0", "0.3"), (*BAD_VALUES, HUGE_INT, "0.999999", "0x1f")),
+    "parallelism": (("1", "2", "0x2"), (*BAD_VALUES, HUGE_INT)),
     "seed": (("7", "-5", "0x1f"), (*BAD_VALUES, HUGE_INT)),
 }
 FLAG_KEYS = tuple(p.key for p in RUN_PARAMETERS if p.help is not None)

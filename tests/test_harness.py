@@ -23,6 +23,8 @@ from jumpsift import (
     ThresholdSpec,
     UnsupportedError,
     bipower_variation,
+    build_irregular_grid,
+    build_uniform_grid,
     detect_jumps,
     efficiency_comparison,
     finite_activity,
@@ -31,6 +33,7 @@ from jumpsift import (
     normalized_bias,
     path_seed,
     realized_variance,
+    refine,
     run_experiment,
     simulate,
     small_jump_bias_bound,
@@ -200,7 +203,7 @@ def _standalone_record(cfg, path):
     spec = cfg.threshold
     true_iv = true_integrated_variance(path, 2)
     bias = math.nan
-    if cfg.jitter == 0.0:
+    if path.grid.is_uniform:  # normalized_bias's own rule
         try:
             bias = normalized_bias(path, spec, true_iv)
         except DegenerateStatisticError:
@@ -218,14 +221,16 @@ def _standalone_record(cfg, path):
     {},
     {"model": Model3(), "threshold": ThresholdSpec(0.99, 1.0), "n_paths": 8},
     {"jitter": 0.4, "n_paths": 8},
+    {"jitter": 1e-13, "n_paths": 8},
     {"threshold": ThresholdSpec(0.9, 1e-30), "n_paths": 8},
     {"model": Model2(), "substeps": 5, "n_paths": 8},
     {"model": Model2(), "substeps": 5, "jitter": 0.4, "n_paths": 8},
     {"substeps": 3, "jitter": 0.4, "n_paths": 8},
     {"model": CustomModel(drift="constant:0.2", spot_vol="constant:0.2",
                           jumps="compound-poisson:40,0.5"), "n_paths": 8},
-], ids=["model1", "model3", "irregular", "excluded", "model2 substeps 5",
-        "model2 substeps 5 irregular", "model1 substeps 3 irregular", "custom drift jumps"])
+], ids=["model1", "model3", "irregular", "jitter below the uniform tolerance", "excluded",
+        "model2 substeps 5", "model2 substeps 5 irregular", "model1 substeps 3 irregular",
+        "custom drift jumps"])
 def test_records_match_standalone_pipeline(kw):
     cfg = small_cfg(**kw)
     summary = run_experiment(cfg)
@@ -395,7 +400,8 @@ def test_run_level_failures_come_before_any_path_or_fork(monkeypatch, entry, cha
     {"model": CustomModel(drift="constant:0.2", spot_vol="constant:0.2",
                           jumps="compound-poisson:40,0.5"), "substeps": 3},
     {"model": CustomModel()},
-], ids=["model1", "custom substeps 3", "jump-free"])
+    {"jitter": 1e-13},
+], ids=["model1", "custom substeps 3", "jump-free", "jitter below the uniform tolerance"])
 def test_jump_size_samples_match_standalone_pipeline(kw):
     cfg = small_cfg(n_paths=16, **kw)
     samples = jump_size_clt_experiment(cfg).samples
@@ -469,6 +475,24 @@ def test_experiment_config_validation():
         with pytest.raises(InvalidArgumentError, match=f"^{name} must be an integer, got 2.5$"):
             small_cfg(**{name: 2.5})
     small_cfg(n=np.int64(200), substeps=np.int32(2), n_paths=np.int64(4))
+
+
+@pytest.mark.parametrize("field,value,build", [
+    ("n", 0, lambda: build_uniform_grid(0, 1.0)),
+    ("n", 0, lambda: build_irregular_grid(0, 1.0, 0.3, seed=1)),
+    ("substeps", 0, lambda: refine(build_uniform_grid(4, 1.0), 0)),
+    ("t_end", math.inf, lambda: build_uniform_grid(4, math.inf)),
+    ("t_end", math.inf, lambda: build_irregular_grid(4, math.inf, 0.3, seed=1)),
+    ("jitter", 1.0, lambda: build_irregular_grid(4, 1.0, 1.0, seed=1)),
+], ids=["n uniform", "n irregular", "substeps", "t_end uniform", "t_end irregular", "jitter"])
+def test_grid_builders_and_experiment_config_give_one_message(field, value, build):
+    with pytest.raises(InvalidArgumentError) as grid_err:
+        build()
+    with pytest.raises(InvalidArgumentError) as cfg_err:
+        small_cfg(**{field: value})
+    assert str(grid_err.value) == str(cfg_err.value)
+    assert str(cfg_err.value).startswith(f"{field} must ")
+    assert str(cfg_err.value).endswith(f", got {value!r}")
 
 
 def test_sizes_no_run_can_succeed_at_are_rejected():

@@ -312,6 +312,12 @@ def test_merge_precedence(tmp_path):
     assert isinstance(s2.model, Model3) and s2.beta == 0.99
 
 
+def test_a_file_value_that_is_not_text_is_read_from_its_text():
+    assert merge_settings({"n": 300, "beta": 0.5}).n == 300
+    with pytest.raises(ConfigError, match=r"^n must be an integer, got '2.5'$"):
+        merge_settings({"n": 2.5})
+
+
 def test_preset_contents():
     s = merge_settings(preset="model1-full")
     assert (s.n, s.n_paths, s.beta) == (6000, 5000, 0.9)
@@ -395,6 +401,8 @@ def test_cli_version_and_config_errors(tmp_path, capsys):
     ["--beta", "inf"],
     ["--scale-c=-inf"],
     ["--config", "t = 1e-320", "--n", "5000"],
+    ["--n", "abc"],
+    ["--seed", "010"],
 ], ids=" ".join)
 def test_cli_out_of_range_run_parameter_is_config_error(tmp_path, capsys, command, flags):
     if flags[0] == "--config":
@@ -405,7 +413,8 @@ def test_cli_out_of_range_run_parameter_is_config_error(tmp_path, capsys, comman
     inputs = ["--in", str(src)] if command in ("estimate", "detect") else []
     out = tmp_path / "out"
     assert main([command, *inputs, *flags, "--out", str(out)]) == 2
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("jumpsift: config error: ") and err.count("\n") == 1
     assert not (out / "manifest.json").exists()
 
 
@@ -430,6 +439,34 @@ def test_cli_bad_config_value_is_one_config_error_line(tmp_path, capsys, lines, 
     assert main(["mc", "--config", cfg, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"jumpsift: config error: {message}\n"
     assert not (out / "manifest.json").exists()
+
+
+# Each text on an int key and on a float key, with the value or the error
+# message both routes must give.
+@pytest.mark.parametrize("key,text,want", [
+    *((key, "0x1F", 31) for key in ("n", "seed")),
+    *((key, "010", f"{key} must be an integer, got '010'") for key in ("n", "seed")),
+    *((key, "1_000", 1000) for key in ("n", "seed")),
+    *((key, "abc", f"{key} must be an integer, got 'abc'") for key in ("n", "seed")),
+    *((key, "", f"{key} must be an integer, got ''") for key in ("n", "seed")),
+    *((key, "1e-3", 0.001) for key in ("beta", "jitter")),
+    *((key, "nan", f"{key} must not be NaN") for key in ("beta", "jitter")),
+])
+def test_a_flag_parses_like_the_same_config_file_key(key, text, want):
+    def settings_or_error(build):
+        try:
+            settings = build()
+        except ConfigError as exc:
+            return str(exc)
+        return settings.with_seed(resolve_seed(settings.seed))
+
+    args = build_parser().parse_args(["simulate", "--preset", "model1-desk", f"--{key}={text}"])
+    from_flag = settings_or_error(lambda: _settings_from_args(args))
+    from_file = settings_or_error(lambda: merge_settings({key: text}, preset="model1-desk"))
+    assert from_flag == from_file
+    field = next(p.field for p in RUN_PARAMETERS if p.key == key)
+    got = from_flag if isinstance(want, str) else getattr(from_flag, field)
+    assert got == want
 
 
 def test_cli_horizon_below_normal_spacing_names_t_and_n(tmp_path, capsys):
@@ -579,6 +616,20 @@ def test_cli_mc_bias_that_overflows_is_one_error_line(tmp_path, capsys, parallel
     assert captured.out == ""
     assert not os.path.exists(out / "summary.json")
     assert not os.path.exists(out / "manifest.json")
+
+
+# Jumps of size 1e308 overflow the path's cumulative sum. pyproject's
+# error::RuntimeWarning filter fails the test if a numpy warning escapes.
+@pytest.mark.parametrize("argv", [["mc", "--parallelism", "1"], ["mc", "--parallelism", "2"],
+                                  ["simulate"]], ids=["mc p1", "mc p2", "simulate"])
+def test_cli_path_that_overflows_is_one_error_line(tmp_path, capsys, argv):
+    cfg = tmp_path / "f.cfg"
+    cfg.write_text("schema_version = 1\nmodel = custom\njumps = compound-poisson:20,1e308\n")
+    out = tmp_path / "out"
+    assert main([*argv, "--config", str(cfg), "--n", "50", "--paths", "4", "--seed", "1",
+                 "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "jumpsift: error: observations must be finite\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flags", [
@@ -1106,14 +1157,17 @@ def test_replay_of_an_inadmissible_run_warns_in_one_line(tmp_path, capsys):
 # "sha256", or one that is a bare file name; an entry's "file" or "sha256"
 # that is not a string ("role key:value"); a top level that is not an
 # object, or a key holding a JSON value of the wrong type ("key=value"); an
-# unknown command, or an estimate manifest without an input entry.
+# unknown command, or an estimate manifest without an input entry; a config
+# echo with a key a config file would reject, or a value that does not parse
+# ("config.key=value").
 @pytest.mark.parametrize("damage", ["truncated", "inputs file", "inputs sha256",
                                     "outputs file", "outputs sha256", "outputs entry",
                                     "inputs file:5", "inputs sha256:null",
                                     "outputs file:5", "outputs sha256:7",
                                     "top=5", "config=[]", "outputs=5", 'base_seed="x"',
                                     "base_seed=1.5", "base_seed=true", "command=5",
-                                    'command="foo"', "inputs=[]"])
+                                    'command="foo"', "inputs=[]", "config.substep=5",
+                                    'config.bogus="x"', 'config.n="abc"'])
 def test_replay_of_a_malformed_manifest_is_config_error(tmp_path, capsys, damage):
     sim_dir, est_dir = str(tmp_path / "sim"), str(tmp_path / "est")
     assert main(["simulate", "--n", "64", "--seed", "2", "--out", sim_dir]) == 0
@@ -1127,6 +1181,9 @@ def test_replay_of_a_malformed_manifest_is_config_error(tmp_path, capsys, damage
         manifest = json.loads(text)
         if key == "top":
             manifest = json.loads(value)
+        elif "." in key:
+            role, key = key.split(".")
+            manifest[role][key] = json.loads(value)
         else:
             manifest[key] = json.loads(value)
         text = json.dumps(manifest)
