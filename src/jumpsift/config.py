@@ -67,6 +67,7 @@ RUN_PARAMETERS: tuple[RunParameter, ...] = (
 _CUSTOM_KEYS = tuple(f.name for f in fields(CustomModel))
 _ALL_KEYS = {"schema_version", "preset", "model", *_CUSTOM_KEYS,
              *(p.key for p in RUN_PARAMETERS)}
+_KEY_OF = {p.field: p.key for p in RUN_PARAMETERS}  # RunSettings field -> its key
 
 _DEFAULTS: dict[str, str] = {
     "model": "model1",
@@ -95,23 +96,7 @@ class ExperimentConfig:
     parallelism: int = 1
 
     def __post_init__(self):
-        _check_count("n", self.n)
-        _check_count("substeps", self.substeps)
-        if (self.n * self.substeps + 1) * 8 > _MAX_ARRAY_BYTES:
-            # Checked before t / n, which overflows for an int beyond any double.
-            raise InvalidArgumentError(
-                f"n = {self.n} with substeps = {self.substeps} needs arrays of"
-                f" n * substeps + 1 = {self.n * self.substeps + 1} doubles,"
-                " more than numpy can allocate")
-        _check_horizon(self.t_end)
-        if self.t_end / self.n < sys.float_info.min:
-            # Below it, n + 1 distinct times need not fit in [0, t].
-            raise InvalidArgumentError(
-                f"t / n must be at least the smallest normal double"
-                f" ({sys.float_info.min!r}), got t = {self.t_end!r}, n = {self.n}")
-        _check_count("n_paths", self.n_paths)
-        _check_count("parallelism", self.parallelism)
-        _check_jitter(self.jitter)
+        _check_ranges(self)
 
     def build_grid(self) -> TimeGrid:
         return build_irregular_grid(self.n, self.t_end, self.jitter, self.base_seed)
@@ -249,14 +234,35 @@ def _build(merged: dict[str, str]) -> RunSettings:
     settings = RunSettings(model=model, **{
         p.field: _parse(p.key, p.kind, merged[p.key])
         for p in RUN_PARAMETERS if p.key in merged})
-    # ExperimentConfig owns the range rules; the seed does not enter them.
-    # beta/scale_c stay permissive there: inadmissible thresholds are allowed
-    # to run and are reported as such.
+    # ExperimentConfig's checks, naming keys; an inadmissible threshold still runs.
     try:
-        replace(settings, seed=0).experiment()
+        settings.threshold()
+        _check_ranges(settings, _KEY_OF.get)
     except InvalidArgumentError as exc:
         raise ConfigError(str(exc)) from exc
     return settings
+
+
+def _check_ranges(run, name=str) -> None:
+    """The range rules of the run parameters, on an ExperimentConfig or a
+    RunSettings; a message calls field f name(f), f itself by default."""
+    _check_count(name("n"), run.n)
+    _check_count(name("substeps"), run.substeps)
+    if (run.n * run.substeps + 1) * 8 > _MAX_ARRAY_BYTES:
+        # Checked before t / n, which overflows for an int beyond any double.
+        raise InvalidArgumentError(
+            f"n = {run.n} with substeps = {run.substeps} needs arrays of"
+            f" n * substeps + 1 = {run.n * run.substeps + 1} doubles,"
+            " more than numpy can allocate")
+    _check_horizon(run.t_end, name("t_end"))
+    if run.t_end / run.n < sys.float_info.min:
+        # Below it, n + 1 distinct times need not fit in [0, t].
+        raise InvalidArgumentError(
+            f"t / n must be at least the smallest normal double"
+            f" ({sys.float_info.min!r}), got t = {run.t_end!r}, n = {run.n}")
+    _check_count(name("n_paths"), run.n_paths)
+    _check_count(name("parallelism"), run.parallelism)
+    _check_jitter(run.jitter)
 
 
 def _parse(key: str, kind: type, value: str) -> int | float:

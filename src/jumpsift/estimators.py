@@ -296,7 +296,7 @@ def _total(terms: np.ndarray) -> float:
     """_exact_sum of non-negative terms. Where math.fsum overflows, their
     correctly rounded sum is +inf, as it is when a term is inf."""
     try:
-        return _exact_sum(terms)
+        return _exact_sum(terms, nonneg=True)
     except OverflowError:
         return math.inf
 
@@ -324,7 +324,7 @@ def _require_uniform(path: SamplePath, what: str) -> None:
         raise UnsupportedError(f"{what} requires a uniform grid")
 
 
-def _exact_sum(a: np.ndarray, exits: list[int] | None = None) -> float:
+def _exact_sum(a: np.ndarray, exits: list[int] | None = None, nonneg: bool = False) -> float:
     """math.fsum of a 1-d float64 array, bit for bit.
 
     Each pass splits the row r, at first a itself read in place, into
@@ -338,16 +338,19 @@ def _exact_sum(a: np.ndarray, exits: list[int] | None = None) -> float:
     they join the residual. tau, the float sum of the residual in any order,
     is within B = gamma * sum|residual| of its exact sum. If the exact error
     e of c = fl(S + tau) satisfies |e| + B < half the smaller gap between c
-    and its neighbours, c is the correctly rounded total. A row that is not
-    certified after the last pass (a tie, cancellation, c = 0) goes to
-    math.fsum of its extracted sums and residual.
+    and its neighbours, c is the correctly rounded total. Each residual is
+    at most sigma * u (u = 2**-53), so the exact n * sigma * u bounds
+    sum|residual| and its float sum; the test takes it first and measures
+    sum|residual| only if that fails, so a row exits where the measured sum
+    alone would take it. A row that is not certified after the last pass (a
+    tie, cancellation, c = 0) goes to math.fsum of its parts and residual.
 
     exits, if given, gets the row's exit appended: 0 for math.fsum of a as
     it is, p for certified after pass p, and _EXTRACT_PASSES + 1 for
-    math.fsum of the parts.
+    math.fsum of the parts. nonneg: a has no negative value, so max|a| is max(a).
     """
     n = a.size
-    m = float(np.abs(a).max()) if n >= _EXTRACT_MIN_LENGTH else math.nan
+    m = float(a.max() if nonneg else np.abs(a).max()) if n >= _EXTRACT_MIN_LENGTH else math.nan
     if not _EXTRACT_RANGE[0] <= m <= _EXTRACT_RANGE[1]:  # True for nan, so for short rows
         # array.array reads the raw float64 bytes without building a list.
         total, exit_at = math.fsum(array.array("d", a.tobytes())), 0
@@ -373,7 +376,6 @@ def _exact_sum(a: np.ndarray, exits: list[int] | None = None) -> float:
                 r -= q
             x = float(q.sum())
             tau = float(r.sum())
-            mag = float(np.abs(r, out=q).sum())
             parts.append(x)
             t = s + x
             z = t - s
@@ -384,7 +386,11 @@ def _exact_sum(a: np.ndarray, exits: list[int] | None = None) -> float:
             c = t + tau
             z = c - t
             e = (t - (c - z)) + (tau - z)
-            if abs(e) + gamma * (mag + lost_mag) < 0.5 * abs(c - math.nextafter(c, 0.0)):
+            gap = 0.5 * abs(c - math.nextafter(c, 0.0))
+            mag = n * sigma * _UNIT_ROUNDOFF
+            if abs(e) + gamma * (mag + lost_mag) >= gap:
+                mag = float(np.abs(r, out=q).sum())
+            if abs(e) + gamma * (mag + lost_mag) < gap:
                 total, exit_at = c, p
                 break
             if not mag:  # the residual is zero

@@ -126,9 +126,9 @@ def _check_count(name, value):
         raise InvalidArgumentError(f"{name} must be >= 1, got {value!r}")
 
 
-def _check_horizon(t_end):
+def _check_horizon(t_end, name="t_end"):
     if not (0.0 < t_end < np.inf):
-        raise InvalidArgumentError(f"t_end must be positive and finite, got {t_end!r}")
+        raise InvalidArgumentError(f"{name} must be positive and finite, got {t_end!r}")
 
 
 def _check_jitter(jitter):

@@ -230,11 +230,11 @@ def small_jump_bias_bound(model: Model3, spec: ThresholdSpec, h: float,
 @dataclass(frozen=True, eq=False)
 class _RunPlan:
     """What every path of a run reads: built before any path runs, inherited
-    by forked workers, and dropped when the run returns. true_iv and true_iq,
-    the integrals of sigma^2 and sigma^4, are the same on every path of a
-    constant-volatility model; None for Model2, which always has jumps and
-    so never runs in efficiency_comparison. uniform is the grid's
-    is_uniform, the rule of the public estimators."""
+    by forked workers, and dropped when the run returns. true_iv (the
+    integral of sigma^2) and error_scale (sqrt of h times that of sigma^4)
+    are the same on every path of a constant-volatility model; None for
+    Model2, which always has jumps and so never runs efficiency_comparison.
+    uniform is the grid's is_uniform, the rule of the public estimators."""
 
     cfg: ExperimentConfig
     sim: SimulationPlan
@@ -242,7 +242,7 @@ class _RunPlan:
     uniform: bool
     finite_activity: bool
     true_iv: float | None
-    true_iq: float | None
+    error_scale: float | None
 
 
 def _plan(cfg: ExperimentConfig, min_paths: int | None) -> _RunPlan:
@@ -262,17 +262,17 @@ def _plan(cfg: ExperimentConfig, min_paths: int | None) -> _RunPlan:
     sim = simulation_plan(cfg.model, grid, cfg.substeps)
     r = cfg.threshold.r_at(grid.widths)
     r.flags.writeable = False
-    true_iv = true_iq = None
+    true_iv = scale = None
     if sim.spot is not None:
         true_iv, true_iq = (spot_integral(sim.spot, sim.fine_widths, p) for p in (2, 4))
-    return _RunPlan(cfg, sim, r, grid.is_uniform, finite_activity(cfg.model), true_iv, true_iq)
+        scale = math.sqrt(grid.h * true_iq)
+    return _RunPlan(cfg, sim, r, grid.is_uniform, finite_activity(cfg.model), true_iv, scale)
 
 
 def _single_record(plan: _RunPlan, index: int) -> tuple:
     """The path's row of McSummary.records, in field order. NaN marks only an
     undefined bias: one computed but not finite fails the run, as it would
     fail the normality statistics."""
-    cfg = plan.cfg
     x, spot, jumps = _observed_path(plan, index)
     true_iv = plan.true_iv
     if true_iv is None:
@@ -281,10 +281,9 @@ def _single_record(plan: _RunPlan, index: int) -> tuple:
     n_flagged = np.count_nonzero(flagged)
     tp = fp = fn = math.nan
     if plan.finite_activity:
-        _, sizes, substep = jumps
-        jumpy = _interval_runs(substep // cfg.substeps, sizes)[0]
+        jumpy = list(set((jumps[2] // plan.cfg.substeps).tolist()))  # intervals with a jump
         tp = np.count_nonzero(flagged[jumpy])
-        fp, fn = n_flagged - tp, jumpy.size - tp
+        fp, fn = n_flagged - tp, len(jumpy) - tp
 
     bias = math.nan
     if plan.uniform:
@@ -300,8 +299,7 @@ def _single_record(plan: _RunPlan, index: int) -> tuple:
 
 
 def _efficiency_pair(plan: _RunPlan, index: int) -> tuple[float, float]:
-    iv, iq = plan.true_iv, plan.true_iq
-    denom = math.sqrt(plan.sim.grid.h * iq)
+    iv, denom = plan.true_iv, plan.error_scale
     _, _, _, iv_hat, _, bpv = _path_sums(_observed_path(plan, index)[0], plan.r,
                                          quartic=False)
     return (iv_hat - iv) / denom, (bpv - iv) / denom

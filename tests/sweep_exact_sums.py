@@ -15,6 +15,10 @@ its own. Three kinds are mixed:
   between ulp(S) * 2**-120 and ulp(S) / 8 of the midpoint S + ulp(S)/2, or
   exactly on it, with S = fsum(body).
 
+Each squares row, having no negative value, is also summed through the
+per-path kernel's non-negative entry (_exact_sum with nonneg=True), which
+must give the same sum and take the same exit.
+
 Prints how many rows took each exit and exits 1 on any bit difference.
 """
 
@@ -93,6 +97,13 @@ def main(argv=None) -> int:
             if np.float64(value).tobytes() != np.float64(want).tobytes():
                 bad += 1
                 print(f"row {done}: {kind}, {row.size} values: got {value!r}, fsum {want!r}")
+            if kind == "squares":
+                nonneg = []
+                value = _exact_sum(row, nonneg, nonneg=True)
+                if np.float64(value).tobytes() != np.float64(want).tobytes() or nonneg != taken:
+                    bad += 1
+                    print(f"row {done}: {kind}, {row.size} values, non-negative entry:"
+                          f" got {value!r} at exit {nonneg[0]}, fsum {want!r}, exit {taken[0]}")
             done += 1
     for (kind, exit_at), count in sorted(exits.items()):
         print(f"{kind:>8} exit {exit_at}: {count} rows")

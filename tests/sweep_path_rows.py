@@ -18,7 +18,9 @@ compare pair (_efficiency_pair) must equal the one built from the same
 functions; on a uniform grid with compound Poisson jumps its jump-size
 statistic (_jump_stat) must equal jump_size_error_stat. The reference
 decides both the bias and the jump-size check by path.grid.is_uniform, as
-normalized_bias does. NaN marks an undefined value on both sides.
+normalized_bias does. NaN marks an undefined value on both sides. The
+record's rv, bpv and iv_hat must also equal an oracle that sums each row of
+terms with math.fsum, since the public calls run the same kernel.
 
 Prints the paths compared per configuration and exits 1 on any bit
 difference.
@@ -88,11 +90,20 @@ def public_rows(cfg: ExperimentConfig, path, jump_stat: bool) -> dict:
         rows["pair"] = ((trv - iv) / denom, (bpv - iv) / denom)
     if jump_stat:
         rows["jump_stat"] = (jump_size_error_stat(path, det, truth),)
+    dx = np.diff(path.observations)
+    dx2 = dx * dx
+    a = np.abs(dx)
+    rv = math.fsum(dx2.tolist())
+    flagged = dx2 > spec.r_at(path.grid.widths)
+    rows["fsum"] = (rv, (math.pi / 2.0) * math.fsum((a[1:] * a[:-1]).tolist()),
+                    rv - math.fsum(dx2[flagged].tolist()))
     return rows
 
 
 def kernel_rows(plan, index: int, jump_stat: bool) -> dict:
     rows = {"record": montecarlo._single_record(plan, index)}
+    iv_hat, _, _, rv, bpv, *_ = rows["record"]
+    rows["fsum"] = (rv, bpv, iv_hat)
     if not has_jumps(plan.cfg.model):
         rows["pair"] = montecarlo._efficiency_pair(plan, index)
     if jump_stat:

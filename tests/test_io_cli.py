@@ -38,6 +38,7 @@ from jumpsift.models import MODEL_CLASSES
 from jumpsift.config import (
     DEFAULT_BASE_SEED,
     RUN_PARAMETERS,
+    ExperimentConfig,
     RunSettings,
     load_config_file,
     merge_settings,
@@ -439,6 +440,35 @@ def test_cli_bad_config_value_is_one_config_error_line(tmp_path, capsys, lines, 
     assert main(["mc", "--config", cfg, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"jumpsift: config error: {message}\n"
     assert not (out / "manifest.json").exists()
+
+
+# A range error names the key the user wrote (paths, t), not the field it
+# fills (n_paths, t_end), from a flag and from a config file alike.
+@pytest.mark.parametrize("command,flags,message", [
+    ("mc", ["--paths", "0"], "paths must be >= 1, got 0"),
+    ("simulate", ["--config", "t = 0"], "t must be positive and finite, got 0.0"),
+    ("mc", ["--config", "paths = -3"], "paths must be >= 1, got -3"),
+    ("compare", ["--config", "t = inf"], "t must be positive and finite, got inf"),
+    ("mc", ["--parallelism", "0"], "parallelism must be >= 1, got 0"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+def test_cli_range_error_names_the_key_the_user_wrote(tmp_path, capsys, command, flags,
+                                                      message):
+    if flags[0] == "--config":
+        flags = ["--config", write_cfg(tmp_path, f"schema_version = 1\n{flags[1]}\n")]
+    out = tmp_path / "out"
+    assert main([command, *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"jumpsift: config error: {message}\n"
+    assert not out.exists()
+
+
+def test_library_range_errors_name_the_fields():
+    with pytest.raises(InvalidArgumentError, match=r"^n_paths must be >= 1, got 0$"):
+        ExperimentConfig(Model1(), SPEC09, n_paths=0)
+    for build in (lambda: ExperimentConfig(Model1(), SPEC09, t_end=0.0),
+                  lambda: build_uniform_grid(4, 0.0)):
+        with pytest.raises(InvalidArgumentError,
+                           match=r"^t_end must be positive and finite, got 0.0$"):
+            build()
 
 
 # Each text on an int key and on a float key, with the value or the error

@@ -28,8 +28,11 @@ from jumpsift import (
     threshold_quarticity,
     threshold_realized_variance,
 )
+from jumpsift import estimators
+from jumpsift.config import merge_settings
 from jumpsift.engines import rng_from_seed
-from jumpsift.estimators import _EXTRACT_PASSES, _exact_sum
+from jumpsift.estimators import _EXTRACT_PASSES, _exact_sum, _path_sums
+from jumpsift.montecarlo import run_experiment
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=60, deadline=None)
 
@@ -98,6 +101,22 @@ def test_exact_sums_equal_fsum_bitwise(rows):
         assert got is errors[0]
         return
     assert [np.float64(g).tobytes() for g in got] == [np.float64(w).tobytes() for w in want]
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(float_rows())
+def test_a_row_without_negative_values_sums_alike_as_non_negative(row):
+    # np.abs keeps nan and maps -inf to inf, so no value is negative.
+    row = np.abs(row)
+    want = fsum_or_error(row)
+    default, nonneg = [], []
+    try:
+        got = _exact_sum(row, default), _exact_sum(row, nonneg, nonneg=True)
+    except (ValueError, OverflowError) as exc:
+        assert type(exc) is want
+        return
+    assert {np.float64(g).tobytes() for g in got} == {np.float64(want).tobytes()}
+    assert nonneg == default
 
 
 EXACT_ROW = 4096
@@ -178,6 +197,38 @@ def model1_like_paths(draw):
 
 
 threshold_specs = st.builds(ThresholdSpec, st.floats(0.05, 0.95), st.floats(0.01, 10.0))
+
+
+def bits(value):
+    return np.float64(value).tobytes()
+
+
+@PROPERTY
+@given(model1_like_paths(), threshold_specs)
+def test_each_kernel_sum_is_fsum_of_its_own_terms(path, spec):
+    x, r = path.observations, spec.r_at(path.grid.widths)
+    _, flagged, rv, iv_hat, quartic, bpv = _path_sums(x, r, bpv=path.grid.n >= 2)
+    dx = np.diff(x)
+    dx2 = dx * dx
+    assert np.array_equal(flagged, dx2 > r)
+    assert bits(rv) == bits(math.fsum(dx2.tolist()))
+    # iv_hat is rv minus the flagged mass (estimators module docstring).
+    assert bits(iv_hat) == bits(rv - math.fsum(dx2[flagged].tolist()))
+    assert bits(quartic) == bits(math.fsum((dx2[~flagged] ** 2).tolist()))
+    if path.grid.n >= 2:
+        a = np.abs(dx)
+        assert bits(bpv) == bits((math.pi / 2.0) * math.fsum((a[1:] * a[:-1]).tolist()))
+
+
+def test_desk_rows_certify_at_the_first_pass(monkeypatch):
+    """Every RV, kept-quartic and bipower row of 50 Model1 desk paths exits
+    after pass 1; the flagged row, a few values, goes to math.fsum (exit 0)."""
+    exits = []
+    monkeypatch.setattr(estimators, "_exact_sum",
+                        lambda a, _=None, **kw: _exact_sum(a, exits, **kw))
+    cfg = merge_settings(overrides={"paths": "50"}, preset="model1-desk").with_seed(2008)
+    run_experiment(cfg.experiment())
+    assert exits == [1, 0, 1, 1] * 50
 
 
 @PROPERTY
