@@ -80,7 +80,7 @@ class ExperimentConfig:
     """Everything a repeated-path run depends on.
 
     Construction checks the range of every run parameter, and that the sizes
-    are integers; the config layer reports a failure as a ConfigError.
+    are integers; the config layer reports a failure as a ConfigError naming the key.
     parallelism is the total number of processes, the calling one included
     (see montecarlo._map_paths); it never affects results.
     """
@@ -244,8 +244,7 @@ def _build(merged: dict[str, str]) -> RunSettings:
 
 
 def _check_ranges(run, name=str) -> None:
-    """The range rules of the run parameters, on an ExperimentConfig or a
-    RunSettings; a message calls field f name(f), f itself by default."""
+    """Range rules of an ExperimentConfig or RunSettings; messages call field f name(f)."""
     _check_count(name("n"), run.n)
     _check_count(name("substeps"), run.substeps)
     if (run.n * run.substeps + 1) * 8 > _MAX_ARRAY_BYTES:

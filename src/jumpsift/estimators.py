@@ -10,10 +10,11 @@ returns, by error-free extraction (Rump, Ogita & Oishi, SIAM J. Sci.
 Comput. 31(1) and 31(2), 2008): vectorized passes split the row into
 parts whose float sums are exact. After each pass the row stops once its
 rounding is certified, which at desk sizes the first pass does for almost
-every row. A row whose total lies too close to a rounding midpoint, or
-cancels to 0, runs the remaining passes, and math.fsum adds its few parts
-and what is left. Short rows, non-finite values and extreme magnitudes go
-to math.fsum directly.
+every row. The certificate tries the a-priori residual bound n * sigma * u
+first, and sums the residual's magnitudes only if that fails. A row whose
+total lies too close to a rounding midpoint, or cancels to 0, runs the
+remaining passes, and math.fsum adds its few parts and what is left. Short
+rows, non-finite values and extreme magnitudes go to math.fsum directly.
 The truncated sum is formed as the total minus the flagged sum F = sum over
 flagged intervals of (dX_i)^2, with realized_variance and F each correctly
 rounded, so

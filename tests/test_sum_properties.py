@@ -1,8 +1,9 @@
 """Property tests for the exact sums and the algebra the estimators rest on.
 
-The first test compares the extraction with math.fsum bit for bit, row by
-row; the others pin identities of the estimators, the KS range and the Model2
-volatility scan, and hold independently of how the sums are computed.
+The exact-sum tests compare the extraction, and each sum the per-path kernel
+returns, with math.fsum bit for bit; the others pin identities of the
+estimators, the KS range and the Model2 volatility scan, and hold
+independently of how the sums are computed.
 """
 
 import math
@@ -105,7 +106,7 @@ def test_exact_sums_equal_fsum_bitwise(rows):
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(float_rows())
-def test_a_row_without_negative_values_sums_alike_as_non_negative(row):
+def test_non_negative_entry_matches_the_default_and_fsum(row):
     # np.abs keeps nan and maps -inf to inf, so no value is negative.
     row = np.abs(row)
     want = fsum_or_error(row)
