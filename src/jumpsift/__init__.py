@@ -3,8 +3,9 @@
 Simulators for three reference jump models (compound Poisson, stochastic
 volatility with jumps, Variance Gamma), threshold and bipower estimators,
 jump detection, and a deterministic Monte Carlo harness for the normality
-and efficiency diagnostics. The harness and the diagnostics load on first use
-of one of their names, so a process that never runs them never imports them.
+and efficiency diagnostics. The harness, the diagnostics and the file writers
+(serialize) load on first use of one of their names, so a process that never
+runs them never imports them.
 """
 
 from .errors import (AdmissibilityWarning, ConfigError, DegenerateStatisticError,
@@ -28,6 +29,7 @@ _LAZY = {
                      "ks_statistic", "normal_cdf", "sample_moments"), "diagnostics"),
     **dict.fromkeys(("montecarlo", "efficiency_comparison", "jump_size_clt_experiment",
                      "run_experiment", "small_jump_bias_bound"), "montecarlo"),
+    "serialize": "serialize",
 }
 # `from jumpsift import *` binds every public name, the lazy ones included.
 __all__ = sorted(name for name in {*globals(), *_LAZY} if not name.startswith("_"))

@@ -19,8 +19,7 @@ from .engines import _MAX_ARRAY_BYTES
 from .errors import ConfigError, InvalidArgumentError
 from .estimators import ThresholdSpec
 from .grids import TimeGrid, _check_count, _check_horizon, _check_jitter, build_irregular_grid
-from .models import MODEL_CLASSES, CustomModel, ModelConfig
-from .serialize import SCHEMA_VERSION
+from .models import MODEL_CLASSES, SCHEMA_VERSION, CustomModel, ModelConfig
 
 DEFAULT_BASE_SEED = 123456789
 ENV_SEED = "JUMPSIFT_SEED"
@@ -256,9 +255,10 @@ def _check_ranges(run, name=str) -> None:
     _check_horizon(run.t_end, name("t_end"))
     if run.t_end / run.n < sys.float_info.min:
         # Below it, n + 1 distinct times need not fit in [0, t].
+        t, n = name("t_end"), name("n")
         raise InvalidArgumentError(
-            f"t / n must be at least the smallest normal double"
-            f" ({sys.float_info.min!r}), got t = {run.t_end!r}, n = {run.n}")
+            f"{t} / {n} must be at least the smallest normal double"
+            f" ({sys.float_info.min!r}), got {t} = {run.t_end!r}, {n} = {run.n}")
     _check_count(name("n_paths"), run.n_paths)
     _check_count(name("parallelism"), run.parallelism)
     _check_jitter(run.jitter)

@@ -140,6 +140,9 @@ class CustomModel:
 
 ModelConfig = Model1 | Model2 | Model3 | CustomModel
 
+# Format version of config files, manifests, reports and summaries.
+SCHEMA_VERSION = 1
+
 # The name of each model in config files, presets, manifests and summaries.
 MODEL_CLASSES: dict[str, type] = {
     "model1": Model1, "model2": Model2, "model3": Model3, "custom": CustomModel}

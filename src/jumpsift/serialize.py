@@ -25,14 +25,11 @@ import numpy as np
 from .errors import InvalidArgumentError
 from .estimators import EstimationReport, JumpDetectionResult
 from .grids import TimeGrid
-from .models import SamplePath, model_name
+from .models import SCHEMA_VERSION, SamplePath, model_name
 if TYPE_CHECKING:  # annotations only: simulate, estimate and detect never load these
     from .config import ExperimentConfig
     from .diagnostics import Histogram
     from .montecarlo import EfficiencyTable, McSummary
-
-# Format version of config files, manifests, reports and summaries.
-SCHEMA_VERSION = 1
 
 
 def fmt_float(x: float) -> str:

@@ -42,6 +42,7 @@ from jumpsift import (
 )
 from jumpsift import montecarlo
 from jumpsift.montecarlo import _map_paths, _plan
+from jumpsift.serialize import dumps_json, summary_to_dict
 
 SPEC09 = ThresholdSpec(0.9, 1.0)
 
@@ -68,6 +69,21 @@ def test_parallelism_does_not_change_results():
     assert serial.ks_statistic == pooled.ks_statistic
     assert serial.estimates == pooled.estimates
     assert np.array_equal(serial.histogram.counts, pooled.histogram.counts)
+
+    # The records and summary.json's bytes at 1 and 2 processes, the caller
+    # computing its own share: Model2 on its refined subgrid, Model3 and
+    # Model2 on an irregular grid, and a custom model with drift and compound
+    # Poisson jumps.
+    for changes in (dict(model=Model2(), substeps=5),
+                    dict(model=Model3(), jitter=0.3),
+                    dict(model=Model2(), substeps=5, jitter=0.3),
+                    dict(model=CustomModel(drift="constant:0.2", spot_vol="constant:0.2",
+                                           jumps="compound-poisson:40,0.5"))):
+        serial = small_cfg(n_paths=8, **changes)
+        pooled = dataclasses.replace(serial, parallelism=2)
+        a, b = run_experiment(serial), run_experiment(pooled)
+        assert a.records.tobytes() == b.records.tobytes(), changes
+        assert dumps_json(summary_to_dict(a)) == dumps_json(summary_to_dict(b)), changes
 
 
 @pytest.mark.parametrize("parallelism", [1, 2, 3, 7, 10])
@@ -468,7 +484,7 @@ def test_experiment_config_validation():
         small_cfg(jitter=1.0)
     with pytest.raises(InvalidArgumentError):
         small_cfg(substeps=0)
-    with pytest.raises(InvalidArgumentError, match="t / n"):
+    with pytest.raises(InvalidArgumentError, match="^t_end / n "):
         small_cfg(t_end=1e-320, n=5000)
     small_cfg(t_end=sys.float_info.min * 200, n=200)
     for name in ("n", "substeps", "n_paths", "parallelism"):

@@ -72,6 +72,17 @@ def tiny_path():
     return SamplePath(TimeGrid(times), xs)
 
 
+@pytest.fixture(scope="module")
+def long_run(tmp_path_factory):
+    """simulate --n 20000 into sim/, then detect on its path.csv into det/;
+    the tests that share it write nothing there."""
+    out = tmp_path_factory.mktemp("long")
+    assert main(["simulate", "--n", "20000", "--seed", "8", "--out", str(out / "sim")]) == 0
+    assert main(["detect", "--in", str(out / "sim" / "path.csv"),
+                 "--out", str(out / "det")]) == 0
+    return out
+
+
 # ---------------------------------------------------------------------------
 # serialization primitives
 
@@ -196,7 +207,7 @@ def test_read_path_csv_reads_a_url_shaped_name_locally(tmp_path, monkeypatch):
 # ---------------------------------------------------------------------------
 # detection and histogram files
 
-def test_detection_csv_rows(tmp_path):
+def test_detection_csv_rows(tmp_path, long_run):
     path = tiny_path()
     det = detect_jumps(path, ThresholdSpec(0.9, 0.1))
     dest = str(tmp_path / "det.csv")
@@ -210,6 +221,26 @@ def test_detection_csv_rows(tmp_path):
     assert len(flagged) == 1 and flagged[0][0] == "2"
     assert float(flagged[0][5]) == 0.5
     assert all(c[5] == "" for c in quiet)
+
+    # The long detect run's file, rebuilt cell by cell from its path.csv and
+    # report.json with float(), format(v, ".17g") and str() only.
+    header, *rows = [ln.split(",") for ln in
+                     (long_run / "sim" / "path.csv").read_text().splitlines()]
+    t, x = ([float(r[header.index(name)]) for r in rows] for name in ("time", "x"))
+    report = load_json(long_run / "det" / "report.json")
+    sizes = {e["interval"]: format(e["size_hat"], ".17g")
+             for e in report["jump_size_estimates"]}
+    assert sizes and len(sizes) == report["n_flagged"]
+
+    def g(v):
+        return format(v, ".17g")
+
+    want = [lines[0]] + [
+        ",".join([str(i), g(t[i]), g(t[i + 1]), g(x[i + 1] - x[i]),
+                  str(int(i in sizes)), sizes.get(i, "")])
+        for i in range(len(t) - 1)]
+    got = (long_run / "det" / "detection.csv").read_bytes()
+    assert got == ("\n".join(want) + "\n").encode()
 
 
 @pytest.mark.parametrize("n", [4, 1024])
@@ -469,6 +500,9 @@ def test_library_range_errors_name_the_fields():
         with pytest.raises(InvalidArgumentError,
                            match=r"^t_end must be positive and finite, got 0.0$"):
             build()
+    with pytest.raises(InvalidArgumentError,
+                       match=r"^t_end / n must be at least .*, got t_end = 1e-320, n = 5000$"):
+        ExperimentConfig(Model1(), SPEC09, t_end=1e-320, n=5000)
 
 
 # Each text on an int key and on a float key, with the value or the error
@@ -890,7 +924,7 @@ def test_cli_compare_writes_efficiency_table(tmp_path, capsys):
                         float(second[1]) / float(first[1]), rel_tol=1e-12)
 
 
-def test_replay_manifest_reproduces_run(tmp_path, capsys):
+def test_replay_manifest_reproduces_run(tmp_path, capsys, long_run):
     dir_a = str(tmp_path / "orig")
     assert main(MC_ARGS + ["--out", dir_a]) == 0
     capsys.readouterr()
@@ -905,6 +939,25 @@ def test_replay_manifest_reproduces_run(tmp_path, capsys):
     mb = load_json(os.path.join(dir_b, "manifest.json"))
     ma.pop("created_utc"), mb.pop("created_utc")
     assert ma == mb
+
+    # Five more runs, replayed in one new interpreter, which has computed
+    # nothing yet: mc where linspace widths spread, paths on Model2's refined
+    # subgrid and on an irregular Model3 grid, the long detect run, and
+    # Model2 with k * t = 700, past the closed-form OU scan's exponent limit,
+    # where its volatility takes the stepwise loop.
+    cfg = write_cfg(tmp_path, "schema_version = 1\nmodel = model2\nt = 700\n")
+    manifests = [str(long_run / "det" / "manifest.json")]
+    for name, argv in (("mc", ["mc", "--n", "5065", "--paths", "2"]),
+                       ("m2", ["simulate", "--preset", "model2-desk", "--n", "400"]),
+                       ("m3", ["simulate", "--preset", "model3-desk", "--n", "400",
+                               "--jitter", "0.3"]),
+                       ("m2-t700", ["simulate", "--config", cfg, "--n", "400"])):
+        assert main([*argv, "--seed", "3", "--out", str(tmp_path / name)]) == 0
+        manifests.append(str(tmp_path / name / "manifest.json"))
+    capsys.readouterr()
+    _run_fresh("from jumpsift.cli import replay_manifest\n"
+               f"for i, manifest in enumerate({manifests!r}):\n"
+               f"    replay_manifest(manifest, {str(tmp_path)!r} + f'/fresh{{i}}')\n")
 
 
 # ---------------------------------------------------------------------------
@@ -1010,6 +1063,14 @@ def _run_fresh(code: str) -> None:
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          timeout=120, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
     assert res.returncode == 0, res.stderr
+
+
+def test_importing_the_package_loads_neither_serialize_nor_hashlib():
+    _run_fresh(
+        "import sys\n"
+        "import jumpsift\n"
+        "loaded = [m for m in ('jumpsift.serialize', 'hashlib') if m in sys.modules]\n"
+        "assert not loaded, loaded\n")
 
 
 def test_only_mc_loads_the_harness_and_its_diagnostics(tmp_path):
@@ -1236,18 +1297,21 @@ def test_replay_of_a_malformed_manifest_is_config_error(tmp_path, capsys, damage
     assert not replay_dir.exists()
 
 
-def test_cli_estimate_accepts_a_byte_order_mark(tmp_path, capsys):
+def test_cli_estimate_accepts_a_byte_order_mark(tmp_path, capsys, long_run):
     sim_dir = str(tmp_path / "sim")
     assert main(["simulate", "--n", "64", "--seed", "9", "--out", sim_dir]) == 0
-    path_csv = os.path.join(sim_dir, "path.csv")
-    bom_csv = str(tmp_path / "bom.csv")
-    with open(bom_csv, "wb") as fh:
-        fh.write(b"\xef\xbb\xbf" + Path(path_csv).read_bytes())
-    for src, out in ((path_csv, "plain"), (bom_csv, "bom")):
-        assert main(["estimate", "--in", src, "--out", str(tmp_path / out)]) == 0
+    short, long = Path(sim_dir, "path.csv"), long_run / "sim" / "path.csv"
+    # The long path's copy also has CRLF endings and blank lines, which
+    # numpy's reader takes without the per-line reader.
+    crlf = long.read_bytes().replace(b"\n", b"\r\n").replace(b"\r\n", b"\r\n\r\n", 3)
+    for path_csv, text in ((short, short.read_bytes()), (long, crlf)):
+        bom_csv = tmp_path / "bom.csv"
+        bom_csv.write_bytes(b"\xef\xbb\xbf" + text)
+        for src, out in ((path_csv, "plain"), (bom_csv, "bom")):
+            assert main(["estimate", "--in", str(src), "--out", str(tmp_path / out)]) == 0
+        assert ((tmp_path / "bom" / "report.json").read_bytes()
+                == (tmp_path / "plain" / "report.json").read_bytes())
     capsys.readouterr()
-    assert ((tmp_path / "bom" / "report.json").read_bytes()
-            == (tmp_path / "plain" / "report.json").read_bytes())
 
 
 def test_cli_env_seed_lands_in_manifest(tmp_path, monkeypatch, capsys):
