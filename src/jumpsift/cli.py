@@ -34,11 +34,10 @@ import sys
 import warnings
 
 from . import __version__
-from .config import (_ALL_KEYS, RUN_PARAMETERS, RunSettings, load_config_file, merge_settings,
-                     resolve_seed)
+from .config import RUN_PARAMETERS, RunSettings, load_config_file, merge_settings
 from .errors import AdmissibilityWarning, ConfigError, InvalidArgumentError, JumpsiftError
 from .estimators import detect_and_report
-from .models import has_jumps, model_name
+from .models import model_name
 from .serialize import (
     build_manifest,
     file_sha256,
@@ -139,12 +138,7 @@ def _settings_from_args(args) -> RunSettings:
         default_preset = "diffusion-desk" if args.command == "compare" else "model1-desk"
     # A config-file-only key has no flag, so no attribute on args.
     overrides = {p.key: getattr(args, p.key, None) for p in RUN_PARAMETERS}
-    settings = merge_settings(file_values, overrides,
-                              preset=args.preset or default_preset)
-    if args.command == "compare" and has_jumps(settings.model):
-        raise ConfigError(f"compare needs a jump-free model, and"
-                          f" {model_name(settings.model)} has jumps")
-    return settings.with_seed(resolve_seed(settings.seed))
+    return merge_settings(file_values, overrides, preset=args.preset or default_preset)
 
 
 @contextlib.contextmanager
@@ -265,14 +259,9 @@ def replay_manifest(manifest_path: str, out_dir: str) -> list[str]:
     if manifest["command"] in _NEEDS_INPUT and not inputs:
         raise ConfigError(f"{manifest_path}: {manifest['command']} manifest has no input entry")
     # The echo holds only int, float and str; a float's repr parses back to
-    # the same double. Its keys are a config file's, less the two that
-    # select values rather than hold one.
-    echo = manifest["config"]
-    unknown = sorted(echo.keys() - (_ALL_KEYS - {"schema_version", "preset"}))
-    if unknown:
-        raise ConfigError(f"{manifest_path}: unknown config key {unknown[0]!r}")
+    # the same double.
     try:
-        settings = merge_settings(None, {k: str(v) for k, v in echo.items()})
+        settings = merge_settings(None, {k: str(v) for k, v in manifest["config"].items()})
     except ConfigError as exc:
         raise ConfigError(f"{manifest_path}: {exc}") from None
     settings = settings.with_seed(int(manifest["base_seed"]))

@@ -44,7 +44,7 @@ class RunParameter(NamedTuple):
     key: str              # config-file key, --flag dest and manifest echo key
     field: str            # the RunSettings field it fills
     kind: type            # int or float
-    default: str | None   # as a config-file string; None: no default
+    default: str | None   # as a config-file string; None: resolve_seed()'s
     help: str | None      # --flag help; None: config file only
 
 
@@ -66,6 +66,8 @@ RUN_PARAMETERS: tuple[RunParameter, ...] = (
 _CUSTOM_KEYS = tuple(f.name for f in fields(CustomModel))
 _ALL_KEYS = {"schema_version", "preset", "model", *_CUSTOM_KEYS,
              *(p.key for p in RUN_PARAMETERS)}
+# A config file's keys, less the two that select values rather than hold one.
+_VALUE_KEYS = _ALL_KEYS - {"schema_version", "preset"}
 _KEY_OF = {p.field: p.key for p in RUN_PARAMETERS}  # RunSettings field -> its key
 
 _DEFAULTS: dict[str, str] = {
@@ -103,7 +105,7 @@ class ExperimentConfig:
 
 @dataclass(frozen=True, slots=True)
 class RunSettings:
-    """Fully resolved run parameters; seed is None until resolve_seed ran.
+    """Fully resolved run parameters, the seed included.
     The fields after model are those of RUN_PARAMETERS, in its order."""
 
     model: ModelConfig
@@ -115,14 +117,12 @@ class RunSettings:
     substeps: int
     jitter: float
     parallelism: int
-    seed: int | None = None
+    seed: int
 
     def threshold(self) -> ThresholdSpec:
         return ThresholdSpec(self.beta, self.scale_c)
 
     def experiment(self) -> ExperimentConfig:
-        if self.seed is None:
-            raise ConfigError("seed not resolved")
         return ExperimentConfig(
             model=self.model,
             threshold=self.threshold(),
@@ -146,7 +146,7 @@ def load_config_file(path: str) -> dict[str, str]:
     empty file fails naming exactly that key.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
@@ -189,19 +189,28 @@ def merge_settings(file_values: dict[str, str] | None = None,
     """Layers defaults < preset < config file < overrides, then builds.
 
     A `preset` key inside the file applies at the preset layer; the explicit
-    `preset` argument (the CLI flag) wins over it.
+    `preset` argument (the CLI flag) wins over it. Before any other check,
+    a key that names no run value fails, the first in sorted order named.
+    A seed that no layer sets is resolve_seed()'s.
     """
     file_values = dict(file_values or {})
     file_values.pop("schema_version", None)
-    chosen = preset or file_values.pop("preset", None)
+    file_preset = file_values.pop("preset", None)
+    overrides = overrides or {}
+    unknown = sorted((file_values.keys() | overrides.keys()) - _VALUE_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown config key {unknown[0]!r}")
 
     merged = dict(_DEFAULTS)
+    chosen = preset or file_preset
     if chosen is not None:
         merged.update(preset_values(chosen))
     # Every layer's value is read from its text, as a config file's is.
-    for key, value in (*file_values.items(), *(overrides or {}).items()):
+    for key, value in (*file_values.items(), *overrides.items()):
         if value is not None:
             merged[key] = str(value)
+    if "seed" not in merged:
+        merged["seed"] = str(resolve_seed())
     return _build(merged)
 
 
@@ -210,12 +219,7 @@ def resolve_seed(explicit: int | None = None) -> int:
     if explicit is not None:
         return int(explicit)
     env = os.environ.get(ENV_SEED)
-    if env is not None:
-        try:
-            return int(env, 0)
-        except ValueError:
-            raise ConfigError(f"{ENV_SEED} must be an integer, got {env!r}") from None
-    return DEFAULT_BASE_SEED
+    return DEFAULT_BASE_SEED if env is None else _parse(ENV_SEED, int, env)
 
 
 def _build(merged: dict[str, str]) -> RunSettings:

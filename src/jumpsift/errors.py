@@ -26,8 +26,8 @@ class ConfigError(JumpsiftError):
 
 
 class DegenerateSizeError(InvalidArgumentError, ConfigError):
-    """A run size at which an experiment can never succeed. It is raised
-    before any path is simulated, and as a ConfigError the CLI exits 2."""
+    """A run configuration at which an experiment can never succeed. It is
+    raised before any path is simulated, and as a ConfigError the CLI exits 2."""
 
 
 class AdmissibilityWarning(UserWarning):

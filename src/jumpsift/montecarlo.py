@@ -44,7 +44,7 @@ from .estimators import (
 )
 from .config import ExperimentConfig
 from .grids import build_irregular_grid
-from .models import Model3, compound_poisson_law, finite_activity, has_jumps
+from .models import Model3, compound_poisson_law, finite_activity, has_jumps, model_name
 from .engines import SimulationPlan, path_seed, simulation_plan, spot_integral
 
 
@@ -164,13 +164,13 @@ class EfficiencyTable:
 def efficiency_comparison(cfg: ExperimentConfig) -> EfficiencyTable:
     """Threshold-vs-bipower efficiency under the diffusion null.
 
-    The comparison is defined for jump-free models only; the normalized
-    errors of both estimators then have limiting variances 2 (threshold)
-    and pi^2/4 + pi - 3 (bipower).
+    Defined for jump-free models only (DegenerateSizeError otherwise); the
+    normalized errors of both estimators then have limiting variances 2
+    (threshold) and pi^2/4 + pi - 3 (bipower).
     """
     if has_jumps(cfg.model):
-        raise InvalidArgumentError(
-            "efficiency comparison requires a jump-free model")
+        raise DegenerateSizeError(
+            f"compare needs a jump-free model, and {model_name(cfg.model)} has jumps")
     pairs = _map_paths(_efficiency_pair, _plan(cfg, min_paths=2))
     thr = sample_moments([p[0] for p in pairs]).variance
     bpv = sample_moments([p[1] for p in pairs]).variance

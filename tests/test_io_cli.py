@@ -304,14 +304,15 @@ def write_cfg(tmp_path, text):
     return str(p)
 
 
-def test_load_config_file_parses_values(tmp_path):
-    src = write_cfg(tmp_path, """
+@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "byte-order mark"])
+def test_load_config_file_parses_values(tmp_path, bom):
+    src = write_cfg(tmp_path, """schema_version = 1
 # comment line
-schema_version = 1
 model = model3     # trailing comment
 n = 4000
 beta = 0.99
 """)
+    Path(src).write_bytes(bom + Path(src).read_bytes())
     raw = load_config_file(src)
     assert raw == {"schema_version": "1", "model": "model3",
                    "n": "4000", "beta": "0.99"}
@@ -342,6 +343,19 @@ def test_merge_precedence(tmp_path):
     # preset key inside the file applies when no explicit preset
     s2 = merge_settings({"preset": "model3-desk"}, None)
     assert isinstance(s2.model, Model3) and s2.beta == 0.99
+
+
+# The first key in sorted order is named, before any value is read; a
+# config file's preset key is no override.
+@pytest.mark.parametrize("file_values,overrides,key", [
+    (None, {"pathz": "5"}, "pathz"),
+    ({"bta": "2"}, None, "bta"),
+    ({"zz": "1", "n": "abc"}, {"aa": "2"}, "aa"),
+    (None, {"preset": "model3-desk"}, "preset"),
+], ids=["override", "file value", "sorted first", "preset override"])
+def test_merge_settings_rejects_a_key_that_names_no_run_value(file_values, overrides, key):
+    with pytest.raises(ConfigError, match=rf"^unknown config key '{key}'$"):
+        merge_settings(file_values, overrides)
 
 
 def test_a_file_value_that_is_not_text_is_read_from_its_text():
@@ -621,6 +635,27 @@ def test_cli_csv_that_is_not_utf8_is_runtime_error(tmp_path, capsys, content, re
     assert not os.path.exists(out / "manifest.json")
 
 
+@pytest.mark.parametrize("content", [b"", b"\n\r\n  \n"], ids=["empty", "blank lines"])
+def test_cli_empty_path_file_is_runtime_error(tmp_path, capsys, content):
+    src = tmp_path / "f.csv"
+    src.write_bytes(content)
+    out = tmp_path / "out"
+    assert main(["estimate", "--in", str(src), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"jumpsift: error: {src}: empty path file\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["absent.cfg", "."], ids=["missing", "directory"])
+def test_cli_config_that_cannot_be_read_is_config_error(tmp_path, capsys, name):
+    cfg = str(tmp_path / name)
+    out = tmp_path / "out"
+    assert main(["mc", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"jumpsift: config error: cannot read config file {cfg!r}: ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_cli_config_that_is_not_utf8_is_config_error(tmp_path, capsys):
     cfg = tmp_path / "f.cfg"
     cfg.write_bytes(b"schema_version = 1\nmodel = model1\xff\n")
@@ -636,6 +671,7 @@ def test_cli_config_that_is_not_utf8_is_config_error(tmp_path, capsys):
     ("0.5,0\n1,1\n", "grid must start at 0"),
     ("0,0\n1,1\n1,2\n", "times must be strictly increasing"),
     ("0,0\n0.5,1\n0.25,2\n", "times must be strictly increasing"),
+    ("0,0\n0.5,1\ninf,2\n", "horizon T must be positive and finite"),
 ])
 @pytest.mark.parametrize("separator", ["", "\x1f"])
 def test_cli_csv_with_a_bad_time_column_names_file_and_column(tmp_path, capsys, rows,
@@ -1172,7 +1208,7 @@ def test_run_parameter_by_flag_file_and_default_then_echo_and_replay(
 
     default = getattr(merge_settings(), param.field)
     if param.default is None:
-        assert default is None
+        assert default == DEFAULT_BASE_SEED
     else:
         assert type(default) is param.kind and default == param.kind(param.default)
     if param.help is not None:
@@ -1295,6 +1331,27 @@ def test_replay_of_a_malformed_manifest_is_config_error(tmp_path, capsys, damage
     with pytest.raises(ConfigError, match=re.escape(str(broken))):
         replay_manifest(str(broken), str(replay_dir))
     assert not replay_dir.exists()
+
+
+@pytest.mark.parametrize("damage,message", [
+    ("no command", "manifest lacks 'command'"),
+    ("config.bogus", "unknown config key 'bogus'"),
+])
+def test_replay_error_names_the_manifest_then_the_fault(tmp_path, capsys, damage, message):
+    run_dir = tmp_path / "run"
+    assert main(["simulate", "--n", "16", "--out", str(run_dir)]) == 0
+    capsys.readouterr()
+    manifest = load_json(run_dir / "manifest.json")
+    if damage == "no command":
+        del manifest["command"]
+    else:
+        manifest["config"]["bogus"] = 5
+    broken = tmp_path / "manifest.json"
+    broken.write_text(json.dumps(manifest), encoding="utf-8")
+    with pytest.raises(ConfigError) as err:
+        replay_manifest(str(broken), str(tmp_path / "replay"))
+    assert str(err.value) == f"{broken}: {message}"
+    assert not (tmp_path / "replay").exists()
 
 
 def test_cli_estimate_accepts_a_byte_order_mark(tmp_path, capsys, long_run):
