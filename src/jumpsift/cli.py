@@ -36,7 +36,7 @@ import warnings
 from . import __version__
 from .config import RUN_PARAMETERS, RunSettings, load_config_file, merge_settings
 from .errors import AdmissibilityWarning, ConfigError, InvalidArgumentError, JumpsiftError
-from .estimators import detect_and_report
+from .estimators import _report
 from .models import model_name
 from .serialize import (
     build_manifest,
@@ -174,7 +174,7 @@ def _run(command: str, settings: RunSettings, out_dir: str,
         writers["path.csv"] = lambda dest: write_path_csv(path, dest)
     elif command in _NEEDS_INPUT:
         path = read_path_csv(input_path)
-        det, report = detect_and_report(path, settings.threshold())
+        det, report = _report(path, settings.threshold())
         if command == "detect":
             writers["detection.csv"] = lambda dest: write_detection_csv(path, det, dest)
         writers["report.json"] = lambda dest: write_json(dest, report_to_dict(report, path))
@@ -225,9 +225,10 @@ def replay_manifest(manifest_path: str, out_dir: str) -> list[str]:
     to the original run. Raises ConfigError, naming the manifest, if it is
     not JSON, lacks a key, holds a value of the wrong JSON type, names an
     unknown command, is an estimate or detect manifest with no input, or
-    echoes a config key or value a config file would reject, and
-    InvalidArgumentError, naming the file, if a recorded input or output
-    does not match its recorded sha256.
+    echoes a config key or value a config file would reject; a ConfigError
+    the replayed command raises keeps its class and gains the same prefix.
+    Raises InvalidArgumentError, naming the file, if a recorded input or
+    output does not match its recorded sha256.
     """
     import json
     with open(manifest_path, "r", encoding="utf-8") as fh:
@@ -262,13 +263,13 @@ def replay_manifest(manifest_path: str, out_dir: str) -> list[str]:
     # the same double.
     try:
         settings = merge_settings(None, {k: str(v) for k, v in manifest["config"].items()})
-    except ConfigError as exc:
-        raise ConfigError(f"{manifest_path}: {exc}") from None
-    settings = settings.with_seed(int(manifest["base_seed"]))
-    _check_hashes(inputs, "", "input")
-    with _admissibility_lines():
-        written = _run(manifest["command"], settings, out_dir,
-                       inputs[0]["file"] if inputs else None)
+        settings = settings.with_seed(int(manifest["base_seed"]))
+        _check_hashes(inputs, "", "input")
+        with _admissibility_lines():
+            written = _run(manifest["command"], settings, out_dir,
+                           inputs[0]["file"] if inputs else None)
+    except ConfigError as exc:  # the echo's values, or a rule the command checks
+        raise type(exc)(f"{manifest_path}: {exc}") from None
     _check_hashes(outputs, out_dir, "output")
     return written
 

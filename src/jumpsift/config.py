@@ -214,10 +214,8 @@ def merge_settings(file_values: dict[str, str] | None = None,
     return _build(merged)
 
 
-def resolve_seed(explicit: int | None = None) -> int:
-    """Explicit value wins, then the JUMPSIFT_SEED variable, then the default."""
-    if explicit is not None:
-        return int(explicit)
+def resolve_seed() -> int:
+    """The JUMPSIFT_SEED variable, else the default."""
     env = os.environ.get(ENV_SEED)
     return DEFAULT_BASE_SEED if env is None else _parse(ENV_SEED, int, env)
 

@@ -21,9 +21,13 @@ rounded, so
 
     threshold_realized_variance == realized_variance - F
 
-holds exactly, by construction. The rearranged form realized_variance ==
-threshold_realized_variance + F is not a floating-point identity: it misses
-by one unit in the last place when realized_variance - F rounds at a tie.
+holds exactly, by construction, wherever realized_variance and F are both
+finite. Where realized_variance - F is not finite (a flagged square, or the
+total, past the largest double), the truncated sum is instead the exact sum
+of the kept squares, which can still be finite. The rearranged form
+realized_variance == threshold_realized_variance + F is not a floating-point
+identity: it misses by one unit in the last place when realized_variance - F
+rounds at a tie.
 """
 
 from __future__ import annotations
@@ -148,7 +152,8 @@ def threshold_realized_variance(path: SamplePath, spec: ThresholdSpec) -> float:
     """Truncated realized variance: squared increments at most r are kept.
 
     Computed as realized_variance minus the flagged sum of (dX_i)^2, both
-    correctly rounded, so TRV == RV - F holds exactly (module docstring).
+    correctly rounded, so TRV == RV - F holds exactly where both are finite;
+    elsewhere it is the exact sum of the kept squares (module docstring).
     """
     _warn_if_inadmissible(spec)
     return _path_sums(*_observed(path, spec), quartic=False, bpv=False)[3]
@@ -222,20 +227,13 @@ def estimation_report(path: SamplePath, spec: ThresholdSpec,
 
     bipower_variation is None on a path with a single increment.
     """
-    _warn_if_inadmissible(spec)
     return _report(path, spec, true_iv)[1]
-
-
-def detect_and_report(path: SamplePath,
-                      spec: ThresholdSpec) -> tuple[JumpDetectionResult, EstimationReport]:
-    """detect_jumps(path, spec) and estimation_report(path, spec) from one kernel."""
-    _warn_if_inadmissible(spec)
-    return _report(path, spec)
 
 
 def _report(path: SamplePath, spec: ThresholdSpec,
             true_iv: float | None = None) -> tuple[JumpDetectionResult, EstimationReport]:
     """The detection and the estimation report of the path, from one kernel."""
+    _warn_if_inadmissible(spec, stacklevel=4)  # names estimation_report's caller
     uniform = path.grid.is_uniform
     dx, flagged, rv, iv_hat, quartic, bpv = _path_sums(*_observed(path, spec),
                                                        quartic=uniform, bpv=path.grid.n >= 2)
@@ -283,6 +281,8 @@ def _path_sums(x: np.ndarray, r: np.ndarray | None, *, rv: bool = True,
             rv_sum = _total(dx2)
             if r is not None:
                 iv_hat = rv_sum - _total(dx2[flagged])
+                if not math.isfinite(iv_hat):  # the kept squares' sum may still be finite
+                    iv_hat = _total(dx2[~flagged])
         if quartic:
             quartic_sum = _total(np.square(dx2[~flagged]))
         if bpv:
@@ -366,17 +366,14 @@ def _exact_sum(a: np.ndarray, exits: list[int] | None = None, nonneg: bool = Fal
         gamma = big_n * _UNIT_ROUNDOFF / (1.0 - 2.0 * big_n * _UNIT_ROUNDOFF) * (1.0 + 2.0 ** -48)
         # The exact sums of q, S, and the sum and magnitude of S's rounding errors.
         parts, s, lost, lost_mag = [], 0.0, 0.0, 0.0
-        r, q = a, np.empty(n)
-        total = None
+        scratch = np.empty((2, n))
+        q, r = scratch
+        src, total = a, None
         for p in range(1, _EXTRACT_PASSES + 1):
-            np.add(r, sigma, out=q)
+            np.add(src, sigma, out=q)
             q -= sigma
-            if r is a:
-                r = a - q
-            else:
-                r -= q
-            x = float(q.sum())
-            tau = float(r.sum())
+            src = np.subtract(src, q, out=r)
+            x, tau = scratch.sum(axis=1).tolist()
             parts.append(x)
             t = s + x
             z = t - s
@@ -424,10 +421,6 @@ def _jumpy_intervals(times: np.ndarray, jumps: JumpTable):
 def _interval_runs(intervals: np.ndarray, sizes: np.ndarray):
     """_jumpy_intervals for events already in time order, so each run of
     equal interval indices is one interval."""
-    starts = np.ones(intervals.size, dtype=bool)
-    np.not_equal(intervals[1:], intervals[:-1], out=starts[1:])
-    first = np.flatnonzero(starts)
-    counts = np.empty_like(first)
-    np.subtract(first[1:], first[:-1], out=counts[:-1])
-    counts[-1:] = intervals.size - first[-1:]
-    return intervals[first], counts, sizes[first]
+    # return_index sorts stably, so first is each run's first event.
+    keys, first, counts = np.unique(intervals, return_index=True, return_counts=True)
+    return keys, counts, sizes[first]

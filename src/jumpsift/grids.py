@@ -81,14 +81,12 @@ def build_irregular_grid(n: int, t_end: float, jitter: float, seed: int) -> Time
     jitter must lie in [0, 1) so the perturbed times stay strictly
     increasing. jitter=0 returns exactly the uniform grid.
     """
-    _check_count("n", n)
-    _check_horizon(t_end)
+    grid = build_uniform_grid(n, t_end)
     _check_jitter(jitter)
     if jitter == 0.0 or n == 1:
-        return build_uniform_grid(n, t_end)
+        return grid
     rng = rng_from_seed(int(seed) ^ GRID_SALT)
-    with np.errstate(over="ignore"):
-        times = np.linspace(0.0, float(t_end), n + 1)
+    times = grid.times  # grid itself is dropped, so its times may change
     half = jitter * (t_end / n) / 2.0
     times[1:-1] += (rng.random(n - 1) * 2.0 - 1.0) * half
     return TimeGrid(times)

@@ -171,7 +171,11 @@ def efficiency_comparison(cfg: ExperimentConfig) -> EfficiencyTable:
     if has_jumps(cfg.model):
         raise DegenerateSizeError(
             f"compare needs a jump-free model, and {model_name(cfg.model)} has jumps")
-    pairs = _map_paths(_efficiency_pair, _plan(cfg, min_paths=2))
+    plan = _plan(cfg, min_paths=2)
+    if not math.isfinite(plan.error_scale):
+        raise InvalidArgumentError(
+            f"compare needs a finite error scale sqrt(h * IQ), got {plan.error_scale!r}")
+    pairs = _map_paths(_efficiency_pair, plan)
     thr = sample_moments([p[0] for p in pairs]).variance
     bpv = sample_moments([p[1] for p in pairs]).variance
     return EfficiencyTable(thr, bpv, bpv / thr, cfg.n_paths)
@@ -264,7 +268,8 @@ def _plan(cfg: ExperimentConfig, min_paths: int | None) -> _RunPlan:
     r.flags.writeable = False
     true_iv = scale = None
     if sim.spot is not None:
-        true_iv, true_iq = (spot_integral(sim.spot, sim.fine_widths, p) for p in (2, 4))
+        with np.errstate(over="ignore", invalid="ignore"):  # _map_paths's; sigma^4 may overflow
+            true_iv, true_iq = (spot_integral(sim.spot, sim.fine_widths, p) for p in (2, 4))
         scale = math.sqrt(grid.h * true_iq)
     return _RunPlan(cfg, sim, r, grid.is_uniform, finite_activity(cfg.model), true_iv, scale)
 

@@ -6,7 +6,8 @@ Too long for the tier-1 suite; CI runs it as its own step:
     PYTHONPATH=src python tests/sweep_path_rows.py --paths 2000 --seed 2006
 
 For each model (Model1, Model2, Model3, a custom model with drift and
-compound Poisson jumps, and a jump-free custom diffusion), each substeps in
+compound Poisson jumps, one with jumps of size 1e200, whose squares
+overflow, and a jump-free custom diffusion), each substeps in
 {1, 3, 5} and each jitter in {0, 1e-13, 0.3}, it draws n, the base seed and
 the threshold scale, and compares --paths paths. A jitter of 1e-13 moves
 the times by less than the spread TimeGrid.is_uniform tolerates, so that
@@ -20,7 +21,8 @@ statistic (_jump_stat) must equal jump_size_error_stat. The reference
 decides both the bias and the jump-size check by path.grid.is_uniform, as
 normalized_bias does. NaN marks an undefined value on both sides. The
 record's rv, bpv and iv_hat must also equal an oracle that sums each row of
-terms with math.fsum, since the public calls run the same kernel.
+terms with math.fsum, since the public calls run the same kernel; iv_hat's
+is rv minus the flagged mass where that is finite, else the kept mass.
 
 Prints the paths compared per configuration and exits 1 on any bit
 difference.
@@ -63,6 +65,7 @@ MODELS = {
     "model3": (Model3(), 0.99),
     "custom": (CustomModel(drift="constant:0.2", spot_vol="constant:0.2",
                            jumps="compound-poisson:40,0.5"), 0.9),
+    "jumps-1e200": (CustomModel(jumps="compound-poisson:5,1e200"), 0.9),
     "diffusion": (CustomModel(), 0.9),
 }
 
@@ -91,12 +94,16 @@ def public_rows(cfg: ExperimentConfig, path, jump_stat: bool) -> dict:
     if jump_stat:
         rows["jump_stat"] = (jump_size_error_stat(path, det, truth),)
     dx = np.diff(path.observations)
-    dx2 = dx * dx
-    a = np.abs(dx)
+    with np.errstate(over="ignore"):
+        dx2 = dx * dx
+        a = np.abs(dx)
+        bpv_terms = a[1:] * a[:-1]
     rv = math.fsum(dx2.tolist())
     flagged = dx2 > spec.r_at(path.grid.widths)
-    rows["fsum"] = (rv, (math.pi / 2.0) * math.fsum((a[1:] * a[:-1]).tolist()),
-                    rv - math.fsum(dx2[flagged].tolist()))
+    iv_hat = rv - math.fsum(dx2[flagged].tolist())
+    if not math.isfinite(iv_hat):
+        iv_hat = math.fsum(dx2[~flagged].tolist())
+    rows["fsum"] = (rv, (math.pi / 2.0) * math.fsum(bpv_terms.tolist()), iv_hat)
     return rows
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from jumpsift import (
     AdmissibilityWarning,
+    CustomModel,
     DegenerateStatisticError,
     GroundTruth,
     InvalidArgumentError,
@@ -22,6 +23,7 @@ from jumpsift import (
     estimation_report,
     jump_size_error_stat,
     normalized_bias,
+    path_seed,
     realized_variance,
     simulate,
     threshold_admissible,
@@ -257,6 +259,24 @@ def test_estimation_report_consistency():
     assert rep.flagged_intervals == detect_jumps(p, spec).flagged_intervals
     assert rep.admissible
     assert rep.threshold_used is spec
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_flagged_squares_that_overflow_leave_the_kept_mass(index):
+    # Paths 0-3 of mc's 1e200 model at n = 50, base seed 1: a flagged square
+    # overflows, so RV and F are inf, and RV - F is nan; the threshold
+    # estimate is the exact sum of the kept squares.
+    model = CustomModel(jumps="compound-poisson:5,1e200")
+    path = simulate(model, build_uniform_grid(50, 1.0), 1, path_seed(1, index))
+    spec = ThresholdSpec(0.9)
+    with np.errstate(over="ignore"):
+        dx2 = np.diff(path.observations) ** 2
+    kept = math.fsum(dx2[dx2 <= spec.r_at(path.grid.widths)].tolist())
+    assert realized_variance(path) == math.inf
+    assert 0.0 < kept < 1.0
+    for got in (threshold_realized_variance(path, spec),
+                estimation_report(path, spec).iv_threshold):
+        assert np.float64(got).tobytes() == np.float64(kept).tobytes()
 
 
 def test_estimation_report_on_irregular_grid():

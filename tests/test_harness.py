@@ -74,12 +74,14 @@ def test_parallelism_does_not_change_results():
     # The records and summary.json's bytes at 1 and 2 processes, the caller
     # computing its own share: Model2 on its refined subgrid, Model3 and
     # Model2 on an irregular grid, and a custom model with drift and compound
-    # Poisson jumps.
+    # Poisson jumps; then jumps of size 1e200, whose squares overflow, so rv
+    # and bpv are inf and iv_hat is the sum of the kept squares.
     for changes in (dict(model=Model2(), substeps=5),
                     dict(model=Model3(), jitter=0.3),
                     dict(model=Model2(), substeps=5, jitter=0.3),
                     dict(model=CustomModel(drift="constant:0.2", spot_vol="constant:0.2",
-                                           jumps="compound-poisson:40,0.5"))):
+                                           jumps="compound-poisson:40,0.5")),
+                    dict(model=CustomModel(jumps="compound-poisson:5,1e200"), n=50)):
         serial = small_cfg(n_paths=8, **changes)
         pooled = dataclasses.replace(serial, parallelism=2)
         a, b = run_experiment(serial), run_experiment(pooled)
@@ -335,10 +337,12 @@ def test_irregular_grid_disables_normality_stats():
 
 @pytest.mark.parametrize("parallelism", [1, 2])
 def test_a_bias_that_overflows_is_an_error_not_an_excluded_path(parallelism):
-    # Jumps of size 1e200 overflow the squared increments, so the normalized
-    # bias is computed but not finite; only an undefined bias excludes a path.
-    cfg = small_cfg(model=CustomModel(jumps="compound-poisson:5,1e200"), n=50,
-                    n_paths=4, base_seed=1, parallelism=parallelism)
+    # At sigma = 1e154 and t = 3 most squared increments are kept, and their
+    # sum overflows, as does the true IV, so the normalized bias is computed
+    # but not finite; only an undefined bias excludes a path.
+    cfg = small_cfg(model=CustomModel(spot_vol="constant:1e154"), t_end=3.0, n=50,
+                    threshold=ThresholdSpec(0.05, 1e308), n_paths=4, base_seed=1,
+                    parallelism=parallelism)
     with pytest.raises(InvalidArgumentError, match="^samples must be finite$"):
         run_experiment(cfg)
 
@@ -399,7 +403,11 @@ SCALE_ERROR = "threshold scale must be positive to evaluate r, got 0.0"
      JUMP_COUNT_ERROR),
     (efficiency_comparison, dict(model=CustomModel(), threshold=ThresholdSpec(0.9, 0.0)),
      SCALE_ERROR),
-], ids=["mc scale 0", "mc sigma 1e200", "mc sigma 1e-200", "mc lam 1e300", "compare scale 0"])
+    # sigma^2 = 1e200 is finite, but sigma^4, and so sqrt(h * IQ), is not.
+    (efficiency_comparison, dict(model=CustomModel(spot_vol="constant:1e100")),
+     "compare needs a finite error scale sqrt(h * IQ), got inf"),
+], ids=["mc scale 0", "mc sigma 1e200", "mc sigma 1e-200", "mc lam 1e300", "compare scale 0",
+        "compare sigma 1e100"])
 def test_run_level_failures_come_before_any_path_or_fork(monkeypatch, entry, changes,
                                                          message):
     def no_path(*args):

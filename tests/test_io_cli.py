@@ -32,6 +32,7 @@ from jumpsift import (
     threshold_realized_variance,
 )
 from jumpsift import cli, montecarlo
+from jumpsift.errors import DegenerateSizeError
 from jumpsift.estimators import JumpDetectionResult
 from jumpsift.cli import _settings_echo, _settings_from_args, build_parser, main, replay_manifest
 from jumpsift.models import MODEL_CLASSES
@@ -413,14 +414,12 @@ def test_model_names_round_trip_through_the_settings_echo(name):
 
 def test_resolve_seed(monkeypatch):
     monkeypatch.delenv("JUMPSIFT_SEED", raising=False)
-    assert resolve_seed(None) == DEFAULT_BASE_SEED
-    assert resolve_seed(7) == 7
+    assert resolve_seed() == DEFAULT_BASE_SEED
     monkeypatch.setenv("JUMPSIFT_SEED", "0x10")
-    assert resolve_seed(None) == 16
-    assert resolve_seed(5) == 5
+    assert resolve_seed() == 16
     monkeypatch.setenv("JUMPSIFT_SEED", "not-a-seed")
     with pytest.raises(ConfigError):
-        resolve_seed(None)
+        resolve_seed()
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +535,7 @@ def test_a_flag_parses_like_the_same_config_file_key(key, text, want):
             settings = build()
         except ConfigError as exc:
             return str(exc)
-        return settings.with_seed(resolve_seed(settings.seed))
+        return settings
 
     args = build_parser().parse_args(["simulate", "--preset", "model1-desk", f"--{key}={text}"])
     from_flag = settings_or_error(lambda: _settings_from_args(args))
@@ -704,18 +703,60 @@ def test_cli_size_numpy_cannot_allocate_is_config_error(tmp_path, capsys, comman
     assert not os.path.exists(out / "manifest.json")
 
 
+# Most squared increments are kept, and their sum and the true IV overflow,
+# so the normalized bias is computed but not finite.
+BIAS_OVERFLOW_CFG = "schema_version = 1\nmodel = custom\nspot_vol = constant:1e154\nt = 3.0\n"
+BIAS_OVERFLOW_FLAGS = ["--n", "50", "--beta", "0.05", "--scale-c", "1e308"]
+
+
 @pytest.mark.parametrize("parallelism", ["1", "2"])
 def test_cli_mc_bias_that_overflows_is_one_error_line(tmp_path, capsys, parallelism):
     cfg = tmp_path / "f.cfg"
-    cfg.write_text("schema_version = 1\nmodel = custom\njumps = compound-poisson:5,1e200\n")
+    cfg.write_text(BIAS_OVERFLOW_CFG)
     out = tmp_path / "out"
-    assert main(["mc", "--config", str(cfg), "--n", "50", "--paths", "4", "--seed", "1",
+    assert main(["mc", "--config", str(cfg), *BIAS_OVERFLOW_FLAGS, "--paths", "4", "--seed", "1",
                  "--parallelism", parallelism, "--out", str(out)]) == 3
     captured = capsys.readouterr()
     assert captured.err == "jumpsift: error: samples must be finite\n"
     assert captured.out == ""
     assert not os.path.exists(out / "summary.json")
     assert not os.path.exists(out / "manifest.json")
+
+
+def test_cli_mc_where_flagged_squares_overflow_keeps_the_kept_mass(tmp_path, capsys):
+    # Jumps of size 1e200: rv, bpv and the flagged mass are inf, and iv_hat
+    # is the finite sum of the kept squares, so the bias is finite too.
+    cfg = tmp_path / "f.cfg"
+    cfg.write_text("schema_version = 1\nmodel = custom\njumps = compound-poisson:5,1e200\n")
+    for parallelism in ("1", "2"):
+        assert main(["mc", "--config", str(cfg), "--n", "50", "--paths", "4", "--seed", "1",
+                     "--parallelism", parallelism, "--out", str(tmp_path / parallelism)]) == 0
+    assert capsys.readouterr().err == ""
+    for name in ("summary.json", "hist.csv"):
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+    summary = load_json(tmp_path / "1" / "summary.json")
+    assert summary["estimates"]["mean_rv"] is None
+    assert summary["estimates"]["mean_bpv"] is None
+    assert 0.0 < summary["estimates"]["mean_iv_hat"] < 0.09
+    assert summary["excluded_paths"] == 0
+
+
+# sigma^2 = 1e200 is finite and sigma^4 is not: mc needs only sigma^2, and
+# compare's error scale sqrt(h * IQ) is inf, which fails its plan.
+@pytest.mark.parametrize("command,code,err", [
+    ("mc", 0, ""),
+    ("compare", 3, "jumpsift: error: compare needs a finite error scale sqrt(h * IQ), got inf\n"),
+], ids=["mc", "compare"])
+def test_cli_sigma_whose_fourth_power_overflows(tmp_path, capsys, command, code, err):
+    cfg = tmp_path / "f.cfg"
+    cfg.write_text("schema_version = 1\nmodel = custom\nspot_vol = constant:1e100\n")
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main([command, "--config", str(cfg), "--n", "50", "--paths", "4",
+                     "--out", str(out)]) == code
+    assert capsys.readouterr().err == err
+    assert out.exists() == (code == 0)
 
 
 # Jumps of size 1e308 overflow the path's cumulative sum. pyproject's
@@ -733,13 +774,13 @@ def test_cli_path_that_overflows_is_one_error_line(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("flags", [
-    ["--config", "{cfg}", "--n", "50", "--paths", "4", "--seed", "1"],
+    ["--config", "{cfg}", *BIAS_OVERFLOW_FLAGS, "--paths", "4", "--seed", "1"],
     ["--preset", "model1-desk", "--paths", "4", "--n", "50", "--scale-c", "0",
      "--parallelism", "2"],
 ], ids=["bias overflow", "scale-c 0"])
 def test_cli_failed_mc_leaves_no_out_directory(tmp_path, capsys, flags):
     cfg = tmp_path / "f.cfg"
-    cfg.write_text("schema_version = 1\nmodel = custom\njumps = compound-poisson:5,1e200\n")
+    cfg.write_text(BIAS_OVERFLOW_CFG)
     out = tmp_path / "out"
     assert main(["mc", *(f.format(cfg=cfg) for f in flags), "--out", str(out)]) == 3
     assert capsys.readouterr().out == ""
@@ -1333,9 +1374,11 @@ def test_replay_of_a_malformed_manifest_is_config_error(tmp_path, capsys, damage
     assert not replay_dir.exists()
 
 
+# The last is raised by the replayed command, and keeps its class.
 @pytest.mark.parametrize("damage,message", [
     ("no command", "manifest lacks 'command'"),
     ("config.bogus", "unknown config key 'bogus'"),
+    ("compare of model1", "compare needs a jump-free model, and model1 has jumps"),
 ])
 def test_replay_error_names_the_manifest_then_the_fault(tmp_path, capsys, damage, message):
     run_dir = tmp_path / "run"
@@ -1344,13 +1387,18 @@ def test_replay_error_names_the_manifest_then_the_fault(tmp_path, capsys, damage
     manifest = load_json(run_dir / "manifest.json")
     if damage == "no command":
         del manifest["command"]
-    else:
+    elif damage == "config.bogus":
         manifest["config"]["bogus"] = 5
+    else:
+        assert manifest["config"]["model"] == "model1"
+        manifest["command"] = "compare"
     broken = tmp_path / "manifest.json"
     broken.write_text(json.dumps(manifest), encoding="utf-8")
     with pytest.raises(ConfigError) as err:
         replay_manifest(str(broken), str(tmp_path / "replay"))
     assert str(err.value) == f"{broken}: {message}"
+    want = DegenerateSizeError if damage == "compare of model1" else ConfigError
+    assert type(err.value) is want
     assert not (tmp_path / "replay").exists()
 
 
