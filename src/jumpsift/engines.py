@@ -100,17 +100,21 @@ class SimulationPlan:
     constants: tuple
     engine: Callable
 
-    def arrays(self, seed: int) -> tuple:
-        """The engine's raw arrays for one path: the fine path, the
-        continuous increments, the spot sigma^2 and the jumps. Jumps are
-        (times, sizes, substep index of each) for finite-activity models,
-        and the jump part of each substep for Model3."""
-        return self.engine(self, _path_rng(seed))
-
-    # SamplePath's finiteness check reports a path that overflows.
+    # A path that overflows is one error, not a numpy warning and an error.
     @np.errstate(over="ignore", invalid="ignore")
+    def arrays(self, seed: int) -> tuple:
+        """One path's observations (every substeps-th fine value), its
+        continuous increments and spot sigma^2 on the subgrid, and its jumps:
+        (times, sizes, observation interval of each) for finite-activity
+        models, the jump part of each substep for Model3. A non-finite last
+        fine value raises, since a cumulative sum that goes non-finite stays so."""
+        x_fine, cont_incr, spot, jumps = self.engine(self, _path_rng(seed))
+        if not math.isfinite(x_fine[-1]):
+            raise InvalidArgumentError("observations must be finite")
+        return x_fine[::self.substeps], cont_incr, spot, jumps
+
     def simulate(self, seed: int) -> SamplePath:
-        x_fine, cont_incr, spot, jumps = self.arrays(seed)
+        observations, cont_incr, spot, jumps = self.arrays(seed)
         if isinstance(jumps, np.ndarray):
             nonzero = np.flatnonzero(jumps)
             table = JumpTable(self.fine_times[nonzero + 1], jumps[nonzero])
@@ -118,7 +122,7 @@ class SimulationPlan:
             table = JumpTable(*jumps[:2])
         truth = GroundTruth(spot_variance=spot, refinement=self.substeps, jumps=table,
                             continuous_increments=cont_incr)
-        return SamplePath(self.grid, x_fine[::self.substeps], truth)
+        return SamplePath(self.grid, observations, truth)
 
 
 def simulation_plan(cfg: ModelConfig, grid: TimeGrid, substeps: int) -> SimulationPlan:
@@ -256,16 +260,16 @@ def _simulate_model3(plan, rng):
 
 
 def _events(plan, times, sizes) -> tuple:
-    """(times, sizes, substep index of each) and the sum of the jump sizes in
-    each substep, added in event order."""
+    """(times, sizes, observation interval of each) and the sum of the jump
+    sizes in each substep, added in event order."""
     substep = containing_intervals(plan.fine_times, times)
-    return (times, sizes, substep), np.bincount(substep, weights=sizes,
-                                                minlength=plan.fine_widths.size)
+    return ((times, sizes, substep // plan.substeps),
+            np.bincount(substep, weights=sizes, minlength=plan.fine_widths.size))
 
 
 def _assemble(cont_incr, jump_incr, spot, jumps):
-    """The arrays of SimulationPlan.arrays; jump_incr is an array of
-    per-substep sums, or 0.0 without jumps."""
+    """The fine path and the other arrays SimulationPlan.arrays hands out;
+    jump_incr is an array of per-substep sums, or 0.0 without jumps."""
     x_fine = np.empty(cont_incr.size + 1)
     x_fine[0] = 0.0
     np.add(cont_incr, jump_incr, out=x_fine[1:])

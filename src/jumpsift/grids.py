@@ -118,7 +118,7 @@ def containing_intervals(times: np.ndarray, event_times) -> np.ndarray:
 
 # The range rules of the grid arguments, which ExperimentConfig applies too.
 def _check_count(name, value):
-    if not isinstance(value, (int, np.integer)):
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):  # bool is an int
         raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")
     if value < 1:
         raise InvalidArgumentError(f"{name} must be >= 1, got {value!r}")

@@ -149,8 +149,11 @@ MODEL_CLASSES: dict[str, type] = {
 
 
 def model_name(model: ModelConfig) -> str:
-    """The MODEL_CLASSES name of a model's class."""
-    return {cls: name for name, cls in MODEL_CLASSES.items()}[type(model)]
+    """The MODEL_CLASSES name of a model's class; any other class raises."""
+    for name, cls in MODEL_CLASSES.items():
+        if type(model) is cls:
+            return name
+    raise InvalidArgumentError(f"unknown model config {type(model).__name__}")
 
 
 def compound_poisson_law(model: ModelConfig) -> tuple | None:

@@ -43,7 +43,6 @@ from .estimators import (
     _warn_if_inadmissible,
 )
 from .config import ExperimentConfig
-from .grids import build_irregular_grid
 from .models import Model3, compound_poisson_law, finite_activity, has_jumps, model_name
 from .engines import SimulationPlan, path_seed, simulation_plan, spot_integral
 
@@ -278,7 +277,7 @@ def _single_record(plan: _RunPlan, index: int) -> tuple:
     """The path's row of McSummary.records, in field order. NaN marks only an
     undefined bias: one computed but not finite fails the run, as it would
     fail the normality statistics."""
-    x, spot, jumps = _observed_path(plan, index)
+    x, _, spot, jumps = _simulate_path(plan, index)
     true_iv = plan.true_iv
     if true_iv is None:
         true_iv = spot_integral(spot, plan.sim.fine_widths, 2)
@@ -286,7 +285,7 @@ def _single_record(plan: _RunPlan, index: int) -> tuple:
     n_flagged = np.count_nonzero(flagged)
     tp = fp = fn = math.nan
     if plan.finite_activity:
-        jumpy = list(set((jumps[2] // plan.cfg.substeps).tolist()))  # intervals with a jump
+        jumpy = list(set(jumps[2].tolist()))  # intervals with a jump
         tp = np.count_nonzero(flagged[jumpy])
         fp, fn = n_flagged - tp, len(jumpy) - tp
 
@@ -305,27 +304,16 @@ def _single_record(plan: _RunPlan, index: int) -> tuple:
 
 def _efficiency_pair(plan: _RunPlan, index: int) -> tuple[float, float]:
     iv, denom = plan.true_iv, plan.error_scale
-    _, _, _, iv_hat, _, bpv = _path_sums(_observed_path(plan, index)[0], plan.r,
+    _, _, _, iv_hat, _, bpv = _path_sums(_simulate_path(plan, index)[0], plan.r,
                                          quartic=False)
     return (iv_hat - iv) / denom, (bpv - iv) / denom
 
 
 def _jump_stat(plan: _RunPlan, index: int) -> float:
-    x, _, (_, sizes, substep) = _observed_path(plan, index)
+    x, _, _, (_, sizes, interval) = _simulate_path(plan, index)
     dx, flagged, *_ = _path_sums(x, plan.r, rv=False, quartic=False, bpv=False)
-    first_sizes = _interval_runs(substep // plan.cfg.substeps, sizes)[2]
+    first_sizes = _interval_runs(interval, sizes)[2]
     return _size_error_stat(plan.cfg.n, dx[flagged].tolist(), first_sizes)
-
-
-def _observed_path(plan: _RunPlan, index: int) -> tuple:
-    """The path's observations, spot sigma^2 and jumps, straight from the
-    engine's arrays (SimulationPlan.arrays), with SamplePath's check: the
-    last fine value is enough, since a cumulative sum that goes non-finite
-    stays non-finite."""
-    x_fine, _, spot, jumps = _simulate_path(plan, index)
-    if not math.isfinite(x_fine[-1]):
-        raise InvalidArgumentError("observations must be finite")
-    return x_fine[::plan.cfg.substeps], spot, jumps
 
 
 def _simulate_path(plan: _RunPlan, index: int) -> tuple:

@@ -121,8 +121,8 @@ def test_refine_identity_for_one_substep():
     assert np.array_equal(fine_widths, g.widths)
 
 
-# Jump matching in a run takes an event's observation interval as its
-# substep index // substeps; this pins that identity on refined grids.
+# The engine gives each event its observation interval as its substep
+# index // substeps (engines._events); this pins that identity on refined grids.
 @settings(derandomize=True, database=None, deadline=None)
 @given(st.integers(1, 300),
        st.sampled_from([1.0, 0.7, 3e-9, 2.5e6]),

@@ -28,6 +28,7 @@ from jumpsift import (
     detect_jumps,
     estimation_report,
     path_seed,
+    refine,
     simulate,
     threshold_realized_variance,
 )
@@ -516,6 +517,27 @@ def test_library_range_errors_name_the_fields():
     with pytest.raises(InvalidArgumentError,
                        match=r"^t_end / n must be at least .*, got t_end = 1e-320, n = 5000$"):
         ExperimentConfig(Model1(), SPEC09, t_end=1e-320, n=5000)
+    # bool is an int subclass, but a size of True is not an integer.
+    for name in ("n", "substeps", "n_paths", "parallelism"):
+        with pytest.raises(InvalidArgumentError, match=rf"^{name} must be an integer, got True$"):
+            ExperimentConfig(Model1(), SPEC09, **{name: True})
+    for name, build in (("n", lambda: build_uniform_grid(True, 1.0)),
+                        ("substeps", lambda: refine(build_uniform_grid(4, 1.0), True))):
+        with pytest.raises(InvalidArgumentError, match=rf"^{name} must be an integer, got True$"):
+            build()
+
+
+def test_a_model_class_with_no_name_is_an_invalid_argument():
+    @dataclasses.dataclass(frozen=True)
+    class M:
+        sigma: float = 0.3
+
+    cfg = ExperimentConfig(M(), SPEC09, n=50, n_paths=4)
+    for call in (lambda: montecarlo.efficiency_comparison(cfg), lambda: model_to_dict(M()),
+                 lambda: montecarlo.run_experiment(cfg),
+                 lambda: simulate(M(), build_uniform_grid(50, 1.0))):
+        with pytest.raises(InvalidArgumentError, match="^unknown model config M$"):
+            call()
 
 
 # Each text on an int key and on a float key, with the value or the error

@@ -25,6 +25,7 @@ from jumpsift import (
     true_integrated_variance,
 )
 from jumpsift import engines
+from jumpsift.grids import containing_intervals
 
 
 def grid(n=100, t=1.0):
@@ -90,6 +91,32 @@ def test_jump_events_land_in_their_intervals():
     for i in range(100):
         expect = dc[i] + jump_per_interval.get(i, 0.0)
         assert math.isclose(dx[i], expect, rel_tol=1e-12, abs_tol=1e-15)
+
+
+@pytest.mark.parametrize("model", [
+    Model1(), Model2(), CustomModel(drift="constant:0.5", jumps="compound-poisson:20,0.4"),
+], ids=["model1", "model2", "custom jumps"])
+def test_plan_arrays_hand_out_the_observed_path(model):
+    # What run_experiment reads: the observations simulate returns, and each
+    # event's observation interval.
+    for substeps in (1, 3, 5):
+        for jitter in (0.0, 0.3):
+            g = build_irregular_grid(60, 1.0, jitter, 8)
+            obs, _, _, (times, _, interval) = engines.simulation_plan(
+                model, g, substeps).arrays(21)
+            assert obs.tobytes() == simulate(model, g, substeps, 21).observations.tobytes()
+            assert len(times) > 0
+            assert np.array_equal(interval, containing_intervals(g.times, times))
+
+
+@pytest.mark.parametrize("substeps", [1, 3])
+def test_plan_arrays_reject_a_path_that_overflows(substeps):
+    # pyproject's error::RuntimeWarning filter fails the test if the
+    # overflow escapes as a numpy warning instead.
+    plan = engines.simulation_plan(CustomModel(jumps="compound-poisson:20,1e308"),
+                                   grid(50), substeps)
+    with pytest.raises(InvalidArgumentError, match="^observations must be finite$"):
+        plan.arrays(1)
 
 
 def test_mean_jump_count_matches_intensity():
