@@ -144,10 +144,11 @@ def _settings_from_args(args) -> RunSettings:
 @contextlib.contextmanager
 def _admissibility_lines():
     """Prints each distinct AdmissibilityWarning message once, as one
-    'jumpsift: warning:' line; every other warning goes on to the
-    showwarning in place before."""
+    'jumpsift: warning:' line, whatever the warning filters say; every other
+    warning goes on to the showwarning in place before."""
     seen = set()
     with warnings.catch_warnings():
+        warnings.simplefilter("always", AdmissibilityWarning)
         show = warnings.showwarning
 
         def showwarning(message, category, filename, lineno, file=None, line=None):

@@ -10,15 +10,16 @@ defaults, the parsing and the manifest echo all read it.
 
 from __future__ import annotations
 
+import numbers
 import os
 import sys
 from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
-from .engines import _MAX_ARRAY_BYTES
 from .errors import ConfigError, InvalidArgumentError
 from .estimators import ThresholdSpec
-from .grids import TimeGrid, _check_count, _check_horizon, _check_jitter, build_irregular_grid
+from .grids import (_MAX_ARRAY_BYTES, TimeGrid, _check_count, _check_jitter,
+                    _check_number, build_irregular_grid)
 from .models import MODEL_CLASSES, SCHEMA_VERSION, CustomModel, ModelConfig
 
 DEFAULT_BASE_SEED = 123456789
@@ -80,8 +81,8 @@ _DEFAULTS: dict[str, str] = {
 class ExperimentConfig:
     """Everything a repeated-path run depends on.
 
-    Construction checks the range of every run parameter, and that the sizes
-    are integers; the config layer reports a failure as a ConfigError naming the key.
+    Construction checks the range of every run parameter, and that the sizes and
+    base_seed are integers; the config layer reports a failure as a ConfigError naming the key.
     parallelism is the total number of processes, the calling one included
     (see montecarlo._map_paths); it never affects results.
     """
@@ -98,6 +99,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         _check_ranges(self)
+        _check_number("base_seed", self.base_seed, None, numbers.Integral)
 
     def build_grid(self) -> TimeGrid:
         return build_irregular_grid(self.n, self.t_end, self.jitter, self.base_seed)
@@ -254,7 +256,7 @@ def _check_ranges(run, name=str) -> None:
             f"n = {run.n} with substeps = {run.substeps} needs arrays of"
             f" n * substeps + 1 = {run.n * run.substeps + 1} doubles,"
             " more than numpy can allocate")
-    _check_horizon(run.t_end, name("t_end"))
+    _check_number(name("t_end"), run.t_end)
     if run.t_end / run.n < sys.float_info.min:
         # Below it, n + 1 distinct times need not fit in [0, t].
         t, n = name("t_end"), name("n")

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError
+from .grids import _check_count, _check_number
 
 _AS_P = 0.2316419
 _AS_B = (0.319381530, -0.356563782, 1.781477937, -1.821255978, 1.330274429)
@@ -77,8 +78,8 @@ class PoissonMixtureCdf:
     var_one: float
 
     def __post_init__(self):
-        if self.lam_t < 0.0 or self.var_one <= 0.0:
-            raise InvalidArgumentError("need lam_t >= 0 and var_one > 0")
+        _check_number("lam_t", self.lam_t, ("be >= 0 and finite", lambda x: 0.0 <= x < math.inf))
+        _check_number("var_one", self.var_one)
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -164,8 +165,7 @@ DEFAULT_RANGE = (-4.0, 4.0)
 def build_histogram(samples, bin_count: int = DEFAULT_BIN_COUNT,
                     value_range: tuple[float, float] = DEFAULT_RANGE) -> Histogram:
     """Count samples into uniform left-closed bins [lo + j*w, lo + (j+1)*w)."""
-    if not isinstance(bin_count, (int, np.integer)) or bin_count < 1:
-        raise InvalidArgumentError(f"bin_count must be >= 1, got {bin_count!r}")
+    _check_count("bin_count", bin_count)
     lo, hi = float(value_range[0]), float(value_range[1])
     # hi - lo must not overflow: an infinite width breaks the bin arithmetic.
     if not (lo < hi) or not math.isfinite(hi - lo):

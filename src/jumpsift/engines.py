@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, SimulationError, UnsupportedError
-from .grids import _MASK64, TimeGrid, containing_intervals, refine, rng_from_seed
+from .grids import _MASK64, _MAX_ARRAY_BYTES, TimeGrid, containing_intervals, refine, rng_from_seed
 from .models import (
     CustomModel,
     GroundTruth,
@@ -53,9 +53,6 @@ _MAX_JUMP_RESAMPLES = 100
 _OU_SCAN_MAX_EXPONENT = 600.0
 
 _NO_EVENTS = ((), np.empty(0), np.empty(0, dtype=np.intp))
-
-# numpy's limit on the bytes of one array.
-_MAX_ARRAY_BYTES = np.iinfo(np.intp).max
 
 
 _thread = threading.local()

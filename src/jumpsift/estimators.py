@@ -45,7 +45,7 @@ from .errors import (
     InvalidArgumentError,
     UnsupportedError,
 )
-from .grids import containing_intervals
+from .grids import _check_number, containing_intervals
 from .models import JumpTable, SamplePath
 
 # _exact_sum hands a row to math.fsum as it is when it is shorter than
@@ -71,8 +71,8 @@ class ThresholdSpec:
     scale_c: float = 1.0
 
     def __post_init__(self):
-        if not math.isfinite(self.beta) or not math.isfinite(self.scale_c):
-            raise InvalidArgumentError("beta and scale_c must be finite")
+        _check_number("beta", self.beta, ("be finite", math.isfinite))
+        _check_number("scale_c", self.scale_c, ("be finite", math.isfinite))
 
     def r_at(self, dt):
         """Evaluate r at a lag (scalar or array)."""

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -17,6 +18,8 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 # Relative spread of interval widths below which a grid read from data counts
 # as uniform; build_uniform_grid marks its grids uniform by construction.
 _UNIFORM_RTOL = 1e-12
+
+_MAX_ARRAY_BYTES = np.iinfo(np.intp).max  # numpy's limit on the bytes of one array
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,7 +70,7 @@ def build_uniform_grid(n: int, t_end: float) -> TimeGrid:
     """Equally spaced grid with n intervals on [0, t_end], marked uniform:
     linspace widths spread by about n ulps of h, past _UNIFORM_RTOL."""
     _check_count("n", n)
-    _check_horizon(t_end)
+    _check_number("t_end", t_end)
     with np.errstate(over="ignore"):  # linspace's last step overflows near the largest double
         times = np.linspace(0.0, float(t_end), n + 1)
     grid = TimeGrid(times)
@@ -116,19 +119,20 @@ def containing_intervals(times: np.ndarray, event_times) -> np.ndarray:
     return i
 
 
-# The range rules of the grid arguments, which ExperimentConfig applies too.
+# The range rules of the numbers jumpsift's types and builders take. A range is a
+# (wording, test) pair, or None for any; a bool is not a number, though Python's bool is an int.
+def _check_number(name, value, allowed=("be positive and finite", lambda x: 0.0 < x < np.inf),
+                  kind=numbers.Real):
+    if isinstance(value, bool) or not isinstance(value, kind):
+        noun = "an integer" if kind is numbers.Integral else "a number"
+        raise InvalidArgumentError(f"{name} must be {noun}, got {value!r}")
+    if allowed is not None and not allowed[1](value):
+        raise InvalidArgumentError(f"{name} must {allowed[0]}, got {value!r}")
+
+
 def _check_count(name, value):
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):  # bool is an int
-        raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise InvalidArgumentError(f"{name} must be >= 1, got {value!r}")
-
-
-def _check_horizon(t_end, name="t_end"):
-    if not (0.0 < t_end < np.inf):
-        raise InvalidArgumentError(f"{name} must be positive and finite, got {t_end!r}")
+    _check_number(name, value, ("be >= 1", lambda v: v >= 1), numbers.Integral)
 
 
 def _check_jitter(jitter):
-    if not (0.0 <= jitter < 1.0):
-        raise InvalidArgumentError(f"jitter must lie in [0, 1), got {jitter!r}")
+    _check_number("jitter", jitter, ("lie in [0, 1)", lambda j: 0.0 <= j < 1.0))

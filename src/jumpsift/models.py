@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .grids import TimeGrid
+from .grids import TimeGrid, _check_number
 
 
 @dataclass(frozen=True, slots=True)
@@ -32,8 +32,8 @@ class Model1:
     drift: float = 0.0
 
     def __post_init__(self):
-        _require_positive(sigma=self.sigma, jump_intensity=self.jump_intensity,
-                          jump_size_std=self.jump_size_std)
+        for name in ("sigma", "jump_intensity", "jump_size_std"):
+            _check_number(name, getattr(self, name))
 
 
 @dataclass(frozen=True, slots=True)
@@ -56,10 +56,9 @@ class Model2:
     vol_of_vol: float = 0.01
 
     def __post_init__(self):
-        _require_positive(jump_intensity=self.jump_intensity, jump_var=self.jump_var,
-                          mean_reversion=self.mean_reversion, vol_of_vol=self.vol_of_vol)
-        if not (-1.0 <= self.rho <= 1.0):
-            raise InvalidArgumentError(f"rho must lie in [-1, 1], got {self.rho}")
+        for name in ("jump_intensity", "jump_var", "mean_reversion", "vol_of_vol"):
+            _check_number(name, getattr(self, name))
+        _check_number("rho", self.rho, ("lie in [-1, 1]", lambda r: -1.0 <= r <= 1.0))
 
 
 @dataclass(frozen=True, slots=True)
@@ -76,7 +75,8 @@ class Model3:
     vg_vol: float = 0.2
 
     def __post_init__(self):
-        _require_positive(sigma=self.sigma, gamma_var=self.gamma_var, vg_vol=self.vg_vol)
+        for name in ("sigma", "gamma_var", "vg_vol"):
+            _check_number(name, getattr(self, name))
 
 
 @dataclass(frozen=True, slots=True)
@@ -247,12 +247,6 @@ class SamplePath:
         obs = self.observations
         with np.errstate(over="ignore"):
             return obs[1:] - obs[:-1]
-
-
-def _require_positive(**named):
-    for name, value in named.items():
-        if not (value > 0.0) or not math.isfinite(value):
-            raise InvalidArgumentError(f"{name} must be positive, got {value!r}")
 
 
 def _parse_float(spec_id: str, what: str) -> float:

@@ -43,6 +43,7 @@ from .estimators import (
     _warn_if_inadmissible,
 )
 from .config import ExperimentConfig
+from .grids import _check_number
 from .models import Model3, compound_poisson_law, finite_activity, has_jumps, model_name
 from .engines import SimulationPlan, path_seed, simulation_plan, spot_integral
 
@@ -224,8 +225,8 @@ def small_jump_bias_bound(model: Model3, spec: ThresholdSpec, h: float,
     """
     if not isinstance(model, Model3):
         raise InvalidArgumentError("bound is defined for Model3 parameters")
-    if not (h > 0.0) or not (t_end > 0.0):
-        raise InvalidArgumentError("h and t_end must be positive")
+    _check_number("h", h)
+    _check_number("t_end", t_end)
     r = float(spec.r_at(h))
     return 4.0 * t_end * r / model.gamma_var
 

@@ -23,7 +23,6 @@ import warnings
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jumpsift import AdmissibilityWarning
 from jumpsift.cli import main
 from jumpsift.config import RUN_PARAMETERS
 
@@ -134,6 +133,9 @@ HUGE_INTENSITY = b"schema_version = 1\n" + MODEL_LINES[1][0] + b"\n"
 @example((["mc", "--n=30", "--paths=4", "--parallelism=2"], HUGE_INTENSITY, None))
 # Finite squares whose sum overflows: every kernel row is non-negative, so +inf.
 @example((["estimate"], None, b"time,x\n0,0\n0.25,1e154\n0.5,0\n0.75,1e154\n1,0\n"))
+# Inadmissible thresholds that are evaluated; the drawn ones rarely are.
+@example((["mc", "--n=30", "--paths=4", "--beta=1"], None, None))
+@example((["estimate", "--beta=0"], None, b"time,x\n0,0\n0.5,0.1\n1,0.05\n"))
 def test_every_invocation_exits_0_2_or_3_with_a_message(case):
     argv, config, csv = case
     with tempfile.TemporaryDirectory() as tmp:
@@ -149,8 +151,9 @@ def test_every_invocation_exits_0_2_or_3_with_a_message(case):
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
                 warnings.catch_warnings():
-            # Drawn thresholds are often inadmissible; the CLI warns and runs.
-            warnings.simplefilter("ignore", AdmissibilityWarning)
+            # No warning escapes the CLI as an exception; an inadmissible
+            # threshold still warns in one line and runs.
+            warnings.simplefilter("error")
             code = main([*argv, "--out", out])
         assert code in (0, 2, 3)
         if code != 0:

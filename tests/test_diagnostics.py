@@ -51,6 +51,8 @@ def test_ks_shifted_sample_is_large():
 def test_ks_rejects_empty():
     with pytest.raises(InvalidArgumentError):
         ks_statistic(np.array([]))
+    with pytest.raises(InvalidArgumentError, match="^samples must be finite$"):
+        ks_statistic([0.0, math.nan])
 
 
 def test_ks_against_cdf_hand_case():

@@ -216,6 +216,9 @@ def test_jump_size_error_stat_requires_uniform_grid():
     det = detect_jumps(p, ThresholdSpec(0.9))
     with pytest.raises(UnsupportedError):
         jump_size_error_stat(p, det, p.ground_truth.jumps)
+    uniform = make_truth_path()
+    with pytest.raises(UnsupportedError, match="requires ground-truth jumps"):
+        jump_size_error_stat(uniform, detect_jumps(uniform, ThresholdSpec(0.9, 0.1)), None)
 
 
 def test_normalized_bias_zero_at_true_value():

@@ -146,19 +146,30 @@ def _die_at_base_seed(plan, index):
     return index
 
 
+def _exit_at_base_seed(plan, index):
+    """A per-path function that ends its own process with status 3 at the
+    path whose index is the base seed."""
+    if index == plan.cfg.base_seed:
+        os._exit(3)
+    return index
+
+
 # With 7 paths over 2 processes the caller computes paths 0-3 and the child
 # 4-6; over 3 processes the caller takes 0-2 and the children 3-4 and 5-6.
-@pytest.mark.parametrize("parallelism,die_at,slice_",
-                         [(2, 5, "4 to 6"), (3, 4, "3 to 4"), (3, 5, "5 to 6")])
-def test_a_worker_that_dies_raises_simulation_error(parallelism, die_at, slice_):
+@pytest.mark.parametrize("parallelism,die_at,slice_,die,how", [
+    pytest.param(2, 5, "4 to 6", _die_at_base_seed, "was killed by SIGKILL", id="2-5-4 to 6"),
+    pytest.param(3, 4, "3 to 4", _die_at_base_seed, "was killed by SIGKILL", id="3-4-3 to 4"),
+    pytest.param(3, 5, "5 to 6", _die_at_base_seed, "was killed by SIGKILL", id="3-5-5 to 6"),
+    pytest.param(2, 5, "4 to 6", _exit_at_base_seed, "exited with status 3", id="exit 3"),
+])
+def test_a_worker_that_dies_raises_simulation_error(parallelism, die_at, slice_, die, how):
     cfg = small_cfg(n_paths=7, base_seed=die_at, parallelism=parallelism)
     previous = signal.signal(signal.SIGALRM, _raise_timeout)
     signal.alarm(10)
     try:
         with pytest.raises(SimulationError, match=(
-                f"the worker for paths {slice_} was killed by SIGKILL"
-                " without sending its results")):
-            _map_paths(_die_at_base_seed, _plan(cfg, min_paths=1))
+                f"^the worker for paths {slice_} {how} without sending its results$")):
+            _map_paths(die, _plan(cfg, min_paths=1))
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)

@@ -20,6 +20,7 @@ from jumpsift import (
     Model2,
     Model3,
     CustomModel,
+    PoissonMixtureCdf,
     SamplePath,
     ThresholdSpec,
     TimeGrid,
@@ -30,6 +31,7 @@ from jumpsift import (
     path_seed,
     refine,
     simulate,
+    small_jump_bias_bound,
     threshold_realized_variance,
 )
 from jumpsift import cli, montecarlo
@@ -114,6 +116,8 @@ def test_dumps_json_shape_and_round_trip():
     assert back["text"] == obj["text"]
     with pytest.raises(InvalidArgumentError):
         dumps_json({"x": object()})
+    with pytest.raises(InvalidArgumentError, match="^json keys must be strings$"):
+        dumps_json({1: 2})
 
 
 def loop_json_escape(s: str) -> str:
@@ -525,6 +529,43 @@ def test_library_range_errors_name_the_fields():
                         ("substeps", lambda: refine(build_uniform_grid(4, 1.0), True))):
         with pytest.raises(InvalidArgumentError, match=rf"^{name} must be an integer, got True$"):
             build()
+    # Any integer seeds a run, a negative one included.
+    for seed in (-5, np.int64(7), 2 ** 70):
+        assert ExperimentConfig(Model1(), SPEC09, base_seed=seed).base_seed == seed
+
+
+# Every number a type or builder takes, outside its range or not a number at
+# all: a bool or a string is none, though Python counts a bool an int.
+NUMBER_RULE_CASES = [
+    (lambda: ExperimentConfig(Model1(), SPEC09, t_end=True), "t_end must be a number, got True"),
+    (lambda: ExperimentConfig(Model1(), SPEC09, jitter=False),
+     "jitter must be a number, got False"),
+    *((lambda seed=seed: ExperimentConfig(Model1(), SPEC09, base_seed=seed),
+       f"base_seed must be an integer, got {seed!r}") for seed in (1.5, "7", "abc", True)),
+    (lambda: Model1(sigma=True), "sigma must be a number, got True"),
+    (lambda: Model1(sigma="0.3"), "sigma must be a number, got '0.3'"),
+    (lambda: Model1(sigma=-1.0), "sigma must be positive and finite, got -1.0"),
+    (lambda: Model3(vg_vol=math.inf), "vg_vol must be positive and finite, got inf"),
+    (lambda: Model2(rho=1.5), "rho must lie in [-1, 1], got 1.5"),
+    (lambda: ThresholdSpec(True), "beta must be a number, got True"),
+    (lambda: ThresholdSpec(0.9, math.inf), "scale_c must be finite, got inf"),
+    (lambda: PoissonMixtureCdf(math.nan, 1.0), "lam_t must be >= 0 and finite, got nan"),
+    (lambda: PoissonMixtureCdf(-1.0, 1.0), "lam_t must be >= 0 and finite, got -1.0"),
+    (lambda: PoissonMixtureCdf(1.0, 0.0), "var_one must be positive and finite, got 0.0"),
+    (lambda: build_histogram([0.1], True), "bin_count must be an integer, got True"),
+    (lambda: small_jump_bias_bound(Model3(), SPEC09, math.inf),
+     "h must be positive and finite, got inf"),
+    (lambda: small_jump_bias_bound(Model3(), SPEC09, 1e-3, 0.0),
+     "t_end must be positive and finite, got 0.0"),
+]
+
+
+@pytest.mark.parametrize("build,message", NUMBER_RULE_CASES,
+                         ids=[message for _, message in NUMBER_RULE_CASES])
+def test_every_number_rule_names_the_argument(build, message):
+    with pytest.raises(InvalidArgumentError) as err:
+        build()
+    assert str(err.value) == message
 
 
 def test_a_model_class_with_no_name_is_an_invalid_argument():
@@ -912,13 +953,13 @@ INADMISSIBLE = ("jumpsift: warning: inadmissible threshold:"
     ["detect", "--beta", "1"],
     ["mc", "--beta", "1", "--paths", "3", "--n", "64"],
 ], ids=" ".join)
-def test_cli_inadmissible_threshold_warns_in_one_line(tmp_path, capsys, argv):
+@pytest.mark.parametrize("outer", ["default", "error", "ignore"])
+def test_cli_inadmissible_threshold_warns_in_one_line(tmp_path, capsys, argv, outer):
     src = tmp_path / "path.csv"
     src.write_text("time,x\n0,0\n0.5,0.1\n1.0,0.05\n", encoding="utf-8")
     inputs = ["--in", str(src)] if argv[0] != "mc" else []
     with warnings.catch_warnings():
-        # Python's default action, also when the suite runs with -W error.
-        warnings.simplefilter("default", AdmissibilityWarning)
+        warnings.simplefilter(outer)
         assert main([*argv, *inputs, "--out", str(tmp_path / "out")]) == 0
     assert capsys.readouterr().err == INADMISSIBLE
 

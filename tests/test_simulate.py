@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -13,6 +14,7 @@ from jumpsift import (
     Model2,
     Model3,
     SamplePath,
+    SimulationError,
     TimeGrid,
     UnsupportedError,
     build_irregular_grid,
@@ -62,6 +64,8 @@ def test_path_shape_and_start():
     assert p.observations[0] == 0.0
     assert p.grid is g
     assert p.ground_truth is not None
+    with pytest.raises(InvalidArgumentError, match="^observations must match the grid length$"):
+        SamplePath(build_uniform_grid(3, 1.0), np.zeros(3))
 
 
 def test_substeps_refine_truth_but_not_observations():
@@ -117,6 +121,13 @@ def test_plan_arrays_reject_a_path_that_overflows(substeps):
                                    grid(50), substeps)
     with pytest.raises(InvalidArgumentError, match="^observations must be finite$"):
         plan.arrays(1)
+
+
+def test_model2_jump_that_cannot_be_drawn_raises():
+    # Z > -1 lies 4,900 standard deviations above this mean.
+    with pytest.raises(SimulationError, match=re.escape(
+            "failed to draw a jump with 1 + Z > 0 in 100 tries (mean=-50.0, sd=0.01)")):
+        simulate(Model2(jump_mean=-50.0, jump_var=1e-4), grid(50), 1, 3)
 
 
 def test_mean_jump_count_matches_intensity():
