@@ -10,16 +10,15 @@ defaults, the parsing and the manifest echo all read it.
 
 from __future__ import annotations
 
-import numbers
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple
 
 from .errors import ConfigError, InvalidArgumentError
 from .estimators import ThresholdSpec
-from .grids import (_MAX_ARRAY_BYTES, TimeGrid, _check_count, _check_jitter,
-                    _check_number, build_irregular_grid)
+from .grids import (_MAX_ARRAY_BYTES, COUNT, FINITE, INTEGER, JITTER, POSITIVE, TimeGrid,
+                    _check_fields, build_irregular_grid)
 from .models import MODEL_CLASSES, SCHEMA_VERSION, CustomModel, ModelConfig
 
 DEFAULT_BASE_SEED = 123456789
@@ -77,29 +76,44 @@ _DEFAULTS: dict[str, str] = {
 }
 
 
+def _check_ranges(run, name=str) -> None:
+    """The rules of an ExperimentConfig or a RunSettings: each field's own, then
+    the array size of n * substeps and t_end / n. Messages call field f name(f)."""
+    _check_fields(run, name)
+    if (run.n * run.substeps + 1) * 8 > _MAX_ARRAY_BYTES:
+        # Checked before t / n, which overflows for an int beyond any double.
+        raise InvalidArgumentError(
+            f"n = {run.n} with substeps = {run.substeps} needs arrays of"
+            f" n * substeps + 1 = {run.n * run.substeps + 1} doubles,"
+            " more than numpy can allocate")
+    if run.t_end / run.n < sys.float_info.min:
+        # Below it, n + 1 distinct times need not fit in [0, t].
+        t, n = name("t_end"), name("n")
+        raise InvalidArgumentError(
+            f"{t} / {n} must be at least the smallest normal double"
+            f" ({sys.float_info.min!r}), got {t} = {run.t_end!r}, {n} = {run.n}")
+
+
 @dataclass(frozen=True, slots=True)
 class ExperimentConfig:
     """Everything a repeated-path run depends on.
 
-    Construction checks the range of every run parameter, and that the sizes and
-    base_seed are integers; the config layer reports a failure as a ConfigError naming the key.
+    Construction checks each field's declared rule, n * substeps and t_end / n.
     parallelism is the total number of processes, the calling one included
     (see montecarlo._map_paths); it never affects results.
     """
 
     model: ModelConfig
     threshold: ThresholdSpec
-    n: int = 2000
-    t_end: float = 1.0
-    jitter: float = 0.0
-    substeps: int = 1
-    n_paths: int = 500
-    base_seed: int = 0
-    parallelism: int = 1
+    n: int = field(default=2000, metadata={"rule": COUNT})
+    t_end: float = field(default=1.0, metadata={"rule": POSITIVE})
+    jitter: float = field(default=0.0, metadata={"rule": JITTER})
+    substeps: int = field(default=1, metadata={"rule": COUNT})
+    n_paths: int = field(default=500, metadata={"rule": COUNT})
+    base_seed: int = field(default=0, metadata={"rule": INTEGER})
+    parallelism: int = field(default=1, metadata={"rule": COUNT})
 
-    def __post_init__(self):
-        _check_ranges(self)
-        _check_number("base_seed", self.base_seed, None, numbers.Integral)
+    __post_init__ = _check_ranges
 
     def build_grid(self) -> TimeGrid:
         return build_irregular_grid(self.n, self.t_end, self.jitter, self.base_seed)
@@ -107,19 +121,22 @@ class ExperimentConfig:
 
 @dataclass(frozen=True, slots=True)
 class RunSettings:
-    """Fully resolved run parameters, the seed included.
-    The fields after model are those of RUN_PARAMETERS, in its order."""
+    """Fully resolved run parameters, the seed included. The fields after
+    model are those of RUN_PARAMETERS, in its order; a rule names the key."""
 
     model: ModelConfig
-    n: int
-    t_end: float
-    n_paths: int
-    beta: float
-    scale_c: float
-    substeps: int
-    jitter: float
-    parallelism: int
-    seed: int
+    n: int = field(metadata={"rule": COUNT})
+    t_end: float = field(metadata={"rule": POSITIVE})
+    n_paths: int = field(metadata={"rule": COUNT})
+    beta: float = field(metadata={"rule": FINITE})
+    scale_c: float = field(metadata={"rule": FINITE})
+    substeps: int = field(metadata={"rule": COUNT})
+    jitter: float = field(metadata={"rule": JITTER})
+    parallelism: int = field(metadata={"rule": COUNT})
+    seed: int = field(metadata={"rule": INTEGER})
+
+    def __post_init__(self):
+        _check_ranges(self, _KEY_OF.get)
 
     def threshold(self) -> ThresholdSpec:
         return ThresholdSpec(self.beta, self.scale_c)
@@ -234,38 +251,11 @@ def _build(merged: dict[str, str]) -> RunSettings:
     except InvalidArgumentError as exc:
         raise ConfigError(f"invalid custom model: {exc}") from exc
 
-    settings = RunSettings(model=model, **{
-        p.field: _parse(p.key, p.kind, merged[p.key])
-        for p in RUN_PARAMETERS if p.key in merged})
-    # ExperimentConfig's checks, naming keys; an inadmissible threshold still runs.
-    try:
-        settings.threshold()
-        _check_ranges(settings, _KEY_OF.get)
+    values = {p.field: _parse(p.key, p.kind, merged[p.key]) for p in RUN_PARAMETERS}
+    try:  # an inadmissible threshold still runs
+        return RunSettings(model, **values)
     except InvalidArgumentError as exc:
         raise ConfigError(str(exc)) from exc
-    return settings
-
-
-def _check_ranges(run, name=str) -> None:
-    """Range rules of an ExperimentConfig or RunSettings; messages call field f name(f)."""
-    _check_count(name("n"), run.n)
-    _check_count(name("substeps"), run.substeps)
-    if (run.n * run.substeps + 1) * 8 > _MAX_ARRAY_BYTES:
-        # Checked before t / n, which overflows for an int beyond any double.
-        raise InvalidArgumentError(
-            f"n = {run.n} with substeps = {run.substeps} needs arrays of"
-            f" n * substeps + 1 = {run.n * run.substeps + 1} doubles,"
-            " more than numpy can allocate")
-    _check_number(name("t_end"), run.t_end)
-    if run.t_end / run.n < sys.float_info.min:
-        # Below it, n + 1 distinct times need not fit in [0, t].
-        t, n = name("t_end"), name("n")
-        raise InvalidArgumentError(
-            f"{t} / {n} must be at least the smallest normal double"
-            f" ({sys.float_info.min!r}), got {t} = {run.t_end!r}, {n} = {run.n}")
-    _check_count(name("n_paths"), run.n_paths)
-    _check_count(name("parallelism"), run.parallelism)
-    _check_jitter(run.jitter)
 
 
 def _parse(key: str, kind: type, value: str) -> int | float:

@@ -8,12 +8,12 @@ that reported KS values are bit-stable across systems.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .grids import _check_count, _check_number
+from .grids import FINITE, NONNEGATIVE, POSITIVE, SIZE, _check_fields, _check_number
 
 _AS_P = 0.2316419
 _AS_B = (0.319381530, -0.356563782, 1.781477937, -1.821255978, 1.330274429)
@@ -74,12 +74,10 @@ class PoissonMixtureCdf:
     1e-12.
     """
 
-    lam_t: float
-    var_one: float
+    lam_t: float = field(metadata={"rule": NONNEGATIVE})
+    var_one: float = field(metadata={"rule": POSITIVE})
 
-    def __post_init__(self):
-        _check_number("lam_t", self.lam_t, ("be >= 0 and finite", lambda x: 0.0 <= x < math.inf))
-        _check_number("var_one", self.var_one)
+    __post_init__ = _check_fields
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -119,20 +117,33 @@ def sample_moments(samples) -> Moments:
     m = x.size
     if m < 2:
         raise InvalidArgumentError("sample_moments needs at least 2 samples")
-    mean = math.fsum(x.tolist()) / m
-    d = x - mean
-    s2 = math.fsum((d * d).tolist())
-    variance = s2 / (m - 1)
-    m2 = s2 / m
-    skewness = excess_kurtosis = math.nan
-    if m2 > 0.0:
-        if m >= 3:
-            m3 = math.fsum((d * d * d).tolist()) / m
-            skewness = m3 / m2 ** 1.5
-        if m >= 4:
-            m4 = math.fsum((d * d * d * d).tolist()) / m
-            excess_kurtosis = m4 / (m2 * m2) - 3.0
+    mean = _moment_sum(x) / m
+    with np.errstate(over="ignore"):  # an inf term fails _moment_sum
+        d = x - mean
+        d2 = d * d
+        s2 = _moment_sum(d2)
+        variance = s2 / (m - 1)
+        m2 = s2 / m
+        skewness = excess_kurtosis = math.nan
+        if m2 > 0.0:
+            if m >= 3:
+                m3 = _moment_sum(d2 * d) / m
+                skewness = m3 / m2 ** 1.5
+            if m >= 4:
+                m4 = _moment_sum(d2 * d * d) / m
+                excess_kurtosis = m4 / (m2 * m2) - 3.0
     return Moments(mean, variance, skewness, excess_kurtosis)
+
+
+def _moment_sum(terms: np.ndarray) -> float:
+    """math.fsum of the terms, which must be finite, as must their sum."""
+    try:
+        total = math.fsum(terms.tolist())
+    except (OverflowError, ValueError):  # an intermediate overflow; -inf + inf
+        total = math.nan
+    if not math.isfinite(total):
+        raise InvalidArgumentError("samples are too large: a sum of their powers overflows")
+    return total
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,11 +176,12 @@ DEFAULT_RANGE = (-4.0, 4.0)
 def build_histogram(samples, bin_count: int = DEFAULT_BIN_COUNT,
                     value_range: tuple[float, float] = DEFAULT_RANGE) -> Histogram:
     """Count samples into uniform left-closed bins [lo + j*w, lo + (j+1)*w)."""
-    _check_count("bin_count", bin_count)
-    lo, hi = float(value_range[0]), float(value_range[1])
+    bin_count = _check_number("bin_count", bin_count, SIZE)
+    lo, hi = (_check_number("value_range", v, FINITE) for v in value_range)
     # hi - lo must not overflow: an infinite width breaks the bin arithmetic.
     if not (lo < hi) or not math.isfinite(hi - lo):
-        raise InvalidArgumentError(f"invalid histogram range {value_range!r}")
+        raise InvalidArgumentError(
+            f"value_range must increase by a finite width, got {value_range!r}")
     x = np.asarray(samples, dtype=float)
     if x.size and not np.all(np.isfinite(x)):
         raise InvalidArgumentError("samples must be finite")

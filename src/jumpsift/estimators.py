@@ -35,7 +35,7 @@ from __future__ import annotations
 import array
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,7 +45,7 @@ from .errors import (
     InvalidArgumentError,
     UnsupportedError,
 )
-from .grids import _check_number, containing_intervals
+from .grids import FINITE, _check_fields, containing_intervals
 from .models import JumpTable, SamplePath
 
 # _exact_sum hands a row to math.fsum as it is when it is shorter than
@@ -67,12 +67,10 @@ class ThresholdSpec:
     scale_c > 0, so every estimator requires it.
     """
 
-    beta: float
-    scale_c: float = 1.0
+    beta: float = field(metadata={"rule": FINITE})
+    scale_c: float = field(default=1.0, metadata={"rule": FINITE})
 
-    def __post_init__(self):
-        _check_number("beta", self.beta, ("be finite", math.isfinite))
-        _check_number("scale_c", self.scale_c, ("be finite", math.isfinite))
+    __post_init__ = _check_fields
 
     def r_at(self, dt):
         """Evaluate r at a lag (scalar or array)."""
@@ -184,7 +182,7 @@ def detect_jumps(path: SamplePath, spec: ThresholdSpec,
     dx, flagged, *_ = _path_sums(*_observed(path, spec), rv=False, quartic=False, bpv=False)
     match = None
     if true_jumps is not None:
-        jumpy, counts, first_sizes = _jumpy_intervals(path.grid.times, true_jumps)
+        jumpy, counts, first_sizes = _true_intervals(path, true_jumps)
         hit = flagged[jumpy]
         tp = int(np.count_nonzero(hit))
         single = hit & (counts == 1)
@@ -217,7 +215,7 @@ def jump_size_error_stat(path: SamplePath, detection: JumpDetectionResult,
     if true_jumps is None:
         raise UnsupportedError("jump_size_error_stat requires ground-truth jumps")
     _require_uniform(path, "jump_size_error_stat")
-    _, _, first_sizes = _jumpy_intervals(path.grid.times, true_jumps)
+    _, _, first_sizes = _true_intervals(path, true_jumps)
     return _size_error_stat(path.grid.n, detection.estimated_sizes.values(), first_sizes)
 
 
@@ -408,6 +406,16 @@ def _warn_if_inadmissible(spec: ThresholdSpec, stacklevel: int = 3) -> None:
     if not admissible and spec.scale_c > 0.0:
         warnings.warn(f"inadmissible threshold: {reason}", AdmissibilityWarning,
                       stacklevel=stacklevel)
+
+
+def _true_intervals(path: SamplePath, jumps: JumpTable):
+    """_jumpy_intervals of the path's grid, for true jumps at times in (0, T]."""
+    t, t_end = jumps.times, path.grid.t_end
+    outside = t[(t <= 0.0) | (t > t_end)]
+    if outside.size:
+        raise InvalidArgumentError(
+            f"true jump times must lie in (0, T] = (0, {t_end!r}], got {float(outside[0])!r}")
+    return _jumpy_intervals(path.grid.times, jumps)
 
 
 def _jumpy_intervals(times: np.ndarray, jumps: JumpTable):

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -69,11 +69,14 @@ def rng_from_seed(seed: int) -> np.random.Generator:
 def build_uniform_grid(n: int, t_end: float) -> TimeGrid:
     """Equally spaced grid with n intervals on [0, t_end], marked uniform:
     linspace widths spread by about n ulps of h, past _UNIFORM_RTOL."""
-    _check_count("n", n)
-    _check_number("t_end", t_end)
+    n = _check_number("n", n, SIZE)
+    t_end = _check_number("t_end", t_end)
     with np.errstate(over="ignore"):  # linspace's last step overflows near the largest double
-        times = np.linspace(0.0, float(t_end), n + 1)
-    grid = TimeGrid(times)
+        times = np.linspace(0.0, t_end, n + 1)
+    try:
+        grid = TimeGrid(times)
+    except InvalidArgumentError:  # repeated times
+        raise InvalidArgumentError(f"t_end = {t_end!r} is too short for n = {n} intervals") from None
     object.__setattr__(grid, "is_uniform", True)
     return grid
 
@@ -85,13 +88,14 @@ def build_irregular_grid(n: int, t_end: float, jitter: float, seed: int) -> Time
     increasing. jitter=0 returns exactly the uniform grid.
     """
     grid = build_uniform_grid(n, t_end)
-    _check_jitter(jitter)
-    if jitter == 0.0 or n == 1:
+    jitter = _check_number("jitter", jitter, JITTER)
+    seed = _check_number("seed", seed, INTEGER)
+    if jitter == 0.0 or grid.n == 1:
         return grid
-    rng = rng_from_seed(int(seed) ^ GRID_SALT)
+    rng = rng_from_seed(seed ^ GRID_SALT)
     times = grid.times  # grid itself is dropped, so its times may change
-    half = jitter * (t_end / n) / 2.0
-    times[1:-1] += (rng.random(n - 1) * 2.0 - 1.0) * half
+    half = jitter * (grid.t_end / grid.n) / 2.0
+    times[1:-1] += (rng.random(grid.n - 1) * 2.0 - 1.0) * half
     return TimeGrid(times)
 
 
@@ -100,7 +104,7 @@ def refine(grid: TimeGrid, substeps: int) -> tuple[np.ndarray, np.ndarray]:
     equal parts. Returns (fine_times, fine_widths); fine_times[i*substeps]
     equals grid.times[i] exactly.
     """
-    _check_count("substeps", substeps)
+    substeps = _check_number("substeps", substeps, SIZE)
     if substeps == 1:
         return grid.times, grid.widths
     offsets = np.arange(substeps) / substeps
@@ -119,20 +123,39 @@ def containing_intervals(times: np.ndarray, event_times) -> np.ndarray:
     return i
 
 
-# The range rules of the numbers jumpsift's types and builders take. A range is a
-# (wording, test) pair, or None for any; a bool is not a number, though Python's bool is an int.
-def _check_number(name, value, allowed=("be positive and finite", lambda x: 0.0 < x < np.inf),
-                  kind=numbers.Real):
+# The range rules of the numbers jumpsift's types and builders take: the numbers ABC a
+# value must be (a bool is not), then the (wording, test) pairs its int or float must pass.
+POSITIVE = (numbers.Real, ("be positive and finite", lambda x: 0.0 < x < np.inf))
+FINITE = (numbers.Real, ("be finite", np.isfinite))
+NONNEGATIVE = (numbers.Real, ("be >= 0 and finite", lambda x: 0.0 <= x < np.inf))
+JITTER = (numbers.Real, ("lie in [0, 1)", lambda j: 0.0 <= j < 1.0))
+CORRELATION = (numbers.Real, ("lie in [-1, 1]", lambda r: -1.0 <= r <= 1.0))
+INTEGER = (numbers.Integral,)
+COUNT = (numbers.Integral, ("be >= 1", lambda v: v >= 1))
+# A count that sizes an array: that many doubles, and one more, fit in a numpy array.
+SIZE = (*COUNT, (f"be at most {_MAX_ARRAY_BYTES // 8 - 1}", lambda v: v < _MAX_ARRAY_BYTES // 8))
+
+
+def _check_number(name, value, rule=POSITIVE):
+    """value as an int or a float, if it passes rule; else InvalidArgumentError."""
+    kind, *clauses = rule
     if isinstance(value, bool) or not isinstance(value, kind):
         noun = "an integer" if kind is numbers.Integral else "a number"
         raise InvalidArgumentError(f"{name} must be {noun}, got {value!r}")
-    if allowed is not None and not allowed[1](value):
-        raise InvalidArgumentError(f"{name} must {allowed[0]}, got {value!r}")
+    try:
+        number = int(value) if kind is numbers.Integral else float(value)
+    except OverflowError:  # an int past the largest double; NaN fails every real clause
+        number = np.nan
+    for wording, test in clauses:
+        if not test(number):
+            raise InvalidArgumentError(f"{name} must {wording}, got {value!r}")
+    return number
 
 
-def _check_count(name, value):
-    _check_number(name, value, ("be >= 1", lambda v: v >= 1), numbers.Integral)
-
-
-def _check_jitter(jitter):
-    _check_number("jitter", jitter, ("lie in [0, 1)", lambda j: 0.0 <= j < 1.0))
+def _check_fields(obj, name=str):
+    """As a dataclass's __post_init__, checks each field whose metadata holds a
+    "rule" and stores the number checked; a message calls field f name(f)."""
+    for f in fields(obj):
+        if "rule" in f.metadata:
+            value = _check_number(name(f.name), getattr(obj, f.name), f.metadata["rule"])
+            object.__setattr__(obj, f.name, value)

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .grids import TimeGrid, _check_number
+from .grids import CORRELATION, FINITE, POSITIVE, TimeGrid, _check_fields
 
 
 @dataclass(frozen=True, slots=True)
@@ -26,14 +26,12 @@ class Model1:
     rate ``jump_intensity`` and i.i.d. N(0, jump_size_std^2) sizes.
     """
 
-    sigma: float = 0.3
-    jump_intensity: float = 5.0
-    jump_size_std: float = 0.6
-    drift: float = 0.0
+    sigma: float = field(default=0.3, metadata={"rule": POSITIVE})
+    jump_intensity: float = field(default=5.0, metadata={"rule": POSITIVE})
+    jump_size_std: float = field(default=0.6, metadata={"rule": POSITIVE})
+    drift: float = field(default=0.0, metadata={"rule": FINITE})
 
-    def __post_init__(self):
-        for name in ("sigma", "jump_intensity", "jump_size_std"):
-            _check_number(name, getattr(self, name))
+    __post_init__ = _check_fields
 
 
 @dataclass(frozen=True, slots=True)
@@ -45,20 +43,17 @@ class Model2:
     jumps add ln(1 + Z), Z ~ N(jump_mean, jump_var), at Poisson times.
     """
 
-    mu: float = 0.0
-    jump_intensity: float = 4.0
-    jump_mean: float = 0.001
-    jump_var: float = 0.02
-    rho: float = -0.7
-    h0: float = math.log(0.3)
-    mean_reversion: float = 1.0
-    h_bar: float = math.log(0.25)
-    vol_of_vol: float = 0.01
+    mu: float = field(default=0.0, metadata={"rule": FINITE})
+    jump_intensity: float = field(default=4.0, metadata={"rule": POSITIVE})
+    jump_mean: float = field(default=0.001, metadata={"rule": FINITE})
+    jump_var: float = field(default=0.02, metadata={"rule": POSITIVE})
+    rho: float = field(default=-0.7, metadata={"rule": CORRELATION})
+    h0: float = field(default=math.log(0.3), metadata={"rule": FINITE})
+    mean_reversion: float = field(default=1.0, metadata={"rule": POSITIVE})
+    h_bar: float = field(default=math.log(0.25), metadata={"rule": FINITE})
+    vol_of_vol: float = field(default=0.01, metadata={"rule": POSITIVE})
 
-    def __post_init__(self):
-        for name in ("jump_intensity", "jump_var", "mean_reversion", "vol_of_vol"):
-            _check_number(name, getattr(self, name))
-        _check_number("rho", self.rho, ("lie in [-1, 1]", lambda r: -1.0 <= r <= 1.0))
+    __post_init__ = _check_fields
 
 
 @dataclass(frozen=True, slots=True)
@@ -69,14 +64,12 @@ class Model3:
     normalized to E[G_t] = t and Var(G_1) = gamma_var.
     """
 
-    sigma: float = 0.3
-    gamma_var: float = 0.23
-    vg_drift: float = -0.2
-    vg_vol: float = 0.2
+    sigma: float = field(default=0.3, metadata={"rule": POSITIVE})
+    gamma_var: float = field(default=0.23, metadata={"rule": POSITIVE})
+    vg_drift: float = field(default=-0.2, metadata={"rule": FINITE})
+    vg_vol: float = field(default=0.2, metadata={"rule": POSITIVE})
 
-    def __post_init__(self):
-        for name in ("sigma", "gamma_var", "vg_vol"):
-            _check_number(name, getattr(self, name))
+    __post_init__ = _check_fields
 
 
 @dataclass(frozen=True, slots=True)
@@ -192,6 +185,8 @@ class JumpTable:
         sizes = np.array(sizes, dtype=float)
         if not (times.ndim == sizes.ndim == 1 and times.size == sizes.size):
             raise InvalidArgumentError("jump times and sizes must be 1-D of equal length")
+        if not (np.isfinite(times).all() and np.isfinite(sizes).all()):
+            raise InvalidArgumentError("jump times and sizes must be finite")
         times.flags.writeable = False
         sizes.flags.writeable = False
         self.times, self.sizes = times, sizes

@@ -225,10 +225,9 @@ def small_jump_bias_bound(model: Model3, spec: ThresholdSpec, h: float,
     """
     if not isinstance(model, Model3):
         raise InvalidArgumentError("bound is defined for Model3 parameters")
-    _check_number("h", h)
-    _check_number("t_end", t_end)
-    r = float(spec.r_at(h))
-    return 4.0 * t_end * r / model.gamma_var
+    h = _check_number("h", h)
+    t_end = _check_number("t_end", t_end)
+    return 4.0 * t_end * spec.r_at(h) / model.gamma_var
 
 
 @dataclass(frozen=True, eq=False)

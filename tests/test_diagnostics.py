@@ -89,6 +89,17 @@ def test_sample_moments_degenerate_and_small():
     assert math.isnan(m.excess_kurtosis)
 
 
+# A sum of the samples or of a power of their deviations past the largest
+# double is an error, without a numpy warning on the way (pyproject makes a
+# RuntimeWarning fail the test).
+@pytest.mark.parametrize("samples", [[1e200, -1e200, 1e200], [1e80, -1e80, 1e80, -1e80],
+                                     [1.7e308, 1.7e308], [1e300, -1e300]])
+def test_sample_moments_past_the_largest_double_is_an_invalid_argument(samples):
+    with pytest.raises(InvalidArgumentError,
+                       match="^samples are too large: a sum of their powers overflows$"):
+        sample_moments(samples)
+
+
 def test_poisson_mixture_atom_and_jump():
     mix = PoissonMixtureCdf(math.log(2.0), 1.0)
     assert math.isclose(mix.atom_mass, 0.5, rel_tol=1e-15)

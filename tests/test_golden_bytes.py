@@ -9,10 +9,16 @@ change that is meant to change output bytes.
 import hashlib
 import os
 
+import numpy as np
 import pytest
 
 from jumpsift import ExperimentConfig, Model1, ThresholdSpec, jump_size_clt_experiment
 from jumpsift.cli import main
+
+# The numpy the pins were recorded under. CI's Python 3.10 leg installs an
+# older one, so each pin's failure message names both.
+PINNED_NUMPY = "2.4.6"
+NUMPY_NOTE = f"pins recorded under numpy {PINNED_NUMPY}; this run has numpy {np.__version__}"
 
 SMALL = ["--paths", "6", "--n", "400", "--seed", "11", "--parallelism", "1"]
 
@@ -64,7 +70,7 @@ def _outputs(tmp_path, argv, names):
 def test_golden_bytes_per_preset(tmp_path, command, preset):
     expected = MC_DIGESTS[(command, preset)]
     got = _outputs(tmp_path, [command, "--preset", preset] + SMALL, expected)
-    assert got == expected
+    assert got == expected, NUMPY_NOTE
 
 
 def test_golden_bytes_irregular_grid(tmp_path):
@@ -72,7 +78,7 @@ def test_golden_bytes_irregular_grid(tmp_path):
     got = _outputs(tmp_path, ["mc", "--preset", "model1-desk", "--jitter", "0.3"] + SMALL,
                    ["summary.json"])
     assert got == {"summary.json":
-                   "a3c30940d7554bea626506697e280754090fadd6c9f43d5a13e66c7850fddcc6"}
+                   "a3c30940d7554bea626506697e280754090fadd6c9f43d5a13e66c7850fddcc6"}, NUMPY_NOTE
 
 
 @pytest.mark.parametrize("flags", sorted(SIMULATE_DIGESTS), ids=" ".join)
@@ -80,7 +86,7 @@ def test_golden_bytes_simulate(tmp_path, flags):
     preset, *rest = flags
     got = _outputs(tmp_path, ["simulate", "--preset", preset, *rest,
                               "--n", "400", "--seed", "11"], ["path.csv"])
-    assert got == {"path.csv": SIMULATE_DIGESTS[flags]}
+    assert got == {"path.csv": SIMULATE_DIGESTS[flags]}, NUMPY_NOTE
 
 
 def test_golden_bytes_simulate_and_detect(tmp_path):
@@ -88,12 +94,12 @@ def test_golden_bytes_simulate_and_detect(tmp_path):
                  "--out", str(tmp_path)]) == 0
     path_csv = os.path.join(tmp_path, "path.csv")
     assert _sha256(path_csv) == \
-        "22755d7276e21b41fa4611f3b0feda492a122b4a18081b4492e686d65ec27dc2"
+        "22755d7276e21b41fa4611f3b0feda492a122b4a18081b4492e686d65ec27dc2", NUMPY_NOTE
     got = _outputs(tmp_path, ["detect", "--in", path_csv], ["detection.csv", "report.json"])
     assert got == {
         "detection.csv": "09f70e0ed577e2f33c434a3fba35ef4a515836c600440337c6b93876b4a5aa06",
         "report.json": "4531b62eb1cae8b8db516dd0639daaac516ab4f4edc5624b3e76edcb5e146d3e",
-    }
+    }, NUMPY_NOTE
 
 
 # A custom model with drift and compound Poisson jumps, through `simulate`
@@ -108,18 +114,18 @@ def test_golden_bytes_custom_model(tmp_path):
     cfg.write_text(CUSTOM_CONFIG)
     common = ["--config", str(cfg), "--n", "400", "--seed", "11"]
     assert _outputs(tmp_path / "sim", ["simulate", *common], ["path.csv"]) == {
-        "path.csv": "493e116637f87d5d43552c8b881129dfb25fbfba1d47b7bf2c37f4a312e44738"}
+        "path.csv": "493e116637f87d5d43552c8b881129dfb25fbfba1d47b7bf2c37f4a312e44738"}, NUMPY_NOTE
     got = _outputs(tmp_path / "mc", ["mc", *common, "--paths", "6", "--parallelism", "1"],
                    ["summary.json", "hist.csv"])
     assert got == {
         "summary.json": "2fcad95d7c135c402f5eecde77ea20077c6ec0afef4c735548ba6e5880076a24",
         "hist.csv": "ef19bc2fba2c8ad18814e4f22a4106dea9fb1c9fe62cfb433fc773ae627756f8",
-    }
+    }, NUMPY_NOTE
 
 
 def test_golden_bytes_jump_size_law():
     cfg = ExperimentConfig(Model1(), ThresholdSpec(0.9), n=400, n_paths=6, base_seed=11)
     res = jump_size_clt_experiment(cfg)
     assert hashlib.sha256(res.samples.tobytes()).hexdigest() == \
-        "57317f06e55ff2b13b820221bc291da3d8c37b440aa254d9e700eeda4274175c"
-    assert res.ks_statistic == 0.2760296619889244
+        "57317f06e55ff2b13b820221bc291da3d8c37b440aa254d9e700eeda4274175c", NUMPY_NOTE
+    assert res.ks_statistic == 0.2760296619889244, NUMPY_NOTE

@@ -25,6 +25,7 @@ from jumpsift import (
     ThresholdSpec,
     TimeGrid,
     build_histogram,
+    build_irregular_grid,
     build_uniform_grid,
     detect_jumps,
     estimation_report,
@@ -57,6 +58,7 @@ from jumpsift.serialize import (
     model_to_dict,
     read_path_csv,
     report_to_dict,
+    write_csv,
     write_detection_csv,
     write_histogram_csv,
     write_path_csv,
@@ -247,6 +249,13 @@ def test_detection_csv_rows(tmp_path, long_run):
         for i in range(len(t) - 1)]
     got = (long_run / "det" / "detection.csv").read_bytes()
     assert got == ("\n".join(want) + "\n").encode()
+
+
+def test_write_csv_rejects_columns_of_unequal_length(tmp_path):
+    dest = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match=r"^columns differ in length: \[2, 3\]$"):
+        write_csv(str(dest), ["a", "b"], [np.zeros(3), np.zeros(2)])
+    assert not dest.exists()
 
 
 @pytest.mark.parametrize("n", [4, 1024])
@@ -546,6 +555,7 @@ NUMBER_RULE_CASES = [
     (lambda: Model1(sigma="0.3"), "sigma must be a number, got '0.3'"),
     (lambda: Model1(sigma=-1.0), "sigma must be positive and finite, got -1.0"),
     (lambda: Model3(vg_vol=math.inf), "vg_vol must be positive and finite, got inf"),
+    (lambda: Model1(drift=True), "drift must be a number, got True"),
     (lambda: Model2(rho=1.5), "rho must lie in [-1, 1], got 1.5"),
     (lambda: ThresholdSpec(True), "beta must be a number, got True"),
     (lambda: ThresholdSpec(0.9, math.inf), "scale_c must be finite, got inf"),
@@ -553,6 +563,9 @@ NUMBER_RULE_CASES = [
     (lambda: PoissonMixtureCdf(-1.0, 1.0), "lam_t must be >= 0 and finite, got -1.0"),
     (lambda: PoissonMixtureCdf(1.0, 0.0), "var_one must be positive and finite, got 0.0"),
     (lambda: build_histogram([0.1], True), "bin_count must be an integer, got True"),
+    (lambda: build_histogram([0.1], 10, (0.0, math.inf)), "value_range must be finite, got inf"),
+    (lambda: build_irregular_grid(10, 1.0, 0.3, 1.5), "seed must be an integer, got 1.5"),
+    (lambda: build_uniform_grid(4, 5e-324), "t_end = 5e-324 is too short for n = 4 intervals"),
     (lambda: small_jump_bias_bound(Model3(), SPEC09, math.inf),
      "h must be positive and finite, got inf"),
     (lambda: small_jump_bias_bound(Model3(), SPEC09, 1e-3, 0.0),
@@ -892,6 +905,29 @@ def test_cli_out_of_memory_is_runtime_error(tmp_path):
         " needs about 122 bytes per fine step, and it has n * substeps of them\n")
     assert res.stdout == ""
     assert not os.path.exists(out / "manifest.json")
+
+
+# The same message from a MemoryError raised in the process, on each command
+# that simulates.
+@pytest.mark.parametrize("command,target", [
+    ("simulate", "jumpsift.cli.simulate"),
+    ("mc", "jumpsift.montecarlo.run_experiment"),
+    ("compare", "jumpsift.montecarlo.efficiency_comparison"),
+])
+def test_cli_out_of_memory_names_n_and_substeps(tmp_path, capsys, monkeypatch, command,
+                                                target):
+    def out_of_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(target, out_of_memory)
+    out = tmp_path / "out"
+    assert main([command, "--n", "300", "--substeps", "2", "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "jumpsift: error: out of memory at n = 300, substeps = 2; a simulated path"
+        " needs about 122 bytes per fine step, and it has n * substeps of them\n")
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_cli_out_of_memory_reading_a_path_names_the_file(tmp_path, capsys, monkeypatch):

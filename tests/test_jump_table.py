@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 
 import numpy as np
@@ -69,6 +70,24 @@ def test_table_validation_errors():
     with pytest.raises(InvalidArgumentError, match="1-D"):
         JumpTable([[0.1]], [[0.2]])
     assert len(JumpTable((), ())) == 0
+    for times, sizes in (([math.nan], [0.1]), ([0.5], [math.inf]), ([-math.inf], [0.1])):
+        with pytest.raises(InvalidArgumentError, match="^jump times and sizes must be finite$"):
+            JumpTable(times, sizes)
+    assert repr(JumpTable([0.2, 0.5], [0.1, 0.3])) == "JumpTable(2 events)"
+
+
+# A true jump at time t lies in the interval (t_i, t_{i+1}] holding t, so a
+# time outside (0, T] lies in none.
+@pytest.mark.parametrize("time", [-1.0, 0.0, -0.0, math.nextafter(1.0, 2.0), 2.0])
+def test_matching_rejects_a_true_jump_outside_the_grid(time):
+    path = hand_path()
+    det = detect_jumps(path, SPECS[0], JumpTable([0.5], [0.7]))
+    table = JumpTable([0.5, time], [0.7, 0.2])
+    message = re.escape(f"true jump times must lie in (0, T] = (0, 1.0], got {time!r}")
+    with pytest.raises(InvalidArgumentError, match=f"^{message}$"):
+        detect_jumps(path, SPECS[0], table)
+    with pytest.raises(InvalidArgumentError, match=f"^{message}$"):
+        jump_size_error_stat(path, det, table)
 
 
 def test_engines_build_tables():
@@ -207,8 +226,8 @@ def hand_path():
     ([0.25, 0.75], [0.4, 0.6]),
     # two events in one interval, given out of time order, and a tie in time
     ([0.7, 0.6, 0.6, 0.1], [0.3, 0.5, -0.2, 0.45]),
-    # first and last interval, including the end points 0 and T
-    ([0.0, 0.01, 1.0, 0.99], [0.1, 0.45, 0.2, -0.3]),
+    # first and last interval, including the end points: the least time after 0, and T
+    ([5e-324, 0.01, 1.0, 0.99], [0.1, 0.45, 0.2, -0.3]),
     # many ties in time: the first jump of an interval is the first in table order
     ([(0.6, 0.3, 0.8)[k % 3] for k in range(40)], [0.01 * (k + 1) for k in range(40)]),
     ((), ()),
