@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .grids import FINITE, NONNEGATIVE, POSITIVE, SIZE, _check_fields, _check_number
+from .grids import FINITE, POISSON_MEAN, POSITIVE, SIZE, _check_fields, _check_number
 
 _AS_P = 0.2316419
 _AS_B = (0.319381530, -0.356563782, 1.781477937, -1.821255978, 1.330274429)
@@ -21,6 +21,8 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 # Poisson tail mass below which the mixture series is truncated.
 _POISSON_TAIL = 1e-12
+# The largest lam_t whose series starts at k = 0: exp(-700) is a normal double.
+_SERIES_FROM_ZERO = 700.0
 
 
 def normal_cdf(x):
@@ -74,7 +76,7 @@ class PoissonMixtureCdf:
     1e-12.
     """
 
-    lam_t: float = field(metadata={"rule": NONNEGATIVE})
+    lam_t: float = field(metadata={"rule": POISSON_MEAN})
     var_one: float = field(metadata={"rule": POSITIVE})
 
     __post_init__ = _check_fields
@@ -82,17 +84,47 @@ class PoissonMixtureCdf:
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         out = np.zeros(x.shape)
-        weight = math.exp(-self.lam_t)           # k = 0 atom at zero
-        out += weight * (x >= 0.0)
-        remaining = 1.0 - weight
-        k = 0
-        w = weight
-        while remaining > _POISSON_TAIL:
-            k += 1
-            w *= self.lam_t / k
-            out += w * normal_cdf(x / math.sqrt(self.var_one * k))
-            remaining -= w
+        for k, w in self._weights():
+            out += w * ((x >= 0.0) if k == 0 else normal_cdf(x / math.sqrt(self.var_one * k)))
         return float(out) if out.ndim == 0 else out
+
+    def _weights(self):
+        """(k, Poisson weight of k) until the tail left is below 1e-12. Up to
+        _SERIES_FROM_ZERO they run up from exp(-lam_t); past it, where that
+        underflows, they run down and then up from the mode, each side until
+        the geometric bound on what lies beyond is below half the tail, and
+        are scaled to sum to 1."""
+        lam = self.lam_t
+        if lam <= _SERIES_FROM_ZERO:
+            w = math.exp(-lam)
+            yield 0, w
+            remaining, k = 1.0 - w, 0
+            while remaining > _POISSON_TAIL:
+                k += 1
+                w *= lam / k
+                yield k, w
+                remaining -= w
+            return
+
+        def beyond_is_small(w, ratio):  # ratio bounds each next weight over the last
+            return w * ratio < _POISSON_TAIL * (1.0 - ratio) / 2.0
+
+        mode = math.floor(lam)
+        top = math.exp(mode * math.log(lam) - lam - math.lgamma(mode + 1))
+        terms = [(mode, top)]
+        k, w = mode, top
+        while k > 0 and not beyond_is_small(w, k / lam):
+            w *= k / lam
+            k -= 1
+            terms.append((k, w))
+        k, w = mode, top
+        while not beyond_is_small(w, lam / (k + 1)):
+            k += 1
+            w *= lam / k
+            terms.append((k, w))
+        total = math.fsum(w for _, w in terms)
+        for k, w in terms:
+            yield k, w / total
 
     @property
     def atom_mass(self) -> float:

@@ -29,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, SimulationError, UnsupportedError
-from .grids import _MASK64, _MAX_ARRAY_BYTES, TimeGrid, containing_intervals, refine, rng_from_seed
+from .grids import (_MASK64, _MAX_ARRAY_BYTES, INTEGER, TimeGrid, _check_number,
+                    containing_intervals, refine, rng_from_seed)
 from .models import (
     CustomModel,
     GroundTruth,
@@ -76,7 +77,8 @@ def _path_rng(seed: int) -> np.random.Generator:
 
 def path_seed(base_seed: int, path_index: int) -> int:
     """Per-path key: base_seed XOR path_index, reduced to 64 bits."""
-    return (int(base_seed) ^ int(path_index)) & _MASK64
+    return (_check_number("base_seed", base_seed, INTEGER)
+            ^ _check_number("path_index", path_index, INTEGER)) & _MASK64
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,6 +157,7 @@ def simulate(cfg: ModelConfig, grid: TimeGrid, substeps: int = 1, seed: int = 0)
     """One path of the model on the grid, simulated `substeps` times finer
     from the Philox key `seed`: observations from X(0) = 0, with full ground
     truth attached."""
+    seed = _check_number("seed", seed, INTEGER)
     return simulation_plan(cfg, grid, substeps).simulate(seed)
 
 

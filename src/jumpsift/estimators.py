@@ -72,12 +72,16 @@ class ThresholdSpec:
 
     __post_init__ = _check_fields
 
+    @np.errstate(over="ignore")
     def r_at(self, dt):
-        """Evaluate r at a lag (scalar or array)."""
+        """Evaluate r at a lag (scalar or array); past the largest double, r is inf."""
         if self.scale_c <= 0.0:
             raise InvalidArgumentError(
                 f"threshold scale must be positive to evaluate r, got {self.scale_c}")
-        return self.scale_c * dt ** self.beta
+        try:
+            return self.scale_c * dt ** self.beta
+        except OverflowError:  # a Python float's power
+            return math.inf
 
 
 def threshold_admissible(spec: ThresholdSpec) -> tuple[bool, str]:

@@ -134,6 +134,8 @@ INTEGER = (numbers.Integral,)
 COUNT = (numbers.Integral, ("be >= 1", lambda v: v >= 1))
 # A count that sizes an array: that many doubles, and one more, fit in a numpy array.
 SIZE = (*COUNT, (f"be at most {_MAX_ARRAY_BYTES // 8 - 1}", lambda v: v < _MAX_ARRAY_BYTES // 8))
+# A Poisson mean lam_t: its mixture series takes about 15 * sqrt(lam_t) terms.
+POISSON_MEAN = (*NONNEGATIVE, ("be at most 1e7", lambda x: x <= 1e7))
 
 
 def _check_number(name, value, rule=POSITIVE):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .grids import CORRELATION, FINITE, POSITIVE, TimeGrid, _check_fields
+from .grids import CORRELATION, COUNT, FINITE, POSITIVE, TimeGrid, _check_fields
 
 
 @dataclass(frozen=True, slots=True)
@@ -206,9 +206,11 @@ class GroundTruth:
     """
 
     spot_variance: np.ndarray
-    refinement: int
+    refinement: int = field(metadata={"rule": COUNT})
     jumps: JumpTable
     continuous_increments: np.ndarray
+
+    __post_init__ = _check_fields
 
     @functools.cached_property
     def continuous_part(self) -> np.ndarray:

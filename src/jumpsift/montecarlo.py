@@ -43,9 +43,9 @@ from .estimators import (
     _warn_if_inadmissible,
 )
 from .config import ExperimentConfig
-from .grids import _check_number
+from .grids import _MASK64, _check_number
 from .models import Model3, compound_poisson_law, finite_activity, has_jumps, model_name
-from .engines import SimulationPlan, path_seed, simulation_plan, spot_integral
+from .engines import SimulationPlan, simulation_plan, spot_integral
 
 
 # The fields of a per-path record, in the order _single_record returns them.
@@ -210,8 +210,9 @@ def jump_size_clt_experiment(cfg: ExperimentConfig) -> JumpSizeCltResult:
     _, sigma, jumps = law
     lam_t = (0.0 if jumps is None else jumps[0]) * cfg.t_end
     var_one = sigma * sigma * cfg.t_end
+    cdf = PoissonMixtureCdf(lam_t, var_one)
     samples = np.array(_map_paths(_jump_stat, plan))
-    ks = ks_against_cdf(samples, PoissonMixtureCdf(lam_t, var_one), atom_points=(0.0,))
+    ks = ks_against_cdf(samples, cdf, atom_points=(0.0,))
     return JumpSizeCltResult(samples, ks, lam_t, var_one)
 
 
@@ -317,7 +318,9 @@ def _jump_stat(plan: _RunPlan, index: int) -> float:
 
 
 def _simulate_path(plan: _RunPlan, index: int) -> tuple:
-    return plan.sim.arrays(path_seed(plan.cfg.base_seed, index))
+    # path_seed without its per-call checks: base_seed passed the INTEGER rule
+    # when the config was built, and index comes from range().
+    return plan.sim.arrays((plan.cfg.base_seed ^ index) & _MASK64)
 
 
 # Once per run, children included: a path whose sums overflow fails its

@@ -16,10 +16,14 @@ simply runs for a long time, so it is not drawn.
 
 import contextlib
 import io
+import json
 import os
+import subprocess
+import sys
 import tempfile
 import warnings
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -125,6 +129,8 @@ def invocations(draw):
 
 
 HUGE_INTENSITY = b"schema_version = 1\n" + MODEL_LINES[1][0] + b"\n"
+# Lags of 1e300, at which a threshold c * h**2 passes the largest double.
+HUGE_LAGS = b"time,x\n0,0\n1e300,1\n2e300,3\n"
 
 
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
@@ -136,6 +142,7 @@ HUGE_INTENSITY = b"schema_version = 1\n" + MODEL_LINES[1][0] + b"\n"
 # Inadmissible thresholds that are evaluated; the drawn ones rarely are.
 @example((["mc", "--n=30", "--paths=4", "--beta=1"], None, None))
 @example((["estimate", "--beta=0"], None, b"time,x\n0,0\n0.5,0.1\n1,0.05\n"))
+@example((["detect", "--beta=2"], None, HUGE_LAGS))
 def test_every_invocation_exits_0_2_or_3_with_a_message(case):
     argv, config, csv = case
     with tempfile.TemporaryDirectory() as tmp:
@@ -161,3 +168,22 @@ def test_every_invocation_exits_0_2_or_3_with_a_message(case):
             assert lines and lines[-1].startswith("jumpsift")
             assert "Traceback" not in err.getvalue()
             assert not os.path.exists(os.path.join(out, "manifest.json"))
+
+
+@pytest.mark.parametrize("command", ["estimate", "detect"])
+def test_a_threshold_past_the_largest_double_flags_nothing(command, tmp_path):
+    src = tmp_path / "p.csv"
+    src.write_bytes(HUGE_LAGS)
+    res = subprocess.run(
+        [sys.executable, "-m", "jumpsift.cli", command, "--in", str(src), "--beta", "2",
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONWARNINGS": "error",
+             "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert res.returncode == 0, res.stderr
+    assert res.stderr.splitlines() == [
+        "jumpsift: warning: inadmissible threshold: h*log(1/h)/r(h) ~ h^-1.0*log(1/h)"
+        " diverges as h -> 0"]
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["threshold_at_h"] is None
+    assert report["flagged_intervals"] == []

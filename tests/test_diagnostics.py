@@ -1,4 +1,5 @@
 import math
+import signal
 import warnings
 
 import numpy as np
@@ -121,6 +122,37 @@ def test_poisson_mixture_matches_direct_series():
             w = w * lam_t / k
             brute += w * float(normal_cdf(x / math.sqrt(var_one * k)))
         assert abs(mix(x) - brute) < 1e-10
+
+
+def _raise_timeout(signum, frame):
+    raise TimeoutError("PoissonMixtureCdf did not return within 20 s")
+
+
+def test_poisson_mixture_past_the_underflow_of_its_atom():
+    # exp(-lam_t) is 0 past lam_t ~ 745; the series then starts at the mode.
+    previous = signal.signal(signal.SIGALRM, _raise_timeout)
+    signal.alarm(20)
+    try:
+        for lam_t in (745.5, 800.0, 1e6):
+            mix = PoissonMixtureCdf(lam_t, 1.0)
+            assert mix(0.0) == pytest.approx(0.5, abs=1e-9)
+            assert mix(-50.0 * math.sqrt(lam_t)) == 0.0
+            assert mix(50.0 * math.sqrt(lam_t)) == pytest.approx(1.0, abs=1e-12)
+            # A variance mixture whose k / lam_t has mean 1 and variance 1 / lam_t
+            # is N(0, lam_t) to within about 0.07 / lam_t.
+            z = np.linspace(-4.0, 4.0, 81)
+            assert np.allclose(mix(z * math.sqrt(lam_t)), normal_cdf(z), rtol=0.0,
+                               atol=0.1 / lam_t)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_poisson_mixture_series_from_zero_and_from_the_mode_agree():
+    below = PoissonMixtureCdf(700.0, 0.5)
+    above = PoissonMixtureCdf(math.nextafter(700.0, math.inf), 0.5)
+    xs = np.linspace(-60.0, 60.0, 41)
+    assert np.allclose(below(xs), above(xs), rtol=0.0, atol=1e-11)
 
 
 def test_ks_against_mixture_detects_atom():

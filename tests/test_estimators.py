@@ -47,6 +47,13 @@ def test_threshold_spec_r_at():
     assert arr.shape == (2,)
 
 
+def test_a_threshold_past_the_largest_double_is_inf():
+    spec = ThresholdSpec(2.0)
+    assert spec.r_at(1e300) == math.inf
+    assert spec.r_at(np.array([1e300, 0.5])).tolist() == [math.inf, 0.25]
+    assert ThresholdSpec(0.5, 1e308).r_at(1e10) == math.inf
+
+
 def test_realized_variance_hand_value():
     assert math.isclose(realized_variance(tiny_path()), 0.2625, rel_tol=1e-15)
 

@@ -396,6 +396,8 @@ def test_jump_size_clt_checks_come_before_any_path(monkeypatch):
         jump_size_clt_experiment(small_cfg(jitter=0.3, n_paths=2))
     with pytest.raises(UnsupportedError, match="compound Poisson"):
         jump_size_clt_experiment(small_cfg(model=Model2(), n_paths=2))
+    with pytest.raises(InvalidArgumentError, match="lam_t must be at most 1e7"):
+        jump_size_clt_experiment(small_cfg(model=Model1(jump_intensity=2e7), n_paths=2))
     assert calls == []
 
 
@@ -478,6 +480,7 @@ def test_small_jump_bias_bound_value():
     assert math.isclose(got, 4.0 * h ** 0.99 / 0.23, rel_tol=1e-15)
     # bound shrinks with the grid
     assert small_jump_bias_bound(Model3(), spec, 1.0 / 2000.0) > got
+    assert small_jump_bias_bound(Model3(), ThresholdSpec(2.0), 1e300) == math.inf
 
 
 def test_small_jump_bias_bound_validation():

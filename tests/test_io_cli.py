@@ -561,10 +561,14 @@ NUMBER_RULE_CASES = [
     (lambda: ThresholdSpec(0.9, math.inf), "scale_c must be finite, got inf"),
     (lambda: PoissonMixtureCdf(math.nan, 1.0), "lam_t must be >= 0 and finite, got nan"),
     (lambda: PoissonMixtureCdf(-1.0, 1.0), "lam_t must be >= 0 and finite, got -1.0"),
+    (lambda: PoissonMixtureCdf(1e300, 1.0), "lam_t must be at most 1e7, got 1e+300"),
     (lambda: PoissonMixtureCdf(1.0, 0.0), "var_one must be positive and finite, got 0.0"),
     (lambda: build_histogram([0.1], True), "bin_count must be an integer, got True"),
     (lambda: build_histogram([0.1], 10, (0.0, math.inf)), "value_range must be finite, got inf"),
     (lambda: build_irregular_grid(10, 1.0, 0.3, 1.5), "seed must be an integer, got 1.5"),
+    (lambda: simulate(Model1(), build_uniform_grid(4, 1.0), 1, None),
+     "seed must be an integer, got None"),
+    (lambda: path_seed(1, "0"), "path_index must be an integer, got '0'"),
     (lambda: build_uniform_grid(4, 5e-324), "t_end = 5e-324 is too short for n = 4 intervals"),
     (lambda: small_jump_bias_bound(Model3(), SPEC09, math.inf),
      "h must be positive and finite, got inf"),
@@ -1270,44 +1274,42 @@ def test_only_mc_loads_the_harness_and_its_diagnostics(tmp_path):
         "assert len(harness()) == 2, harness()\n")
 
 
-# Every public name of the package, by the module that defines it; "" marks
-# the submodules themselves.
-PUBLIC_NAMES = {
-    "": "config diagnostics engines errors estimators grids models montecarlo serialize",
-    "errors": "AdmissibilityWarning ConfigError DegenerateStatisticError InvalidArgumentError"
-              " JumpsiftError SimulationError UnsupportedError",
-    "grids": "TimeGrid build_irregular_grid build_uniform_grid refine",
-    "models": "CustomModel GroundTruth JumpTable Model1 Model2 Model3 SamplePath"
-              " compound_poisson_law finite_activity has_jumps",
-    "engines": "RNG_ALGORITHM path_seed simulate true_integrated_variance",
-    "estimators": "JumpDetectionResult ThresholdSpec bipower_variation detect_jumps"
-                  " estimation_report jump_size_error_stat normalized_bias realized_variance"
-                  " threshold_admissible threshold_quarticity threshold_realized_variance",
-    "diagnostics": "PoissonMixtureCdf build_histogram ks_against_cdf ks_statistic normal_cdf"
-                   " sample_moments",
-    "montecarlo": "efficiency_comparison jump_size_clt_experiment run_experiment"
-                  " small_jump_bias_bound",
-    "config": "ExperimentConfig PRESETS RunSettings load_config_file merge_settings"
-              " resolve_seed",
-}
+def readme_public_names() -> dict[str, str]:
+    """Name -> defining module, from the table in README "Library"."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    library = text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \| `(\w+)` \|", library, flags=re.M)
+    names = dict(rows)
+    assert len(names) == len(rows), "a name has two rows"
+    return names
 
 
 def test_every_public_name_resolves_to_its_modules_object():
+    # Four names used only inside the package: importable from their modules, not exported.
+    internal = {"PRESETS": "config", "load_config_file": "config", "resolve_seed": "config",
+                "RNG_ALGORITHM": "engines"}
     _run_fresh(
-        "import importlib, jumpsift\n"
-        f"public = {PUBLIC_NAMES!r}\n"
-        "listed = dir(jumpsift)\n"
-        "for home, names in public.items():\n"
-        "    for name in names.split():\n"
-        "        assert name in listed, name\n"
-        "        module = importlib.import_module('jumpsift.' + (home or name))\n"
-        "        want = module if not home else getattr(module, name)\n"
-        "        assert getattr(jumpsift, name) is want, name\n"
-        "names = sorted(' '.join(public.values()).split())\n"
-        "assert sorted(n for n in dir(jumpsift) if not n.startswith('_')) == names\n"
+        "import importlib, types, jumpsift\n"
+        f"public = {readme_public_names()!r}\n"
+        f"internal = {internal!r}\n"
+        "modules = 'config diagnostics engines errors estimators grids models montecarlo"
+        " serialize'.split()\n"
+        "# Before any lazy name loads, so dir() must list the lazy ones itself.\n"
+        "listed = sorted(n for n in dir(jumpsift) if not n.startswith('_'))\n"
+        "assert listed == sorted([*public, *modules]), listed\n"
+        "assert sorted(jumpsift.__all__) == sorted(public)\n"
         "star = {}\n"
         "exec('from jumpsift import *', star)\n"
-        "assert sorted(n for n in star if n != '__builtins__') == names\n")
+        "assert sorted(n for n in star if n != '__builtins__') == sorted(public)\n"
+        "for name, home in public.items():\n"
+        "    obj = getattr(jumpsift, name)\n"
+        "    assert not isinstance(obj, types.ModuleType), name\n"
+        "    assert obj is getattr(importlib.import_module('jumpsift.' + home), name), name\n"
+        "for name, home in internal.items():\n"
+        "    assert not hasattr(jumpsift, name), name\n"
+        "    getattr(importlib.import_module('jumpsift.' + home), name)\n"
+        "for m in modules:\n"
+        "    assert getattr(jumpsift, m) is importlib.import_module('jumpsift.' + m), m\n")
 
 
 def test_the_harness_loads_through_either_import_form():

@@ -36,6 +36,8 @@ REQUIRED = {
     js.RunSettings: {"model": Model1(), "n": 50, "t_end": 1.0, "n_paths": 4, "beta": 0.9,
                      "scale_c": 1.0, "substeps": 1, "jitter": 0.0, "parallelism": 1,
                      "seed": 1},
+    js.GroundTruth: {"spot_variance": np.ones(3), "refinement": 1,
+                     "jumps": js.JumpTable((), ()), "continuous_increments": np.zeros(2)},
 }
 # A RunSettings message names the config key of a field.
 KEY_OF = {p.field: p.key for p in RUN_PARAMETERS}
@@ -58,6 +60,10 @@ BUILDERS = [
     ("small_jump_bias_bound",
      lambda h, t_end: js.small_jump_bias_bound(Model3(), ThresholdSpec(0.9), h, t_end),
      {"h": 1e-3, "t_end": 1.0}, {"h": POSITIVE, "t_end": POSITIVE}),
+    ("simulate", lambda seed: js.simulate(Model1(), GRID, 1, seed), {"seed": 1},
+     {"seed": INTEGER}),
+    ("path_seed", js.path_seed, {"base_seed": 1, "path_index": 0},
+     {"base_seed": INTEGER, "path_index": INTEGER}),
 ]
 # The histogram's lo and hi are the two ends of its value_range.
 MESSAGE_NAME = {"lo": "value_range", "hi": "value_range"}

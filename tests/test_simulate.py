@@ -55,6 +55,17 @@ def test_path_seed_is_xor():
     assert path_seed(42, 0) == 42
     # stays inside 64 bits for any index
     assert path_seed(2**63, 2**63) == 0
+    assert path_seed(-1, np.int64(1)) == 2**64 - 2
+
+
+def test_a_seed_is_an_integer_reduced_to_64_bits():
+    g = grid(20)
+    for seed in (1.5, True, "1", None):
+        with pytest.raises(InvalidArgumentError, match=rf"^seed must be an integer, got {seed!r}$"):
+            simulate(Model1(), g, 1, seed)
+    want = simulate(Model1(), g, 1, 2**64 - 3).observations
+    for seed in (-3, np.int64(-3), 2**128 - 3):
+        assert np.array_equal(simulate(Model1(), g, 1, seed).observations, want)
 
 
 def test_path_shape_and_start():
