@@ -260,12 +260,10 @@ def _build(merged: dict[str, str]) -> RunSettings:
 
 def _parse(key: str, kind: type, value: str) -> int | float:
     """Reads a value's text as its table type; an int is a Python integer
-    literal, so hex and octal work."""
+    literal, so hex and octal work. The key's rule rejects NaN and the
+    infinities."""
     try:
-        out = int(value, 0) if kind is int else kind(value)
+        return int(value, 0) if kind is int else kind(value)
     except (ValueError, TypeError):
         noun = "an integer" if kind is int else "a number"
         raise ConfigError(f"{key} must be {noun}, got {value!r}") from None
-    if out != out:
-        raise ConfigError(f"{key} must not be NaN")
-    return out

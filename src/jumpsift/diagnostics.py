@@ -32,7 +32,8 @@ def normal_cdf(x):
     t = 1.0 / (1.0 + _AS_P * ax)
     b1, b2, b3, b4, b5 = _AS_B
     poly = t * (b1 + t * (b2 + t * (b3 + t * (b4 + t * b5))))
-    upper = 1.0 - _INV_SQRT_2PI * np.exp(-0.5 * ax * ax) * poly
+    with np.errstate(over="ignore"):  # ax * ax past the largest double is inf; exp(-inf) is 0
+        upper = 1.0 - _INV_SQRT_2PI * np.exp(-0.5 * ax * ax) * poly
     out = np.where(x >= 0.0, upper, 1.0 - upper)
     return float(out) if out.ndim == 0 else out
 

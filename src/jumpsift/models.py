@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .grids import CORRELATION, COUNT, FINITE, POSITIVE, TimeGrid, _check_fields
+from .grids import (CORRELATION, COUNT, FINITE, NONNEGATIVE, POSITIVE, TimeGrid, _check_fields,
+                    _check_number)
 
 
 @dataclass(frozen=True, slots=True)
@@ -72,6 +73,41 @@ class Model3:
     __post_init__ = _check_fields
 
 
+# CustomModel's id grammar: each field's kinds of id, each with the name and
+# grids rule of the comma-separated numbers after its colon. A jump size_std
+# must also be positive once the intensity is above 0; an intensity of 0
+# means no jumps.
+_ID_KINDS: dict[str, dict[str, tuple]] = {
+    "drift": {"zero": (), "constant:<a>": (("drift", FINITE),)},
+    "spot_vol": {"constant:<sigma>": (("spot_vol sigma", POSITIVE),)},
+    "jumps": {"none": (), "compound-poisson:<lam>,<size_std>": (
+        ("jump intensity", NONNEGATIVE), ("jump size_std", FINITE))},
+}
+
+
+def _id_numbers(field: str, spec) -> tuple[float, ...]:
+    """The numbers of a CustomModel field's id, each checked by its rule."""
+    if not isinstance(spec, str):
+        raise InvalidArgumentError(f"{field} id must be a string, got {spec!r}")
+    for kind, slots in _ID_KINDS[field].items():
+        if spec == kind and not slots:
+            return ()
+        head, _, form = kind.partition(":")
+        if not (slots and spec.startswith(head + ":")):
+            continue
+        body = spec[len(head) + 1:]
+        texts = body.split(",") if len(slots) > 1 else [body]
+        if len(texts) != len(slots):
+            raise InvalidArgumentError(f"{field} id needs '{form}', got {spec!r}")
+        try:
+            values = [float(text) for text in texts]
+        except ValueError:
+            raise InvalidArgumentError(f"bad {field} id {spec!r}") from None
+        return tuple(_check_number(name, value, rule)
+                     for (name, rule), value in zip(slots, values))
+    raise InvalidArgumentError(f"unknown {field} id {spec!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class CustomModel:
     """Process assembled from component ids.
@@ -88,47 +124,7 @@ class CustomModel:
 
     def __post_init__(self):
         # Parse eagerly so a bad id fails at construction, not mid-simulation.
-        self.drift_value()
-        self.sigma_value()
-        self.jump_params()
-
-    def drift_value(self) -> float:
-        if self.drift == "zero":
-            return 0.0
-        if self.drift.startswith("constant:"):
-            return _parse_float(self.drift, "drift")
-        raise InvalidArgumentError(f"unknown drift id {self.drift!r}")
-
-    def sigma_value(self) -> float:
-        if self.spot_vol.startswith("constant:"):
-            sigma = _parse_float(self.spot_vol, "spot_vol")
-            if sigma <= 0.0:
-                raise InvalidArgumentError("spot_vol sigma must be positive")
-            return sigma
-        raise InvalidArgumentError(f"unknown spot_vol id {self.spot_vol!r}")
-
-    def jump_params(self) -> tuple[float, float] | None:
-        """(intensity, size_std) for compound Poisson, None when jump-free."""
-        if self.jumps == "none":
-            return None
-        if self.jumps.startswith("compound-poisson:"):
-            body = self.jumps.split(":", 1)[1]
-            parts = body.split(",")
-            if len(parts) != 2:
-                raise InvalidArgumentError(
-                    f"jumps id needs '<lam>,<size_std>', got {self.jumps!r}")
-            try:
-                lam, size_std = float(parts[0]), float(parts[1])
-            except ValueError as exc:
-                raise InvalidArgumentError(f"bad jumps id {self.jumps!r}") from exc
-            if not (math.isfinite(lam) and math.isfinite(size_std)):
-                raise InvalidArgumentError(f"jumps id {self.jumps!r} must hold finite numbers")
-            if lam < 0.0:
-                raise InvalidArgumentError("jump intensity must be >= 0")
-            if lam > 0.0 and size_std <= 0.0:
-                raise InvalidArgumentError("jump size_std must be positive")
-            return None if lam == 0.0 else (lam, size_std)
-        raise InvalidArgumentError(f"unknown jumps id {self.jumps!r}")
+        compound_poisson_law(self)
 
 
 ModelConfig = Model1 | Model2 | Model3 | CustomModel
@@ -156,7 +152,13 @@ def compound_poisson_law(model: ModelConfig) -> tuple | None:
     if isinstance(model, Model1):
         return model.drift, model.sigma, (model.jump_intensity, model.jump_size_std)
     if isinstance(model, CustomModel):
-        return model.drift_value(), model.sigma_value(), model.jump_params()
+        (drift,) = _id_numbers("drift", model.drift) or (0.0,)  # 'zero'
+        (sigma,) = _id_numbers("spot_vol", model.spot_vol)
+        jumps = _id_numbers("jumps", model.jumps)
+        if not jumps or jumps[0] == 0.0:  # 'none', or intensity 0
+            return drift, sigma, None
+        _check_number("jump size_std", jumps[1], POSITIVE)
+        return drift, sigma, jumps
     return None
 
 
@@ -244,13 +246,3 @@ class SamplePath:
         obs = self.observations
         with np.errstate(over="ignore"):
             return obs[1:] - obs[:-1]
-
-
-def _parse_float(spec_id: str, what: str) -> float:
-    try:
-        value = float(spec_id.split(":", 1)[1])
-    except ValueError as exc:
-        raise InvalidArgumentError(f"bad {what} id {spec_id!r}") from exc
-    if not math.isfinite(value):
-        raise InvalidArgumentError(f"{what} id {spec_id!r} must hold a finite number")
-    return value

@@ -32,6 +32,15 @@ def test_normal_cdf_symmetry_and_monotonicity():
     assert np.allclose(normal_cdf(xs) + normal_cdf(-xs), 1.0, atol=1e-12)
 
 
+def test_normal_cdf_of_a_square_past_the_largest_double_raises_no_warning():
+    # x * x overflows to inf past about 1.3e154, and exp(-inf) is 0.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ks_statistic([1e200, 0.0, 1.0]) == 0.5080114071035351
+        assert normal_cdf(1e300) == 1.0
+        assert PoissonMixtureCdf(800.0, 1.0)(1e300) == 1.000000000000001
+
+
 def test_ks_single_point():
     assert abs(ks_statistic(np.array([0.0])) - 0.5) < 1e-7
 

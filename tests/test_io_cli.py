@@ -479,16 +479,16 @@ def test_cli_out_of_range_run_parameter_is_config_error(tmp_path, capsys, comman
 
 @pytest.mark.parametrize("lines,message", [
     ("n = abc", "n must be an integer, got 'abc'"),
-    ("t = nan", "t must not be NaN"),
+    ("t = nan", "t must be positive and finite, got nan"),
     ("model = model9", "unknown model 'model9' (known: model1, model2, model3, custom)"),
     ("model = custom\njumps = compound-poisson:1",
      "invalid custom model: jumps id needs '<lam>,<size_std>', got 'compound-poisson:1'"),
     ("model = custom\njumps = compound-poisson:a,b",
      "invalid custom model: bad jumps id 'compound-poisson:a,b'"),
     ("model = custom\njumps = compound-poisson:-1,0.5",
-     "invalid custom model: jump intensity must be >= 0"),
+     "invalid custom model: jump intensity must be >= 0 and finite, got -1.0"),
     ("model = custom\njumps = compound-poisson:1,0",
-     "invalid custom model: jump size_std must be positive"),
+     "invalid custom model: jump size_std must be positive and finite, got 0.0"),
     ("model = custom\nspot_vol = linear:1", "invalid custom model: unknown spot_vol id 'linear:1'"),
     ("model = custom\ndrift = constant:abc", "invalid custom model: bad drift id 'constant:abc'"),
 ], ids=lambda v: v.splitlines()[-1])
@@ -607,7 +607,8 @@ def test_a_model_class_with_no_name_is_an_invalid_argument():
     *((key, "abc", f"{key} must be an integer, got 'abc'") for key in ("n", "seed")),
     *((key, "", f"{key} must be an integer, got ''") for key in ("n", "seed")),
     *((key, "1e-3", 0.001) for key in ("beta", "jitter")),
-    *((key, "nan", f"{key} must not be NaN") for key in ("beta", "jitter")),
+    *((key, "nan", f"{key} must {wording}, got nan")
+      for key, wording in (("beta", "be finite"), ("jitter", "lie in [0, 1)"))),
 ])
 def test_a_flag_parses_like_the_same_config_file_key(key, text, want):
     def settings_or_error(build):

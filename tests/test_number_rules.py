@@ -7,7 +7,9 @@ subnormal, signed zeros, numpy scalars and Fractions), and hypothesis draws
 more: floats, small ints, numpy scalars and Fractions. Each value either
 constructs, or raises InvalidArgumentError naming the argument; no other
 exception gets out. A value its rule rejects always raises, with the message
-the rule gives.
+the rule gives. CustomModel's ids hold their numbers as text: each number
+slot of each id takes a fixed list of texts, and each field takes values
+that are not strings.
 """
 
 import dataclasses
@@ -21,9 +23,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import jumpsift as js
-from jumpsift import InvalidArgumentError, Model1, Model3, ThresholdSpec
+from jumpsift import CustomModel, InvalidArgumentError, Model1, Model3, ThresholdSpec
 from jumpsift.config import RUN_PARAMETERS
-from jumpsift.grids import COUNT, FINITE, INTEGER, JITTER, POSITIVE, SIZE, _check_number
+from jumpsift.grids import (COUNT, FINITE, INTEGER, JITTER, NONNEGATIVE, POSITIVE, SIZE,
+                            _check_number)
 
 PUBLIC_DATACLASSES = [obj for obj in (getattr(js, name) for name in js.__all__)
                       if isinstance(obj, type) and dataclasses.is_dataclass(obj)]
@@ -148,3 +151,72 @@ def test_run_settings_and_experiment_config_share_each_rule():
     assert (settings_rules["beta"], settings_rules["scale_c"]) == (spec_rules["beta"],
                                                                   spec_rules["scale_c"])
     assert COUNT[1] == SIZE[1]  # a size's message at 0 is a count's
+
+
+# Each number slot of a CustomModel id: (field, the id with {} for the number's
+# text, the number's name, its rules in the order they are checked, its index
+# in compound_poisson_law's value, or for jumps in (intensity, size_std)).
+CUSTOM_SLOTS = [
+    ("drift", "constant:{}", "drift", (FINITE,), 0),
+    ("spot_vol", "constant:{}", "spot_vol sigma", (POSITIVE,), 1),
+    ("jumps", "compound-poisson:{},0.5", "jump intensity", (NONNEGATIVE,), 0),
+    ("jumps", "compound-poisson:2,{}", "jump size_std", (FINITE, POSITIVE), 1),
+    ("jumps", "compound-poisson:0,{}", "jump size_std", (FINITE,), 1),
+]
+CUSTOM_TEXTS = ["nan", "inf", "-inf", "1e400", "-1", "0", "-0", "5e-324", "1_0", " 2 ", "abc", ""]
+
+
+def custom_cases():
+    """(field, id, number name, number, expected message or None, index) of
+    each text in each slot; the number is None where the text does not parse."""
+    for field, template, name, rules, index in CUSTOM_SLOTS:
+        for text in CUSTOM_TEXTS:
+            spec = template.format(text)
+            try:
+                value = float(text)
+            except ValueError:
+                yield field, spec, name, None, f"bad {field} id {spec!r}", index
+                continue
+            rejected = next(filter(None, (rule_message(name, value, r) for r in rules)), None)
+            yield field, spec, name, value, rejected, index
+
+
+def test_every_text_of_every_custom_model_number():
+    for field, spec, name, value, rejected, index in custom_cases():
+        try:
+            law = js.compound_poisson_law(CustomModel(**{field: spec}))
+        except InvalidArgumentError as exc:
+            message = str(exc)
+            assert rejected is not None, (spec, message)
+            assert re.search(rf"(^|\W)({field}|{name})(\W|$)", message), (spec, message)
+            continue
+        assert rejected is None, spec
+        if field == "jumps":
+            intensity = float(spec.removeprefix("compound-poisson:").split(",")[0])
+            if intensity == 0.0:  # no jumps
+                assert law[2] is None, spec
+                continue
+            law = law[2]
+        assert law[index].hex() == value.hex(), spec
+
+
+def test_a_custom_model_number_its_rule_rejects_gets_the_rules_message():
+    for field, spec, _, _, rejected, _ in custom_cases():
+        if rejected is not None:
+            try:
+                CustomModel(**{field: spec})
+            except InvalidArgumentError as exc:
+                assert str(exc) == rejected
+            else:
+                raise AssertionError(spec)
+
+
+def test_a_custom_model_id_that_is_not_a_string_names_its_field():
+    for field in ("drift", "spot_vol", "jumps"):
+        for value in (None, 5, True, b"none"):
+            try:
+                CustomModel(**{field: value})
+            except InvalidArgumentError as exc:
+                assert str(exc) == f"{field} id must be a string, got {value!r}"
+            else:
+                raise AssertionError((field, value))
