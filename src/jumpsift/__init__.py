@@ -3,37 +3,34 @@
 Simulators for three reference jump models (compound Poisson, stochastic
 volatility with jumps, Variance Gamma), threshold and bipower estimators,
 jump detection, and a deterministic Monte Carlo harness for the normality
-and efficiency diagnostics. The harness, the diagnostics and the file
-writers load on first use: a process that never runs them never imports them.
+and efficiency diagnostics. Every public name and every module loads on
+first use, so `import jumpsift` imports nothing, numpy included.
 """
-
-from types import ModuleType as _Module
-
-from .errors import (AdmissibilityWarning, ConfigError, DegenerateStatisticError,
-                     InvalidArgumentError, JumpsiftError, SimulationError, UnsupportedError)
-from .grids import TimeGrid, build_irregular_grid, build_uniform_grid, refine
-from .models import (CustomModel, GroundTruth, JumpTable, Model1, Model2, Model3, SamplePath,
-                     compound_poisson_law, finite_activity, has_jumps)
-from .engines import path_seed, simulate, true_integrated_variance
-from .estimators import (JumpDetectionResult, ThresholdSpec, bipower_variation, detect_jumps,
-                         estimation_report, jump_size_error_stat, normalized_bias,
-                         realized_variance, threshold_admissible, threshold_quarticity,
-                         threshold_realized_variance)
-from .config import ExperimentConfig, RunSettings, merge_settings
 
 __version__ = "0.1.0"
 
-# Name -> the submodule that defines it (or is it), imported on the name's first use.
-_LAZY = {
-    **dict.fromkeys(("diagnostics", "PoissonMixtureCdf", "build_histogram", "ks_against_cdf",
-                     "ks_statistic", "normal_cdf", "sample_moments"), "diagnostics"),
-    **dict.fromkeys(("montecarlo", "efficiency_comparison", "jump_size_clt_experiment",
-                     "run_experiment", "small_jump_bias_bound"), "montecarlo"),
-    "serialize": "serialize",
+# Module -> the names of README "Library"'s table that it defines.
+_NAMES = {
+    "errors": ("AdmissibilityWarning", "ConfigError", "DegenerateStatisticError",
+               "InvalidArgumentError", "JumpsiftError", "SimulationError", "UnsupportedError"),
+    "grids": ("TimeGrid", "build_irregular_grid", "build_uniform_grid", "refine"),
+    "models": ("CustomModel", "GroundTruth", "JumpTable", "Model1", "Model2", "Model3",
+               "SamplePath", "compound_poisson_law", "finite_activity", "has_jumps"),
+    "engines": ("path_seed", "simulate", "true_integrated_variance"),
+    "estimators": ("JumpDetectionResult", "ThresholdSpec", "bipower_variation", "detect_jumps",
+                   "estimation_report", "jump_size_error_stat", "normalized_bias",
+                   "realized_variance", "threshold_admissible", "threshold_quarticity",
+                   "threshold_realized_variance"),
+    "config": ("ExperimentConfig", "RunSettings", "merge_settings"),
+    "diagnostics": ("PoissonMixtureCdf", "build_histogram", "ks_against_cdf", "ks_statistic",
+                    "normal_cdf", "sample_moments"),
+    "montecarlo": ("efficiency_comparison", "jump_size_clt_experiment", "run_experiment",
+                   "small_jump_bias_bound"),
+    "serialize": (),
 }
-# README "Library"'s table: each name imported above and each lazy one, but no module.
-__all__ = sorted(name for name, value in {**globals(), **_LAZY}.items()
-                 if name[0] != "_" and name != value and not isinstance(value, _Module))
+# Name or module -> the module imported on its first use.
+_LAZY = {name: module for module, names in _NAMES.items() for name in (module, *names)}
+__all__ = sorted(name for names in _NAMES.values() for name in names)
 
 
 def __getattr__(name):

@@ -87,6 +87,8 @@ class PoissonMixtureCdf:
         out = np.zeros(x.shape)
         for k, w in self._weights():
             out += w * ((x >= 0.0) if k == 0 else normal_cdf(x / math.sqrt(self.var_one * k)))
+        # Past lam_t = 700, out adds up hundreds of rounded terms and can pass 1 by an ulp.
+        np.minimum(out, 1.0, out=out)
         return float(out) if out.ndim == 0 else out
 
     def _weights(self):

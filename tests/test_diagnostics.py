@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jumpsift import (
     InvalidArgumentError,
@@ -38,7 +40,7 @@ def test_normal_cdf_of_a_square_past_the_largest_double_raises_no_warning():
         warnings.simplefilter("error")
         assert ks_statistic([1e200, 0.0, 1.0]) == 0.5080114071035351
         assert normal_cdf(1e300) == 1.0
-        assert PoissonMixtureCdf(800.0, 1.0)(1e300) == 1.000000000000001
+        assert PoissonMixtureCdf(800.0, 1.0)(1e300) == 1.0
 
 
 def test_ks_single_point():
@@ -162,6 +164,17 @@ def test_poisson_mixture_series_from_zero_and_from_the_mode_agree():
     above = PoissonMixtureCdf(math.nextafter(700.0, math.inf), 0.5)
     xs = np.linspace(-60.0, 60.0, 41)
     assert np.allclose(below(xs), above(xs), rtol=0.0, atol=1e-11)
+
+
+MIXTURE_XS = np.array([-1e300, -1e3, -10.0, -1.0, -0.1, 0.0, 0.1, 1.0, 10.0, 1e3, 1e300])
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(lam_t=st.floats(0.0, 20000.0), var_one=st.floats(1e-3, 10.0))
+def test_poisson_mixture_is_a_cdf(lam_t, var_one):
+    values = PoissonMixtureCdf(lam_t, var_one)(MIXTURE_XS)
+    assert np.all((values >= 0.0) & (values <= 1.0)), values
+    assert np.all(np.diff(values) >= 0.0), values
 
 
 def test_ks_against_mixture_detects_atom():

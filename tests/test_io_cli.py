@@ -1254,6 +1254,19 @@ def test_importing_the_package_loads_neither_serialize_nor_hashlib():
         "assert not loaded, loaded\n")
 
 
+def test_importing_the_package_imports_nothing_until_a_name_is_read():
+    _run_fresh(
+        "import sys\n"
+        "def loaded():\n"
+        "    return [m for m in sys.modules if m == 'numpy' or m.startswith('jumpsift.')]\n"
+        "import jumpsift\n"
+        "assert not loaded(), loaded()\n"
+        "jumpsift.ConfigError\n"
+        "assert loaded() == ['jumpsift.errors'], loaded()\n"
+        "jumpsift.Model1\n"
+        "assert 'jumpsift.models' in sys.modules\n")
+
+
 def test_only_mc_loads_the_harness_and_its_diagnostics(tmp_path):
     out = str(tmp_path)
     _run_fresh(
