@@ -16,7 +16,7 @@ id, and sha256 of each output. replay_manifest() re-executes a manifest and
 must reproduce the other files byte-for-byte.
 
 Exit codes: 0 success, 2 configuration error, 3 runtime error (running out
-of memory included).
+of memory included), 130 interrupted.
 
 main(argv) is the same entry point in process: it returns the exit code,
 and repeated calls are independent but build the parser only once. Only mc
@@ -124,6 +124,9 @@ def main(argv: list[str] | None = None) -> int:
               f" {_BYTES_PER_FINE_STEP} bytes per fine step, and it has n * substeps of them",
               file=sys.stderr)
         return 3
+    except KeyboardInterrupt:  # forked workers are already stopped
+        print("jumpsift: interrupted", file=sys.stderr)
+        return 130
     for name in outputs:
         print(os.path.join(out_dir, name))
     return 0

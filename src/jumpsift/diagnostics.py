@@ -82,6 +82,7 @@ class PoissonMixtureCdf:
 
     __post_init__ = _check_fields
 
+    @np.errstate(over="ignore")  # x / sqrt(var_one * k) past the largest double is +-inf
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         out = np.zeros(x.shape)
@@ -146,7 +147,8 @@ def sample_moments(samples) -> Moments:
     """Unbiased mean/variance plus moment-ratio shape statistics.
 
     Needs at least 2 samples; skewness needs 3 and kurtosis 4, below which
-    (or for constant samples) the shape statistics are NaN.
+    the shape statistics are NaN. Each is NaN too where its denominator,
+    m2^1.5 or m2^2, is 0: for constant samples, or where it underflows.
     """
     x = _checked_samples(samples)
     m = x.size
@@ -160,12 +162,13 @@ def sample_moments(samples) -> Moments:
         variance = s2 / (m - 1)
         m2 = s2 / m
         skewness = excess_kurtosis = math.nan
-        if m2 > 0.0:
-            if m >= 3:
-                m3 = _moment_sum(d2 * d) / m
+        if m >= 3:
+            m3 = _moment_sum(d2 * d) / m
+            if m2 ** 1.5 > 0.0:
                 skewness = m3 / m2 ** 1.5
-            if m >= 4:
-                m4 = _moment_sum(d2 * d * d) / m
+        if m >= 4:
+            m4 = _moment_sum(d2 * d * d) / m
+            if m2 * m2 > 0.0:
                 excess_kurtosis = m4 / (m2 * m2) - 3.0
     return Moments(mean, variance, skewness, excess_kurtosis)
 
@@ -218,11 +221,9 @@ def build_histogram(samples, bin_count: int = DEFAULT_BIN_COUNT,
         raise InvalidArgumentError(
             f"value_range must increase by a finite width, got {value_range!r}")
     x = np.asarray(samples, dtype=float)
-    if x.size and not np.all(np.isfinite(x)):
+    if not np.all(np.isfinite(x)):
         raise InvalidArgumentError("samples must be finite")
     counts = np.zeros(bin_count, dtype=np.int64)
-    if not x.size:
-        return Histogram(lo, hi, counts, 0, 0)
     below, above = x < lo, x >= hi
     # Bin indices only for samples in [lo, hi): a far-off sample would give a
     # quotient that overflows the int64 cast.

@@ -105,8 +105,9 @@ class SimulationPlan:
         """One path's observations (every substeps-th fine value), its
         continuous increments and spot sigma^2 on the subgrid, and its jumps:
         (times, sizes, observation interval of each) for finite-activity
-        models, the jump part of each substep for Model3. A non-finite last
-        fine value raises, since a cumulative sum that goes non-finite stays so."""
+        models, the jump part of each substep for Model3. seed may be any int:
+        the generator is keyed with its low 64 bits. A non-finite last fine
+        value raises, since a cumulative sum that goes non-finite stays so."""
         x_fine, cont_incr, spot, jumps = self.engine(self, _path_rng(seed))
         if not math.isfinite(x_fine[-1]):
             raise InvalidArgumentError("observations must be finite")
@@ -190,8 +191,7 @@ def _simulate_constant_vol(plan, rng):
     if jump_params is not None:
         lam, size_std = jump_params
         times = _poisson_times(rng, plan.grid.t_end, lam)
-        if times:
-            events, jump_incr = _events(plan, times, rng.normal(0.0, size_std, len(times)))
+        events, jump_incr = _events(plan, times, rng.normal(0.0, size_std, len(times)))
 
     return _assemble(cont_incr, jump_incr, plan.spot, events)
 
@@ -224,11 +224,9 @@ def _simulate_model2(plan, rng):
     cont_incr += drift_incr
 
     times = _poisson_times(rng, plan.grid.t_end, cfg.jump_intensity)
-    events, jump_incr = _NO_EVENTS, 0.0
-    if times:
-        jump_sd = math.sqrt(cfg.jump_var)
-        sizes = np.array([_draw_log_jump(rng, cfg.jump_mean, jump_sd) for _ in times])
-        events, jump_incr = _events(plan, times, sizes)
+    jump_sd = math.sqrt(cfg.jump_var)
+    sizes = np.array([_draw_log_jump(rng, cfg.jump_mean, jump_sd) for _ in times])
+    events, jump_incr = _events(plan, times, sizes)
 
     h_path *= 2.0
     spot = _require_spot_variance(np.exp(h_path, out=h_path))

@@ -43,7 +43,7 @@ from .estimators import (
     _warn_if_inadmissible,
 )
 from .config import ExperimentConfig
-from .grids import _MASK64, _check_number
+from .grids import _check_number
 from .models import Model3, compound_poisson_law, finite_activity, has_jumps, model_name
 from .engines import SimulationPlan, simulation_plan, spot_integral
 
@@ -228,7 +228,8 @@ def small_jump_bias_bound(model: Model3, spec: ThresholdSpec, h: float,
         raise InvalidArgumentError("bound is defined for Model3 parameters")
     h = _check_number("h", h)
     t_end = _check_number("t_end", t_end)
-    return 4.0 * t_end * spec.r_at(h) / model.gamma_var
+    # t_end * r first: 4 * t_end can overflow where r is 0, and inf * 0 is NaN.
+    return 4.0 * (t_end * spec.r_at(h)) / model.gamma_var
 
 
 @dataclass(frozen=True, eq=False)
@@ -320,7 +321,7 @@ def _jump_stat(plan: _RunPlan, index: int) -> float:
 def _simulate_path(plan: _RunPlan, index: int) -> tuple:
     # path_seed without its per-call checks: base_seed passed the INTEGER rule
     # when the config was built, and index comes from range().
-    return plan.sim.arrays((plan.cfg.base_seed ^ index) & _MASK64)
+    return plan.sim.arrays(plan.cfg.base_seed ^ index)
 
 
 # Once per run, children included: a path whose sums overflow fails its
@@ -329,27 +330,23 @@ def _simulate_path(plan: _RunPlan, index: int) -> tuple:
 def _map_paths(fn, plan: _RunPlan) -> list:
     """[fn(plan, i) for i in range(n_paths)], in index order for any worker count.
 
-    The calling process is one of p = min(parallelism, n_paths) processes.
-    It forks p - 1 children, which inherit the plan, each computing one
-    contiguous slice of [ceil(n_paths / p), n_paths) in index order, and
-    computes the paths [0, ceil(n_paths / p)) itself. A failure raises as
-    in the serial map: the one at the lowest index, with its type and
-    message. A child that dies without sending its results raises
-    SimulationError naming its slice. Without os.fork the map runs serially.
+    The calling process is one of p = min(parallelism, n_paths) processes,
+    or of p = 1 without os.fork. Process j computes the paths
+    [ceil(j * n_paths / p), ceil((j + 1) * n_paths / p)) in index order: the
+    caller is process 0, and it forks the p - 1 others (none at p = 1), which
+    inherit the plan. A failure raises as in the serial map: the one at the
+    lowest index, with its type and message. A child that dies without
+    sending its results raises SimulationError naming its slice.
     """
     n_paths = plan.cfg.n_paths
     procs = min(plan.cfg.parallelism, n_paths) if hasattr(os, "fork") else 1
-    if procs == 1:
-        return [fn(plan, i) for i in range(n_paths)]
-    own = -(-n_paths // procs)
-    rest = n_paths - own
-    bounds = [own + j * rest // (procs - 1) for j in range(procs)]
+    bounds = [-(-j * n_paths // procs) for j in range(procs + 1)]
     children = []
     reaped = 0
     try:
-        for lo, hi in zip(bounds, bounds[1:]):
+        for lo, hi in zip(bounds[1:], bounds[2:]):
             children.append(_fork_slice(fn, plan, lo, hi))
-        results = [fn(plan, i) for i in range(own)]
+        results = [fn(plan, i) for i in range(bounds[1])]
         for pid, pipe, lo, hi in children:
             payload = pipe.read()
             pipe.close()

@@ -486,9 +486,23 @@ def build_manifest(command: str, config: dict, base_seed: int, rng_id: str,
         "rng": rng_id,
         "base_seed": base_seed,
         "created_utc": created_utc,
-        # Byte identity of the outputs assumes the same numpy major version.
+        # Byte identity of the outputs assumes the same numpy and dispatch targets.
         "environment": {"python": "%d.%d.%d" % sys.version_info[:3],
-                        "numpy": np.__version__, "platform": sys.platform},
+                        "numpy": np.__version__, "numpy_dispatch": _numpy_dispatch(),
+                        "platform": sys.platform},
         "config": config,
         "outputs": entries,
     }
+
+
+def _numpy_dispatch() -> list[str] | None:
+    """The sorted names of numpy's CPU dispatch targets that this process
+    enables (NPY_DISABLE_CPU_FEATURES can turn them off); np.exp and others
+    can differ in the last bit between them. None where numpy does not
+    expose them."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+        enabled = umath.__cpu_features__
+        return sorted(name for name in umath.__cpu_dispatch__ if enabled.get(name))
+    except (ImportError, AttributeError):
+        return None

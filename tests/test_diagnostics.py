@@ -9,12 +9,15 @@ from hypothesis import strategies as st
 
 from jumpsift import (
     InvalidArgumentError,
+    Model3,
     PoissonMixtureCdf,
+    ThresholdSpec,
     build_histogram,
     ks_against_cdf,
     ks_statistic,
     normal_cdf,
     sample_moments,
+    small_jump_bias_bound,
 )
 
 
@@ -175,6 +178,38 @@ def test_poisson_mixture_is_a_cdf(lam_t, var_one):
     values = PoissonMixtureCdf(lam_t, var_one)(MIXTURE_XS)
     assert np.all((values >= 0.0) & (values <= 1.0)), values
     assert np.all(np.diff(values) >= 0.0), values
+
+
+# Samples are units times a scale: spreads from where m2^1.5 underflows to 1e300.
+SCALES = [1e-160, 1e-155, 1e-100, 1.0, 1e100, 1e150, 1e300]
+# One-event variances down to where x / sqrt(var_one) overflows.
+VARIANCES = [1e-300, 1e-20, 1e-3, 1.0, 1e300]
+# Positive numbers from the least subnormal to the largest double.
+MAGNITUDES = st.sampled_from([5e-324, 1e-300, 1e-3, 1.0, 1e300, 1.7976931348623157e308])
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(units=st.lists(st.floats(-1.0, 1.0), max_size=12), scale=st.sampled_from(SCALES),
+       lam_t=st.floats(0.0, 100.0), var_one=st.sampled_from(VARIANCES),
+       gamma_var=MAGNITUDES, beta=st.floats(-1e3, 1e3), scale_c=st.floats(-1e300, 1e300),
+       h=MAGNITUDES, t_end=MAGNITUDES)
+def test_library_calls_on_values_that_construct_end_cleanly(
+        units, scale, lam_t, var_one, gamma_var, beta, scale_c, h, t_end):
+    samples = [u * scale for u in units]
+    if samples:
+        for d in (ks_statistic(samples),
+                  ks_against_cdf(samples, PoissonMixtureCdf(lam_t, var_one), atom_points=(0.0,))):
+            assert 0.0 <= d <= 1.0, d
+    try:
+        sample_moments(samples)
+    except InvalidArgumentError:
+        pass
+    try:
+        bound = small_jump_bias_bound(Model3(gamma_var=gamma_var), ThresholdSpec(beta, scale_c),
+                                      h, t_end)
+    except InvalidArgumentError:
+        return
+    assert type(bound) is float and (math.isfinite(bound) or bound == math.inf), bound
 
 
 def test_ks_against_mixture_detects_atom():

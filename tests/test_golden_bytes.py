@@ -14,11 +14,16 @@ import pytest
 
 from jumpsift import ExperimentConfig, Model1, ThresholdSpec, jump_size_clt_experiment
 from jumpsift.cli import main
+from jumpsift.serialize import _numpy_dispatch
 
-# The numpy the pins were recorded under. CI's Python 3.10 leg installs an
-# older one, so each pin's failure message names both.
+# The numpy the pins were recorded under, and numpy's CPU dispatch targets
+# they were checked with. CI's Python 3.10 leg installs an older numpy, and a
+# CPU without these targets takes other exp code (README "Determinism"), so
+# each pin's failure message names both next to this run's.
 PINNED_NUMPY = "2.4.6"
-NUMPY_NOTE = f"pins recorded under numpy {PINNED_NUMPY}; this run has numpy {np.__version__}"
+PINNED_DISPATCH = ["AVX512_ICL", "AVX512_SPR", "X86_V3", "X86_V4"]
+NUMPY_NOTE = (f"pins recorded under numpy {PINNED_NUMPY} with dispatch targets {PINNED_DISPATCH};"
+              f" this run has numpy {np.__version__} with {_numpy_dispatch()}")
 
 SMALL = ["--paths", "6", "--n", "400", "--seed", "11", "--parallelism", "1"]
 

@@ -181,10 +181,19 @@ def _raise_timeout(signum, frame):
 
 
 def test_without_fork_the_map_runs_serially(monkeypatch):
-    monkeypatch.delattr(os, "fork")
-    got = _map_paths(lambda plan, i: (i, os.getpid()),
-                     _plan(small_cfg(n_paths=5, parallelism=3), min_paths=1))
-    assert got == [(i, os.getpid()) for i in range(5)]
+    def fork():
+        raise AssertionError("the map forked at parallelism 1")
+
+    # Without os.fork at parallelism 3, and at parallelism 1 with a fork that raises.
+    for parallelism in (3, 1):
+        with monkeypatch.context() as patch:
+            if parallelism == 3:
+                patch.delattr(os, "fork")
+            else:
+                patch.setattr(os, "fork", fork)
+            got = _map_paths(lambda plan, i: (i, os.getpid()),
+                             _plan(small_cfg(n_paths=5, parallelism=parallelism), min_paths=1))
+        assert got == [(i, os.getpid()) for i in range(5)]
 
 
 @pytest.mark.parametrize("model,substeps", [(Model1(), 1), (Model2(), 5)],

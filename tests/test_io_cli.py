@@ -1044,6 +1044,23 @@ def test_cli_passes_other_warnings_on(tmp_path, capsys, monkeypatch):
             main(argv)
 
 
+def test_cli_interrupt_is_one_line_and_exit_130(tmp_path, capsys, monkeypatch):
+    assert main(["simulate", "--n", "32", "--out", str(tmp_path / "run")]) == 0
+    capsys.readouterr()
+
+    def interrupted_run(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "_run", interrupted_run)
+    out = tmp_path / "out"
+    assert main(["mc", "--out", str(out)]) == 130
+    assert capsys.readouterr() == ("", "jumpsift: interrupted\n")
+    assert not out.exists()
+    # Only main turns the interrupt into an exit code; the library call raises it.
+    with pytest.raises(KeyboardInterrupt):
+        replay_manifest(str(tmp_path / "run" / "manifest.json"), str(out))
+
+
 def test_cli_compare_on_a_model_with_jumps_is_config_error(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["compare", "--preset", "model1-desk", "--out", str(out)]) == 2
@@ -1237,12 +1254,14 @@ def test_importing_the_cli_builds_no_parser():
     assert res.returncode == 0, res.stderr
 
 
-def _run_fresh(code: str) -> None:
-    """Runs code in a new interpreter, where no jumpsift module is loaded yet."""
+def _run_fresh(code: str, **env: str) -> None:
+    """Runs code in a new interpreter, where no jumpsift module is loaded yet,
+    with env added to the environment."""
     import subprocess
 
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         timeout=120, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+                         timeout=120,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), **env})
     assert res.returncode == 0, res.stderr
 
 
@@ -1552,7 +1571,23 @@ def test_manifest_records_the_environment(tmp_path, capsys):
     manifest = load_json(os.path.join(out, "manifest.json"))
     assert manifest["environment"] == {"python": platform.python_version(),
                                        "numpy": np.__version__,
+                                       "numpy_dispatch": enabled_dispatch_targets(),
                                        "platform": sys.platform}
+
+
+def enabled_dispatch_targets():
+    """numpy's CPU dispatch targets that this process enables, sorted."""
+    from numpy._core import _multiarray_umath as umath
+    return sorted(name for name in umath.__cpu_dispatch__ if umath.__cpu_features__[name])
+
+
+def test_manifest_records_no_dispatch_target_with_all_disabled(tmp_path):
+    # numpy reads NPY_DISABLE_CPU_FEATURES when it is imported, so in a fresh process.
+    out = str(tmp_path / "plain")
+    _run_fresh("from jumpsift.cli import main\n"
+               f"assert main(['simulate', '--n', '32', '--out', {out!r}]) == 0\n",
+               NPY_DISABLE_CPU_FEATURES=" ".join(enabled_dispatch_targets()))
+    assert load_json(os.path.join(out, "manifest.json"))["environment"]["numpy_dispatch"] == []
 
 
 def test_cli_ragged_row_is_runtime_error_naming_the_line(tmp_path, capsys):
